@@ -1,73 +1,50 @@
 """Hyperspectral image denoising by iterated spectral subspace projection
 and non-local low-rank patch filtering.
+
+The names below are the public surface; the building blocks (patch
+matching, shrinkage, unfoldings, the noise model) stay importable from
+their submodules.
 """
 
 from .experiment import ExperimentSpec, bench_bands, load_input, run_experiment
 from .io import (
-    CubeHeader,
     DataError,
     add_gaussian_noise,
     read_band_stack,
     read_cube,
-    rescale,
     write_band_stack,
     write_cube,
 )
-from .metrics import QualityReport, mpsnr, mssim, psnr, quality_report, sam, ssim
+from .metrics import QualityReport, mpsnr, mssim, quality_report, sam
 from .pipeline import DenoiseConfig, IterationRecord, NumericalError, denoise
-from .spatial import PatchGeometry, PatchGroup, aggregate, match_group, reference_grid, wnnm_shrink
-from .subspace import (
-    NoiseModel,
-    SubspaceModel,
-    estimate_band_noise,
-    estimate_subspace_dim,
-    reestimate_noise,
-    spectral_decompose,
-)
+from .spatial import PatchGeometry
+from .subspace import estimate_band_noise, estimate_subspace_dim
 from .synthetic import rank_cube
-from .tensor import fold3, frob_norm_sq, mode3_product, unfold3
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CubeHeader",
     "DataError",
     "DenoiseConfig",
     "ExperimentSpec",
     "IterationRecord",
-    "NoiseModel",
     "NumericalError",
     "PatchGeometry",
-    "PatchGroup",
     "QualityReport",
-    "SubspaceModel",
     "add_gaussian_noise",
-    "aggregate",
     "bench_bands",
     "denoise",
     "estimate_band_noise",
     "estimate_subspace_dim",
-    "fold3",
-    "frob_norm_sq",
     "load_input",
-    "match_group",
-    "mode3_product",
     "mpsnr",
     "mssim",
-    "psnr",
     "quality_report",
     "rank_cube",
     "read_band_stack",
     "read_cube",
-    "reestimate_noise",
-    "reference_grid",
-    "rescale",
     "run_experiment",
     "sam",
-    "spectral_decompose",
-    "ssim",
-    "unfold3",
-    "wnnm_shrink",
     "write_band_stack",
     "write_cube",
     "__version__",

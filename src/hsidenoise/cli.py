@@ -5,8 +5,10 @@ failure.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +50,56 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# Each DenoiseConfig/PatchGeometry field is one flag and one config key,
+# named after the field unless listed here.
+_KEYS = {"lam": "lambda"}
+_HELP = {
+    "k0": "initial subspace dimension (default: estimated)",
+    "delta": "subspace growth per iteration",
+    "lam": "estimate/observation mix in [0,1]",
+    "gamma": "noise re-estimation scale",
+    "iters": "outer iterations",
+    "patch": "patch side",
+    "stride": "reference patch spacing",
+    "window": "search window side",
+    "group": "patches per group",
+    "wnnm_c": "shrinkage weight constant",
+    "wnnm_eps": "shrinkage weight floor",
+    "k_growth": "subspace growth rule",
+    "early_stop": "relative-change stop threshold (default: off)",
+}
+# run options that are not denoiser fields: key -> parser of a file value
+_RUN_KEYS = {"sigma0": float, "seed": int, "normalize": _parse_bool, "keep_bands": str}
+
+
+def _config_fields(cls=DenoiseConfig):
+    """Yield (class, field, key, type) for each field the command line sets.
+
+    geom is set through its PatchGeometry fields; value_scale is fixed by
+    the [0, 255] scale that inputs are normalized to.
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        if dataclasses.is_dataclass(tp):
+            yield from _config_fields(tp)
+        elif f.name != "value_scale":
+            yield cls, f, _KEYS.get(f.name, f.name), tp
+
+
+def _arg_type(tp):
+    """(type, choices) for a field annotation; X | None takes an X."""
+    if typing.get_origin(tp) is typing.Literal:
+        return str, typing.get_args(tp)
+    return next(a for a in typing.get_args(tp) or (tp,) if a is not type(None)), None
+
+
 def _read_config_file(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
+    known = {key for _, _, key, _ in _config_fields()} | _RUN_KEYS.keys()
     vals = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -61,83 +108,66 @@ def _read_config_file(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        vals[key.lower().replace("-", "_")] = val
+        key = key.lower().replace("-", "_")
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        vals[key] = val
     return vals
 
 
 def _add_config_flags(parser):
     grp = parser.add_argument_group("denoiser options")
     grp.add_argument("--config", metavar="FILE", help="key = value defaults; flags override")
-    grp.add_argument("--k0", type=int, help="initial subspace dimension (default: estimated)")
-    grp.add_argument("--delta", type=int, help="subspace growth per iteration (default 2)")
-    grp.add_argument("--lambda", dest="lam", type=float, help="estimate/observation mix in [0,1] (default 0.9)")
-    grp.add_argument("--gamma", type=float, help="noise re-estimation scale (default 0.5)")
-    grp.add_argument("--iters", type=int, help="outer iterations (default 5)")
-    grp.add_argument("--patch", type=int, help="patch side (default 6)")
-    grp.add_argument("--stride", type=int, help="reference patch spacing (default 4)")
-    grp.add_argument("--window", type=int, help="search window side (default 30)")
-    grp.add_argument("--group", type=int, help="patches per group (default 70)")
-    grp.add_argument("--seed", type=int, help="noise seed (default 0)")
+    for _, f, key, tp in _config_fields():
+        kind, choices = _arg_type(tp)
+        text = _HELP[f.name]
+        if f.default is not None:
+            default = f"{f.default:g}" if isinstance(f.default, float) else f.default
+            text += f" (default {default})"
+        grp.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=kind, choices=choices, help=text
+        )
+    grp.add_argument("--seed", type=int, help=f"noise seed (default {ExperimentSpec.seed})")
     grp.add_argument("--sigma0", type=float, help="noise sigma on the [0,255] scale (default: estimated)")
-    grp.add_argument("--wnnm-c", dest="wnnm_c", type=float, help="shrinkage weight constant")
-    grp.add_argument("--wnnm-eps", dest="wnnm_eps", type=float, help="shrinkage weight floor")
-    grp.add_argument("--k-growth", dest="k_growth", choices=["cumulative", "affine"], help="subspace growth rule")
-    grp.add_argument("--early-stop", dest="early_stop", type=float, help="relative-change stop threshold")
     grp.add_argument("--no-normalize", action="store_true", help="keep stored values; skip [0,255] rescale on load")
     grp.add_argument("--keep-bands", metavar="LIST", help="bands to keep, e.g. 0-102,108-148")
 
 
 def _build_config(args):
+    """Return (DenoiseConfig, run options) with flags over config file values.
+
+    Whatever neither sets keeps its dataclass default.  The run options
+    are sigma0, seed, normalize and keep_bands.
+    """
     file_vals = _read_config_file(args.config) if args.config else {}
 
-    def pick(name, cast, default, file_key=None):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        key = file_key or name
-        if key in file_vals:
-            return cast(file_vals[key])
-        return default
+    def pick(key, cast):
+        val = getattr(args, key, None)
+        if val is None and key in file_vals:
+            val = cast(file_vals[key])
+        return val
 
-    geom = PatchGeometry(
-        patch=pick("patch", int, 6),
-        stride=pick("stride", int, 4),
-        window=pick("window", int, 30),
-        group=pick("group", int, 70),
-    )
-    cfg = DenoiseConfig(
-        k0=pick("k0", int, None),
-        delta=pick("delta", int, 2),
-        lam=pick("lam", float, 0.9, file_key="lambda"),
-        gamma=pick("gamma", float, 0.5),
-        iters=pick("iters", int, 5),
-        geom=geom,
-        wnnm_c=pick("wnnm_c", float, DenoiseConfig.wnnm_c),
-        wnnm_eps=pick("wnnm_eps", float, DenoiseConfig.wnnm_eps),
-        seed=pick("seed", int, 0),
-        k_growth=pick("k_growth", str, "cumulative"),
-        early_stop=pick("early_stop", float, None),
-    )
-    sigma0 = pick("sigma0", float, None)
-    if args.no_normalize:
-        normalize = False
-    elif "normalize" in file_vals:
-        normalize = _parse_bool(file_vals["normalize"])
-    else:
-        normalize = True
-    keep = getattr(args, "keep_bands", None)
-    if keep is None and "keep_bands" in file_vals:
-        keep = file_vals["keep_bands"]
-    keep_bands = parse_band_list(keep) if keep else None
-    return cfg, sigma0, normalize, keep_bands
+    kwargs = {DenoiseConfig: {}, PatchGeometry: {}}
+    for cls, f, key, tp in _config_fields():
+        val = pick(key, _arg_type(tp)[0])
+        if val is not None:
+            kwargs[cls][f.name] = val
+    cfg = DenoiseConfig(geom=PatchGeometry(**kwargs[PatchGeometry]), **kwargs[DenoiseConfig])
+
+    run = argparse.Namespace(**{key: pick(key, cast) for key, cast in _RUN_KEYS.items()})
+    if run.seed is None:
+        run.seed = ExperimentSpec.seed
+    run.normalize = not args.no_normalize and run.normalize is not False
+    run.keep_bands = parse_band_list(run.keep_bands) if run.keep_bands else None
+    return cfg, run
 
 
 def _cmd_denoise(args):
-    cfg, sigma0, normalize, keep_bands = _build_config(args)
-    cube = load_input(args.input, normalize, keep_bands)
-    clean = load_input(args.clean, normalize, keep_bands) if args.clean else None
+    cfg, run = _build_config(args)
+    cube = load_input(args.input, run.normalize, run.keep_bands)
+    clean = load_input(args.clean, run.normalize, run.keep_bands) if args.clean else None
     t0 = time.perf_counter()
-    x, trace = denoise(cube, sigma0, cfg, clean=clean)
+    x, trace = denoise(cube, run.sigma0, cfg, clean=clean)
     elapsed = time.perf_counter() - t0
     write_cube(args.output, x, dtype=args.dtype)
     if args.trace:
@@ -155,11 +185,11 @@ def _cmd_denoise(args):
 
 
 def _cmd_add_noise(args):
-    cfg, _, normalize, keep_bands = _build_config(args)
-    cube = load_input(args.input, normalize, keep_bands)
-    noisy = add_gaussian_noise(cube, args.sigma, seed=cfg.seed)
+    _, run = _build_config(args)
+    cube = load_input(args.input, run.normalize, run.keep_bands)
+    noisy = add_gaussian_noise(cube, args.sigma, seed=run.seed)
     write_cube(args.output, noisy, dtype=args.dtype)
-    print(f"wrote {args.output} (sigma={args.sigma:g}, seed={cfg.seed})")
+    print(f"wrote {args.output} (sigma={args.sigma:g}, seed={run.seed})")
     return 0
 
 
@@ -172,8 +202,8 @@ def _cmd_metrics(args):
 
 
 def _cmd_estimate_k(args):
-    _, _, normalize, keep_bands = _build_config(args)
-    cube = load_input(args.input, normalize, keep_bands)
+    _, run = _build_config(args)
+    cube = load_input(args.input, run.normalize, run.keep_bands)
     sig = estimate_band_noise(cube)
     k = estimate_subspace_dim(cube, sig)
     print(f"K = {k}")
@@ -192,16 +222,16 @@ def _parse_float_list(text, what):
 
 
 def _cmd_run_exp(args):
-    cfg, _, normalize, keep_bands = _build_config(args)
+    cfg, run = _build_config(args)
     sigmas = _parse_float_list(args.sigmas, "sigma")
     spec = ExperimentSpec(
         input_path=args.input,
         sigmas=sigmas,
         output_dir=args.outdir,
-        seed=cfg.seed,
+        seed=run.seed,
         config=cfg,
-        normalize=normalize,
-        keep_bands=keep_bands,
+        normalize=run.normalize,
+        keep_bands=run.keep_bands,
         label=args.label,
         jobs=args.jobs,
         save_cubes=not args.no_save_cubes,
@@ -221,15 +251,15 @@ def _cmd_run_exp(args):
 
 
 def _cmd_bench_bands(args):
-    cfg, _, normalize, keep_bands = _build_config(args)
+    cfg, run = _build_config(args)
     spec = ExperimentSpec(
         input_path=args.input,
         sigmas=[args.sigma],
         output_dir=args.outdir,
-        seed=cfg.seed,
+        seed=run.seed,
         config=cfg,
-        normalize=normalize,
-        keep_bands=keep_bands,
+        normalize=run.normalize,
+        keep_bands=run.keep_bands,
     )
     counts = [int(c) for c in _parse_float_list(args.bands, "band")] if args.bands else None
     rows = bench_bands(spec, counts)

@@ -5,14 +5,14 @@ and the band-count scaling benchmark.
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .io import add_gaussian_noise, read_band_stack, read_cube, write_cube
 from .metrics import mssim, quality_report
-from .pipeline import DenoiseConfig, denoise
+from .pipeline import DenoiseConfig, IterationRecord, denoise
 
 __all__ = [
     "ExperimentSpec",
@@ -36,15 +36,7 @@ REPORT_FIELDS = [
     "status",
 ]
 BENCH_FIELDS = ["bands", "stage_a_seconds", "stage_b_seconds", "mssim"]
-TRACE_FIELDS = [
-    "iteration",
-    "k",
-    "sigma",
-    "residual",
-    "psnr",
-    "stage_a_seconds",
-    "stage_b_seconds",
-]
+TRACE_FIELDS = [f.name for f in fields(IterationRecord)]
 
 
 @dataclass
@@ -89,29 +81,17 @@ def load_input(path, normalize=True, keep_bands=None, peak=255.0):
     return cube
 
 
-def write_trace_csv(path, trace):
+def _write_rows(path, rows, columns):
+    # csv writes floats with str(), an exact round trip, and None as ""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_FIELDS)
-        writer.writeheader()
-        for rec in trace:
-            writer.writerow(
-                {
-                    "iteration": rec.iteration,
-                    "k": rec.k,
-                    "sigma": repr(rec.sigma),
-                    "residual": repr(rec.residual),
-                    "psnr": "" if rec.psnr is None else repr(rec.psnr),
-                    "stage_a_seconds": repr(rec.stage_a_seconds),
-                    "stage_b_seconds": repr(rec.stage_b_seconds),
-                }
-            )
-
-
-def _write_rows(path, rows, fields):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_trace_csv(path, trace):
+    """One row per IterationRecord; an absent psnr is written empty."""
+    _write_rows(path, (asdict(rec) for rec in trace), TRACE_FIELDS)
 
 
 def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):

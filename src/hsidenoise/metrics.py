@@ -26,13 +26,6 @@ class QualityReport:
     sam_deg: float
     per_band_psnr: list = field(default_factory=list)
 
-    def as_row(self):
-        return {
-            "mpsnr": self.mpsnr,
-            "mssim": self.mssim,
-            "sam_deg": self.sam_deg,
-        }
-
 
 def _check_pair(ref, test, ndim):
     ref = np.asarray(ref, dtype=np.float64)

@@ -6,6 +6,7 @@ while the subspace dimension grows.
 
 import time
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -39,15 +40,16 @@ class NumericalError(RuntimeError):
     """Non-finite values appeared mid-pipeline."""
 
 
+KGrowth = Literal["cumulative", "affine"]
+
+
 @dataclass
 class DenoiseConfig:
     """All tunables of the denoising loop.
 
     k0 is the initial subspace dimension (estimated from the data when
     None).  delta grows it each iteration; lam mixes the estimate with the
-    observation; gamma scales the per-iteration noise re-estimate.  seed
-    is carried for the experiment harness (the loop itself is
-    deterministic).
+    observation; gamma scales the per-iteration noise re-estimate.
     """
 
     k0: int | None = None
@@ -58,8 +60,7 @@ class DenoiseConfig:
     geom: PatchGeometry = field(default_factory=PatchGeometry)
     wnnm_c: float = DEFAULT_WNNM_C
     wnnm_eps: float = DEFAULT_WNNM_EPS
-    seed: int = 0
-    k_growth: str = "cumulative"
+    k_growth: KGrowth = "cumulative"
     early_stop: float | None = None
     value_scale: float = 255.0
 
@@ -74,7 +75,7 @@ class DenoiseConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.k_growth not in ("cumulative", "affine"):
+        if self.k_growth not in get_args(KGrowth):
             raise ValueError(
                 f"k_growth must be 'cumulative' or 'affine', got {self.k_growth!r}"
             )
@@ -159,16 +160,13 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     if sigma0 < 0:
         raise ValueError(f"sigma0 must be >= 0, got {sigma0}")
 
-    noise = NoiseModel(
-        sigma0_sq=sigma0 * sigma0, per_band_sigma=band_sigma, gamma=cfg.gamma
-    )
+    noise = NoiseModel(sigma0_sq=sigma0 * sigma0, gamma=cfg.gamma)
     trace = []
     k = k0
     y_i = y
     x = y
     for i in range(1, cfg.iters + 1):
         sigma_i = reestimate_noise(y_i, y, noise)
-        noise.sigma_i = sigma_i
 
         t0 = time.perf_counter()
         model = spectral_decompose(y_i, k)

@@ -21,6 +21,8 @@ __all__ = [
 
 # ridge weight for the band regressions, relative to mean band energy
 RIDGE_SCALE = 1e-6
+# pixels per block when forming the band-regression residuals
+_PIXEL_BLOCK = 4096
 
 
 @dataclass
@@ -45,15 +47,13 @@ class SubspaceModel:
 
 @dataclass
 class NoiseModel:
-    """Noise bookkeeping across iterations, on the nominal intensity scale.
+    """Observation noise on the nominal intensity scale.
 
-    sigma0_sq is the initial variance; sigma_i is the current iteration's
-    estimate, refreshed by reestimate_noise each outer iteration.
+    sigma0_sq is the initial variance; gamma scales the per-iteration
+    estimate made by reestimate_noise.
     """
 
     sigma0_sq: float
-    per_band_sigma: np.ndarray | None = None
-    sigma_i: float | None = None
     gamma: float = 0.5
 
     def __post_init__(self):
@@ -145,19 +145,20 @@ def estimate_band_noise(cube):
 
     alpha = RIDGE_SCALE * tr / b
     q = np.linalg.inv(r + alpha * np.eye(b))
-    sigmas = np.empty(b)
-    for i in range(b):
-        # remove band i from the regularized inverse by a rank-one downdate,
-        # then regress band i on the rest
-        xx = q - np.outer(q[:, i], q[i, :]) / q[i, i]
-        ra = r[:, i].copy()
-        ra[i] = 0.0
-        beta = xx @ ra
-        beta[i] = 0.0
-        w = z[i] - beta @ z
-        # the predictors carry noise too: Var(w) = sigma^2 (1 + |beta|^2)
-        sigmas[i] = np.sqrt(np.mean(w * w) / (1.0 + beta @ beta))
-    return sigmas
+    # leave-one-out ridge in closed form: regressing band i on the others
+    # gives coefficients -q[:, i] / q[i, i], with band i itself left out
+    beta = q / -np.diag(q)
+    np.fill_diagonal(beta, 0.0)
+    # residuals z - beta.T @ z, a block of pixels at a time so the
+    # temporary stays small next to the unfolding
+    ssq = np.zeros(b)
+    for j in range(0, mn, _PIXEL_BLOCK):
+        zj = z[:, j : j + _PIXEL_BLOCK]
+        w = beta.T @ zj
+        np.subtract(zj, w, out=w)
+        ssq += np.einsum("ij,ij->i", w, w)
+    # the predictors carry noise too: Var(w) = sigma^2 (1 + |beta|^2)
+    return np.sqrt(ssq / mn / (1.0 + np.einsum("ji,ji->i", beta, beta)))
 
 
 def estimate_subspace_dim(cube, per_band_sigma):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsidenoise.subspace import (
+    RIDGE_SCALE,
     NoiseModel,
     estimate_band_noise,
     estimate_subspace_dim,
@@ -17,6 +18,28 @@ from hsidenoise.io import add_gaussian_noise
 
 def rel_frob(a, b):
     return np.sqrt(frob_norm_sq(a - b) / frob_norm_sq(b))
+
+
+def band_noise_by_loop(cube):
+    """Reference estimate: regress each band on the others, one at a time.
+
+    Band i is removed from the ridge-regularized inverse by a rank-one
+    downdate, then its coefficients come from the downdated inverse.
+    """
+    z = unfold3(cube)
+    b = z.shape[0]
+    r = z @ z.T
+    q = np.linalg.inv(r + RIDGE_SCALE * np.trace(r) / b * np.eye(b))
+    sigmas = np.empty(b)
+    for i in range(b):
+        xx = q - np.outer(q[:, i], q[i, :]) / q[i, i]
+        ra = r[:, i].copy()
+        ra[i] = 0.0
+        beta = xx @ ra
+        beta[i] = 0.0
+        w = z[i] - beta @ z
+        sigmas[i] = np.sqrt(np.mean(w * w) / (1.0 + beta @ beta))
+    return sigmas
 
 
 class TestSpectralDecompose:
@@ -107,6 +130,24 @@ class TestEstimateBandNoise:
         sigmas = estimate_band_noise(noisy)
         assert sigmas.shape == (16,)
         assert 18.0 <= sigmas.mean() <= 22.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 5.0, 40.0])
+    def test_matches_per_band_regression(self, sigma):
+        cube = add_gaussian_noise(rank_cube(24, 20, 12, 3, seed=21), sigma, seed=21)
+        # noiseless residuals are rounding error; atol is 4e-9 of the peak
+        np.testing.assert_allclose(
+            estimate_band_noise(cube), band_noise_by_loop(cube), rtol=1e-9, atol=1e-6
+        )
+
+    def test_matches_per_band_regression_unequal_noise(self):
+        # band-dependent noise levels, so the per-band coefficients differ
+        rng = np.random.default_rng(22)
+        cube = rank_cube(32, 32, 10, 4, seed=22) + rng.standard_normal(
+            (32, 32, 10)
+        ) * np.linspace(2.0, 30.0, 10)
+        np.testing.assert_allclose(
+            estimate_band_noise(cube), band_noise_by_loop(cube), rtol=1e-9
+        )
 
     def test_constant_cube_near_zero(self):
         sigmas = estimate_band_noise(np.full((32, 32, 8), 87.0))
