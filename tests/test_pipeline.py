@@ -1,7 +1,10 @@
 """Outer iteration: subspace projection, reduced denoising, mixing."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsidenoise.pipeline import (
     DenoiseConfig,
@@ -145,3 +148,65 @@ class TestDenoise:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             denoise(bad, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
+
+
+TINY_GEOM = PatchGeometry(patch=2, stride=2, window=4, group=4)
+SIDES = st.integers(1, 10)
+SEEDS = st.integers(0, 2**32 - 1)
+SIGMA0 = st.sampled_from([None, 10.0])
+
+
+# ValueErrors denoise documents for cubes too small to estimate or to patch
+TOO_SMALL = "insufficient pixels|exceeds image dims"
+
+
+def denoised_or_value_error(cube, sigma0, geom=TINY_GEOM):
+    """denoise's estimate, checked finite and of the input's shape; None
+    when denoise rejects a cube too small for it with a ValueError."""
+    try:
+        x, _ = denoise(cube, sigma0=sigma0, config=DenoiseConfig(iters=2, geom=geom))
+    except ValueError as exc:
+        assert re.search(TOO_SMALL, str(exc)), exc
+        return None
+    assert x.shape == cube.shape
+    assert np.all(np.isfinite(x))
+    return x
+
+
+class TestDegenerateCubes:
+    """Degenerate cubes give a finite estimate or a ValueError, never a
+    NaN or another exception."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=SIDES, n=SIDES, b=st.integers(2, 5), sigma0=SIGMA0,
+           value=st.floats(-1e150, 1e150))
+    def test_constant(self, m, n, b, sigma0, value):
+        denoised_or_value_error(np.full((m, n, b), value), sigma0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=SIDES, n=SIDES, b=st.integers(2, 5), sigma0=SIGMA0)
+    def test_all_zero(self, m, n, b, sigma0):
+        x = denoised_or_value_error(np.zeros((m, n, b)), sigma0)
+        if x is not None:
+            assert not x.any()
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=SIDES, n=SIDES, seed=SEEDS, sigma0=SIGMA0)
+    def test_two_bands(self, m, n, seed, sigma0):
+        cube = np.random.default_rng(seed).uniform(0.0, 255.0, (m, n, 2))
+        denoised_or_value_error(cube, sigma0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=SIDES, n=SIDES, b=st.integers(2, 5), seed=SEEDS,
+           exponent=st.integers(0, 150), sigma0=SIGMA0)
+    def test_values_up_to_1e150(self, m, n, b, seed, exponent, sigma0):
+        rng = np.random.default_rng(seed)
+        cube = rng.standard_normal((m, n, b)) * 10.0**exponent
+        denoised_or_value_error(cube, sigma0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=st.integers(1, 5), n=st.integers(1, 12), seed=SEEDS)
+    def test_image_smaller_than_patch(self, m, n, seed):
+        cube = np.random.default_rng(seed).uniform(0.0, 255.0, (m, n, 3))
+        with pytest.raises(ValueError, match="exceeds image dims"):
+            denoise(cube, sigma0=10.0, config=DenoiseConfig(k0=1, iters=2))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hsidenoise import spatial
 from hsidenoise.spatial import (
     PatchGeometry,
     aggregate,
@@ -223,6 +224,14 @@ class TestAggregate:
         with pytest.raises(ValueError, match="inconsistent"):
             aggregate([(grp, grp.matrix[:, :2])], reduced.shape)
 
+    def test_member_outside_image_rejected(self):
+        rng = np.random.default_rng(13)
+        reduced = rng.standard_normal((10, 10, 2))
+        grp = match_group(reduced, (0, 0), SMALL)
+        grp.members[1] = (9, 0)  # a 2x2 patch at row 9 leaves the image
+        with pytest.raises(ValueError, match="outside"):
+            aggregate([(grp, grp.matrix)], reduced.shape)
+
 
 class TestDenoiseReduced:
     def test_zero_sigma_identity(self):
@@ -238,3 +247,225 @@ class TestDenoiseReduced:
         geom = PatchGeometry(patch=4, stride=2, window=10, group=20)
         out = denoise_reduced(noisy, 20.0, geom, c=0.5)
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
+
+
+# --- Per-reference reference implementations -------------------------------
+# The spatial stage as one Python loop over references, with a sliding-window
+# match, a per-group SVD and a per-member scatter.  denoise_reduced and the
+# thin views above must agree with it.
+
+
+def match_by_window(reduced, ref, geom):
+    """(members, matrix) of one reference, from every candidate's distance."""
+    m, n, k = reduced.shape
+    ps, half = geom.patch, geom.window // 2
+    r0, c0 = ref
+    rlo, rhi = max(0, r0 - half), min(m - ps, r0 + half)
+    clo, chi = max(0, c0 - half), min(n - ps, c0 + half)
+    ncols = chi - clo + 1
+    region = reduced[rlo : rhi + ps, clo : chi + ps, :]
+    wins = np.lib.stride_tricks.sliding_window_view(region, (ps, ps), axis=(0, 1))
+    diff = wins - np.moveaxis(reduced[r0 : r0 + ps, c0 : c0 + ps, :], 2, 0)
+    dist = np.einsum("rckij,rckij->rc", diff, diff).ravel()
+    ref_flat = (r0 - rlo) * ncols + (c0 - clo)
+    take = [ref_flat]
+    for idx in np.argsort(dist, kind="stable"):
+        if len(take) == geom.group:
+            break
+        if idx != ref_flat:
+            take.append(int(idx))
+    members = np.array([(rlo + i // ncols, clo + i % ncols) for i in take])
+    matrix = np.stack(
+        [reduced[r : r + ps, c : c + ps, :].ravel() for r, c in members], axis=1
+    )
+    return members, matrix
+
+
+def shrink_by_svd(g, sigma, c=2.0 * math.sqrt(2.0), eps=1e-16, value_scale=1.0):
+    """Weighted singular-value shrinkage through the SVD of the group."""
+    if sigma < 1e-9 * value_scale:
+        return g
+    u, s, vt = np.linalg.svd(g / value_scale, full_matrices=False)
+    p = g.shape[1]
+    sig = sigma / value_scale
+    s_clean = np.sqrt(np.maximum(s * s - p * sig * sig, 0.0))
+    s_new = np.maximum(s - c * math.sqrt(p) / (s_clean + eps), 0.0)
+    return (u * (s_new * value_scale)) @ vt
+
+
+def denoise_by_loop(reduced, sigma, geom, c=2.0 * math.sqrt(2.0), value_scale=255.0):
+    m, n, k = reduced.shape
+    ps = geom.patch
+    acc = np.zeros((m, n, k))
+    cnt = np.zeros((m, n, 1))
+    for ref in reference_grid(m, n, geom):
+        members, matrix = match_by_window(reduced, ref, geom)
+        out = shrink_by_svd(matrix, sigma, c, value_scale=value_scale)
+        for j, (r, col) in enumerate(members):
+            acc[r : r + ps, col : col + ps, :] += out[:, j].reshape(ps, ps, k)
+            cnt[r : r + ps, col : col + ps, :] += 1.0
+    return acc / cnt
+
+
+def _scene(seed, shape):
+    """Smooth ramps on a 0..255 scale plus noise, so shrinkage keeps some
+    components and zeroes others."""
+    rng = np.random.default_rng(seed)
+    m, n, k = shape
+    ramp = np.add.outer(np.linspace(0.0, 1.0, m), np.linspace(0.0, 1.0, n))
+    spectra = rng.uniform(20.0, 120.0, size=(2, k))
+    clean = 60.0 + ramp[:, :, None] * spectra[0] + np.sin(3.0 * ramp)[:, :, None] * spectra[1]
+    return clean + rng.standard_normal(shape) * 10.0
+
+
+def _planted_duplicates():
+    reduced = _scene(20, (16, 16, 2))
+    patch = reduced[4:8, 4:8, :].copy()
+    for r, c in [(0, 8), (8, 0), (9, 9), (2, 0)]:
+        reduced[r : r + 4, c : c + 4, :] = patch
+    return reduced
+
+
+# name -> (reduced image, geometry, sigma)
+STAGE_CASES = {
+    # clipped windows give groups of 4, 6 and 9 members
+    "ragged": (
+        _scene(21, (12, 12, 3)),
+        PatchGeometry(patch=2, stride=2, window=2, group=9),
+        10.0,
+    ),
+    # every candidate ties at distance 0
+    "constant": (np.full((14, 14, 3), 200.0), SMALL, 10.0),
+    "one_patch": (_scene(22, (6, 6, 4)), PatchGeometry(), 10.0),
+    "planted_duplicates": (
+        _planted_duplicates(),
+        PatchGeometry(patch=4, stride=2, window=12, group=6),
+        10.0,
+    ),
+    "default_geometry": (_scene(23, (40, 40, 5)), PatchGeometry(), 10.0),
+}
+
+# Relative to the largest entry of the loop's output: summation order differs
+# (distances, Gram eigh against SVD, scatter order), float64 roundoff is
+# about 1e-15, and the margin covers groups whose singular values sit close
+# together.
+STAGE_RTOL = 1e-12
+
+
+class TestStageEquivalence:
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_members_match_loop(self, case):
+        reduced, geom, _ = STAGE_CASES[case]
+        m, n, _ = reduced.shape
+        for ref in reference_grid(m, n, geom):
+            grp = match_group(reduced, ref, geom)
+            members, matrix = match_by_window(reduced, ref, geom)
+            np.testing.assert_array_equal(grp.members, members)
+            np.testing.assert_array_equal(grp.matrix, matrix)
+
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_denoise_matches_loop(self, case):
+        reduced, geom, sigma = STAGE_CASES[case]
+        want = denoise_by_loop(reduced, sigma, geom)
+        got = denoise_reduced(reduced, sigma, geom)
+        scale = max(np.abs(want).max(), 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=STAGE_RTOL * scale)
+
+    def test_ragged_case_has_ragged_groups(self):
+        reduced, geom, _ = STAGE_CASES["ragged"]
+        sizes = {
+            len(match_group(reduced, ref, geom).members)
+            for ref in reference_grid(12, 12, geom)
+        }
+        assert sizes == {4, 6, 9}
+
+    def test_duplicates_lead_their_groups(self):
+        reduced, geom, _ = STAGE_CASES["planted_duplicates"]
+        grp = match_group(reduced, (4, 4), geom)
+        top = {tuple(m) for m in grp.members[:5]}
+        assert top == {(4, 4), (0, 8), (8, 0), (9, 9), (2, 0)}
+
+    def test_small_chunks_change_nothing(self, monkeypatch):
+        """Chunk size bounds memory only: one group per chunk gives the same
+        members and matches the loop as closely as the default chunks."""
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        want = denoise_by_loop(reduced, sigma, geom)
+        monkeypatch.setattr(spatial, "_CHUNK_BYTES", 1)
+        got = denoise_reduced(reduced, sigma, geom)
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=STAGE_RTOL * np.abs(want).max()
+        )
+
+
+# Gram eigh against SVD, relative to the largest entry of the group.  Both
+# paths are backward stable; squaring the singular values costs accuracy
+# only for s^2 below about c*sqrt(p), and those components are zeroed by
+# both.  Observed differences are at most 3e-13 on the random groups below.
+SHRINK_RTOL = 1e-11
+
+
+def assert_shrinks_agree(g, sigma, value_scale=1.0):
+    got = wnnm_shrink(g, sigma, value_scale=value_scale)
+    want = shrink_by_svd(g, sigma, value_scale=value_scale)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(
+        got, want, rtol=0, atol=SHRINK_RTOL * np.abs(g).max()
+    )
+    return want
+
+
+def low_rank_group(rng, d, p, sigma, rank=3, scale=5.0):
+    signal = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, p))
+    return signal * scale + rng.standard_normal((d, p)) * sigma
+
+
+class TestShrinkAgainstSvd:
+    @pytest.mark.parametrize("shape", [(12, 6), (24, 10), (4, 9), (36, 36), (900, 70)])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+    def test_random_groups(self, shape, sigma):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(4):
+            g = low_rank_group(rng, *shape, sigma)
+            want = assert_shrinks_agree(g, sigma)
+            # partly shrunk: neither zeroed nor left alone
+            assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(30)
+        base = rng.standard_normal((30, 5)) * 10.0
+        g = np.concatenate([base, base[:, :3], 2.0 * base[:, :1]], axis=1)
+        assert np.linalg.matrix_rank(g) == 5
+        assert_shrinks_agree(g, 0.5)
+
+    def test_all_zero(self):
+        g = np.zeros((20, 8))
+        np.testing.assert_array_equal(wnnm_shrink(g, 1.0), g)
+        np.testing.assert_array_equal(shrink_by_svd(g, 1.0), g)
+
+    @pytest.mark.parametrize("value_scale", [1.0, 255.0])
+    def test_sigma_just_above_bypass(self, value_scale):
+        rng = np.random.default_rng(31)
+        g = low_rank_group(rng, 40, 10, 1.0, scale=value_scale)
+        want = assert_shrinks_agree(g, 1.5e-9 * value_scale, value_scale)
+        assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
+
+    @pytest.mark.parametrize("value_scale", [1.0, 255.0])
+    def test_entries_near_1e150(self, value_scale):
+        rng = np.random.default_rng(32)
+        g = low_rank_group(rng, 36, 12, 0.1) * 1e150
+        assert_shrinks_agree(g, 0.05e150, value_scale)
+
+    def test_both_overflow_at_1e160(self):
+        rng = np.random.default_rng(33)
+        g = low_rank_group(rng, 36, 12, 0.1) * 1e160
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                shrink_by_svd(g, 1.0)
+            with pytest.raises(FloatingPointError):
+                wnnm_shrink(g, 1.0)
+
+    def test_overflowed_gram_raises_not_nan(self):
+        g = np.full((36, 12), 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+                wnnm_shrink(g, 1.0)
