@@ -68,8 +68,14 @@ _HELP = {
     "k_growth": "subspace growth rule",
     "early_stop": "relative-change stop threshold (default: off)",
 }
-# run options that are not denoiser fields: key -> parser of a file value
-_RUN_KEYS = {"sigma0": float, "seed": int, "normalize": _parse_bool, "keep_bands": str}
+# run options that are not denoiser fields:
+# key -> (parser of a file value, flag, flag keywords)
+_RUN_OPTIONS = {
+    "seed": (int, "--seed", dict(type=int, help=f"noise seed (default {ExperimentSpec.seed})")),
+    "sigma0": (float, "--sigma0", dict(type=float, help="noise sigma on the [0,255] scale (default: estimated)")),
+    "normalize": (_parse_bool, "--no-normalize", dict(action="store_true", help="keep stored values; skip [0,255] rescale on load")),
+    "keep_bands": (str, "--keep-bands", dict(metavar="LIST", help="bands to keep, e.g. 0-102,108-148")),
+}
 
 
 def _config_fields(cls=DenoiseConfig):
@@ -99,7 +105,7 @@ def _read_config_file(path):
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
-    known = {key for _, _, key, _ in _config_fields()} | _RUN_KEYS.keys()
+    known = {key for _, _, key, _ in _config_fields()} | _RUN_OPTIONS.keys()
     vals = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -115,10 +121,15 @@ def _read_config_file(path):
     return vals
 
 
-def _add_config_flags(parser):
-    grp = parser.add_argument_group("denoiser options")
+def _add_config_flags(parser, denoiser=True, run_options=tuple(_RUN_OPTIONS)):
+    """Add --config, the denoiser flags if denoiser, and the named run options.
+
+    A subcommand gets only the flags it reads; its --config file may still
+    hold every key, so one file serves every subcommand.
+    """
+    grp = parser.add_argument_group("denoiser options") if denoiser else parser
     grp.add_argument("--config", metavar="FILE", help="key = value defaults; flags override")
-    for _, f, key, tp in _config_fields():
+    for _, f, key, tp in _config_fields() if denoiser else ():
         kind, choices = _arg_type(tp)
         text = _HELP[f.name]
         if f.default is not None:
@@ -127,10 +138,9 @@ def _add_config_flags(parser):
         grp.add_argument(
             "--" + key.replace("_", "-"), dest=key, type=kind, choices=choices, help=text
         )
-    grp.add_argument("--seed", type=int, help=f"noise seed (default {ExperimentSpec.seed})")
-    grp.add_argument("--sigma0", type=float, help="noise sigma on the [0,255] scale (default: estimated)")
-    grp.add_argument("--no-normalize", action="store_true", help="keep stored values; skip [0,255] rescale on load")
-    grp.add_argument("--keep-bands", metavar="LIST", help="bands to keep, e.g. 0-102,108-148")
+    for key in run_options:
+        _, flag, kwargs = _RUN_OPTIONS[key]
+        grp.add_argument(flag, **kwargs)
 
 
 def _build_config(args):
@@ -154,7 +164,7 @@ def _build_config(args):
             kwargs[cls][f.name] = val
     cfg = DenoiseConfig(geom=PatchGeometry(**kwargs[PatchGeometry]), **kwargs[DenoiseConfig])
 
-    run = argparse.Namespace(**{key: pick(key, cast) for key, cast in _RUN_KEYS.items()})
+    run = argparse.Namespace(**{key: pick(key, cast) for key, (cast, _, _) in _RUN_OPTIONS.items()})
     if run.seed is None:
         run.seed = ExperimentSpec.seed
     run.normalize = not args.no_normalize and run.normalize is not False
@@ -295,7 +305,7 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--dtype", default="f64", choices=["f32", "f64", "u8", "u16"])
-    _add_config_flags(p)
+    _add_config_flags(p, denoiser=False, run_options=("seed", "normalize", "keep_bands"))
     p.set_defaults(func=_cmd_add_noise)
 
     p = sub.add_parser("metrics", help="compare two cubes")
@@ -306,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("estimate-k", help="estimate noise and subspace dimension")
     p.add_argument("input")
-    _add_config_flags(p)
+    _add_config_flags(p, denoiser=False, run_options=("normalize", "keep_bands"))
     p.set_defaults(func=_cmd_estimate_k)
 
     p = sub.add_parser("run-exp", help="noise sweep with CSV report")

@@ -73,9 +73,10 @@ def load_input(path, normalize=True, keep_bands=None, peak=255.0):
     else:
         cube = read_cube(p, normalize=normalize, peak=peak)
     if keep_bands is not None:
-        if max(keep_bands) >= cube.shape[2]:
+        bad = [i for i in keep_bands if not 0 <= i < cube.shape[2]]
+        if bad:
             raise ValueError(
-                f"band index {max(keep_bands)} out of range for {cube.shape[2]} bands"
+                f"band index {bad[0]} out of range for {cube.shape[2]} bands"
             )
         cube = np.ascontiguousarray(cube[:, :, list(keep_bands)])
     return cube

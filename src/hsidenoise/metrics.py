@@ -43,7 +43,10 @@ def psnr(ref, test, peak=255.0):
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    mse = float(np.mean((ref - test) ** 2))
+    # a C-ordered difference fixes the summation order, so the result does
+    # not depend on the memory layouts of ref and test
+    diff = np.subtract(ref, test, order="C")
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)

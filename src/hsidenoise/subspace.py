@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_cube, fold3, mode3_product, unfold3
+from .tensor import as_cube, mode3_product
 
 __all__ = [
     "SubspaceModel",
@@ -84,8 +84,8 @@ def spectral_decompose(cube, k):
     projection onto them.  reconstruct() is then the best rank-k
     approximation of the input in Frobenius norm.
 
-    The decomposition runs on the B x B band Gram matrix whenever B <= M*N,
-    so the cost stays linear in the pixel count.
+    The decomposition runs on the B x B band Gram matrix, so the cost
+    stays linear in the pixel count.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -95,27 +95,15 @@ def spectral_decompose(cube, k):
     if not np.all(np.isfinite(cube)):
         raise ValueError("cube has non-finite entries")
 
-    z = unfold3(cube)
-    if b <= m * n:
-        gram = z @ z.T
-        try:
-            evals, evecs = np.linalg.eigh(gram)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
-            ) from exc
-        basis = evecs[:, ::-1][:, :k]
-    else:
-        try:
-            u, _, _ = np.linalg.svd(z, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"SVD of the {b}x{m * n} unfolding failed: {exc}"
-            ) from exc
-        basis = u[:, :k]
-
-    basis = _fix_column_signs(np.ascontiguousarray(basis))
-    reduced = fold3(basis.T @ z, (m, n))
+    z = cube.reshape(m * n, b).T
+    try:
+        _, evecs = np.linalg.eigh(z @ z.T)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
+        ) from exc
+    basis = _fix_column_signs(np.ascontiguousarray(evecs[:, ::-1][:, :k]))
+    reduced = (basis.T @ z).T.reshape(m, n, k)
     return SubspaceModel(basis=basis, reduced=reduced)
 
 
@@ -136,7 +124,7 @@ def estimate_band_noise(cube):
             f"insufficient pixels for regression: {mn} pixels, {b} bands"
         )
 
-    z = unfold3(cube)
+    z = cube.reshape(mn, b).T
     r = z @ z.T
     tr = float(np.trace(r))
     if tr <= 0:
@@ -150,7 +138,7 @@ def estimate_band_noise(cube):
     beta = q / -np.diag(q)
     np.fill_diagonal(beta, 0.0)
     # residuals z - beta.T @ z, a block of pixels at a time so the
-    # temporary stays small next to the unfolding
+    # temporary stays small next to the cube
     ssq = np.zeros(b)
     for j in range(0, mn, _PIXEL_BLOCK):
         zj = z[:, j : j + _PIXEL_BLOCK]
@@ -176,7 +164,7 @@ def estimate_subspace_dim(cube, per_band_sigma):
     if sig.shape != (b,):
         raise ValueError(f"expected {b} band sigmas, got shape {sig.shape}")
 
-    z = unfold3(cube)
+    z = cube.reshape(m * n, b).T
     ry = z @ z.T / (m * n)
     try:
         evals, evecs = np.linalg.eigh(ry)

@@ -1,9 +1,11 @@
 """Mode-3 tensor algebra for hyperspectral cubes.
 
 A cube is a plain ndarray of shape (M, N, B): M rows, N columns, B bands.
-All routines promote to float64 and keep a single fixed unfolding
-convention so that matrix factors computed anywhere in the package can be
-folded back without bookkeeping.
+All routines promote to float64.  Computation on the band mode works on
+the (B, M*N) view ``cube.reshape(M*N, B).T``, whose pixel order is
+row-major; band-mode matrix products do not depend on that order.  The
+column-major unfolding of :func:`unfold3` is the pixel order of the cube
+file payload.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ def unfold3(cube):
     """Unfold a cube along the band mode into a (B, M*N) matrix.
 
     Row b holds band b scanned column-major over the spatial grid, i.e.
-    entry (b, q) is cube[q % M, q // M, b].  The result is a copy.
+    entry (b, q) is cube[q % M, q // M, b].  This is the payload order of
+    the cube file format; the result is a copy.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -50,11 +53,13 @@ def fold3(mat, shape):
 
 
 def mode3_product(cube, p):
-    """Apply a matrix to the band mode: fold3(p @ unfold3(cube)).
+    """Apply a matrix to the band mode: out[i, j, :] = p @ cube[i, j, :].
 
     p has shape (B2, B); the result has shape (M, N, B2).  With p orthonormal
     of shape (B, K) this projects onto a K-dimensional spectral subspace via
-    p.T, and lifts back via p.
+    p.T, and lifts back via p.  A C-contiguous cube is read through a
+    (B, M*N) view, not copied; the result is a band-planar view of the
+    (B2, M*N) product, each band contiguous.
     """
     cube = as_cube(cube)
     p = np.asarray(p, dtype=np.float64)
@@ -62,7 +67,8 @@ def mode3_product(cube, p):
         raise ValueError(
             f"matrix shape {p.shape} does not match band count {cube.shape[2]}"
         )
-    return fold3(p @ unfold3(cube), cube.shape[:2])
+    m, n, b = cube.shape
+    return (p @ cube.reshape(m * n, b).T).T.reshape(m, n, p.shape[0])
 
 
 def frob_norm_sq(arr):

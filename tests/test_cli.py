@@ -215,6 +215,37 @@ class TestOtherCommands:
         assert out.startswith("K = 2")
         assert "band sigma" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate-k", "IN", "--iters", "3"],
+            ["estimate-k", "IN", "--seed", "3"],
+            ["estimate-k", "IN", "--sigma0", "3"],
+            ["add-noise", "IN", "OUT", "--sigma", "5", "--k0", "4"],
+            ["add-noise", "IN", "OUT", "--sigma", "5", "--sigma0", "4"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, scene, tmp_path, argv, capsys):
+        clean_path, _ = scene
+        paths = {"IN": str(clean_path), "OUT": str(tmp_path / "out")}
+        assert main([paths.get(a, a) for a in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out.hdr").exists()
+
+    def test_one_config_file_serves_every_command(self, scene, tmp_path, capsys):
+        _, noisy_path = scene
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("iters = 1\nk0 = 2\nseed = 4\nsigma0 = 20\nnormalize = no\n")
+        out = tmp_path / "noisier"
+        assert main(["estimate-k", str(noisy_path), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("K = 2")
+        args = ["add-noise", str(noisy_path), str(out), "--sigma", "5", "--config", str(cfg)]
+        assert main(args) == 0
+        assert "seed=4" in capsys.readouterr().out
+        assert np.array_equal(
+            read_cube(out), add_gaussian_noise(read_cube(noisy_path), 5.0, seed=4)
+        )
+
     def test_run_exp(self, scene, tmp_path, capsys):
         _, noisy_path = scene
         code = main(

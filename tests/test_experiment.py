@@ -57,6 +57,12 @@ class TestLoadInput:
         full = load_input(cube_path, normalize=False)
         np.testing.assert_array_equal(loaded, full[:, :, [0, 2, 5]])
 
+    @pytest.mark.parametrize("keep", [[-1], [0, -8], [8], [2, 9]])
+    def test_keep_bands_out_of_range(self, cube_path, keep):
+        bad = next(i for i in keep if not 0 <= i < 8)
+        with pytest.raises(ValueError, match=f"band index {bad} out of range"):
+            load_input(cube_path, normalize=False, keep_bands=keep)
+
 
 class TestRunExperiment:
     def test_sweep_writes_report_and_artifacts(self, cube_path, tmp_path):

@@ -38,6 +38,24 @@ class TestMpsnr:
         expected = 0.5 * (psnr(ref[:, :, 0], test[:, :, 0]) + psnr(ref[:, :, 1], test[:, :, 1]))
         assert mpsnr(ref, test) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_independent_of_memory_layout(self, seed):
+        # C, F and band-planar (each band contiguous) copies hold the same
+        # values; the mean must not depend on which order they are stored in
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(0.0, 255.0, (32, 32, 32))
+        test = ref + rng.standard_normal(ref.shape) * 20.0
+
+        def layouts(cube):
+            planar = np.ascontiguousarray(cube.transpose(2, 0, 1)).transpose(1, 2, 0)
+            return [np.ascontiguousarray(cube), np.asfortranarray(cube), planar]
+
+        expected = mpsnr(ref, test)
+        for r in layouts(ref):
+            for t in layouts(test):
+                assert mpsnr(r, t) == expected
+                assert quality_report(r, t).mpsnr == expected
+
 
 class TestSsim:
     def test_self_similarity_is_exactly_one(self):

@@ -1,5 +1,7 @@
 """Spectral subspace fitting and noise estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from hsidenoise.subspace import (
     spectral_decompose,
 )
 from hsidenoise.synthetic import rank_cube
-from hsidenoise.tensor import frob_norm_sq, unfold3
+from hsidenoise.tensor import frob_norm_sq, mode3_product, unfold3
 from hsidenoise.io import add_gaussian_noise
 
 
@@ -99,6 +101,20 @@ class TestSpectralDecompose:
             u_full, _, _ = np.linalg.svd(z, full_matrices=False)
             proj_ref = u_full[:, :k] @ u_full[:, :k].T
             assert np.abs(a @ a.T - proj_ref).max() < 1e-8
+
+    @pytest.mark.parametrize("shape", [(3, 3, 16), (2, 5, 12), (1, 1, 4)])
+    def test_every_k_when_bands_exceed_pixels(self, shape):
+        # B > M*N: the band Gram has rank M*N, and k above it still gets k
+        # orthonormal columns and an exact reconstruction
+        cube = np.random.default_rng(8).standard_normal(shape)
+        m, n, b = shape
+        for k in range(1, b + 1):
+            model = spectral_decompose(cube, k)
+            assert model.basis.shape == (b, k) and model.k == k
+            assert model.reduced.shape == (m, n, k)
+            assert np.abs(model.basis.T @ model.basis - np.eye(k)).max() < 1e-12
+            if k >= m * n:
+                assert rel_frob(model.reconstruct(), cube) < 1e-12
 
     def test_sign_convention_deterministic(self):
         cube = rank_cube(16, 16, 8, 3, seed=7)
@@ -234,3 +250,53 @@ class TestReestimateNoise:
         msd = np.mean((clean - noisy) ** 2)
         assert abs(msd - 625.0) / 625.0 < 0.05
         assert sig < 0.5 * 25.0 * 0.25
+
+
+class TestSpectralLayerOnViews:
+    """The band-mode steps read the cube through a (B, M*N) view."""
+
+    @staticmethod
+    def steps(cube):
+        b = cube.shape[2]
+        sig = estimate_band_noise(cube)
+        p = np.random.default_rng(12).standard_normal((b // 2, b))
+        return {
+            "estimate_band_noise": lambda: estimate_band_noise(cube),
+            "estimate_subspace_dim": lambda: estimate_subspace_dim(cube, sig),
+            "spectral_decompose": lambda: spectral_decompose(cube, b // 2),
+            "mode3_product": lambda: mode3_product(cube, p),
+        }
+
+    def test_peak_memory_below_one_cube(self):
+        cube = add_gaussian_noise(rank_cube(128, 128, 32, 6, seed=12), 10.0, seed=12)
+        assert cube.flags.c_contiguous
+        for name, step in self.steps(cube).items():
+            step()  # first-call allocations (BLAS, caches) are not counted
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cube.nbytes, f"{name}: peak {peak / cube.nbytes:.2f} cubes"
+
+    @pytest.mark.parametrize("layout", ["fortran", "band-sliced"])
+    def test_layout_independent(self, layout):
+        wide = add_gaussian_noise(rank_cube(24, 20, 24, 4, seed=13), 10.0, seed=13)
+        if layout == "fortran":
+            cube = np.asfortranarray(wide)
+        else:
+            cube = wide[:, :, ::2]
+        assert not cube.flags.c_contiguous
+        got = {name: step() for name, step in self.steps(cube).items()}
+        ref = {
+            name: step() for name, step in self.steps(np.ascontiguousarray(cube)).items()
+        }
+        assert got["estimate_subspace_dim"] == ref["estimate_subspace_dim"]
+        for a, b in [
+            (got["estimate_band_noise"], ref["estimate_band_noise"]),
+            (got["spectral_decompose"].basis, ref["spectral_decompose"].basis),
+            (got["spectral_decompose"].reduced, ref["spectral_decompose"].reduced),
+            (got["mode3_product"], ref["mode3_product"]),
+        ]:
+            assert rel_frob(a, b) <= 1e-12
