@@ -123,9 +123,16 @@ def sam(ref, test):
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
 
-    dots = np.einsum("ijk,ijk->ij", ref, test)
-    nref = np.einsum("ijk,ijk->ij", ref, ref)
-    ntest = np.einsum("ijk,ijk->ij", test, test)
+    # summed band by band, so the order of the sums, and with it the
+    # result, does not depend on the memory layouts of ref and test
+    dots = np.zeros(ref.shape[:2])
+    nref = np.zeros(ref.shape[:2])
+    ntest = np.zeros(ref.shape[:2])
+    for k in range(ref.shape[2]):
+        r, t = ref[:, :, k], test[:, :, k]
+        dots += r * t
+        nref += r * r
+        ntest += t * t
     denom = nref * ntest
     mask = denom > 0.0
     skipped = int(mask.size - np.count_nonzero(mask))

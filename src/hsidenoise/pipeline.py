@@ -79,6 +79,12 @@ class DenoiseConfig:
             raise ValueError(
                 f"k_growth must be 'cumulative' or 'affine', got {self.k_growth!r}"
             )
+        if self.wnnm_c < 0.0:
+            raise ValueError(f"wnnm_c must be >= 0, got {self.wnnm_c}")
+        if self.wnnm_eps <= 0.0:
+            raise ValueError(f"wnnm_eps must be > 0, got {self.wnnm_eps}")
+        if self.early_stop is not None and self.early_stop <= 0.0:
+            raise ValueError(f"early_stop must be > 0, got {self.early_stop}")
         if self.value_scale <= 0.0:
             raise ValueError(f"value_scale must be > 0, got {self.value_scale}")
 

@@ -206,9 +206,14 @@ def match_group(reduced, ref, geom):
     )
 
 
-def _check_shrink_args(sigma, value_scale):
+def _check_shrink_args(sigma, value_scale, c, eps):
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    # a negative c amplifies the weak components instead of shrinking them
+    if c < 0:
+        raise ValueError(f"c must be >= 0, got {c}")
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     if value_scale <= 0:
         raise ValueError(f"value_scale must be > 0, got {value_scale}")
 
@@ -256,7 +261,7 @@ def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS, value_scale=1.
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
-    _check_shrink_args(sigma, value_scale)
+    _check_shrink_args(sigma, value_scale, c, eps)
     if sigma < _SIGMA_FLOOR * value_scale:
         return g
     a = (g / value_scale)[None]
@@ -331,7 +336,7 @@ def denoise_reduced(
     overlap-averaging roundoff.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
-    _check_shrink_args(sigma, value_scale)
+    _check_shrink_args(sigma, value_scale, c, eps)
     m, n, k = reduced.shape
     ps = geom.patch
     corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom)

@@ -21,8 +21,6 @@ __all__ = [
 
 # ridge weight for the band regressions, relative to mean band energy
 RIDGE_SCALE = 1e-6
-# pixels per block when forming the band-regression residuals
-_PIXEL_BLOCK = 4096
 
 
 @dataclass
@@ -111,8 +109,15 @@ def estimate_band_noise(cube):
     """Estimate per-band noise sigma by multiple regression.
 
     Each band is regressed on all the others (ridge-regularized least
-    squares); the residual standard deviation is that band's noise level.
-    Returns an array of B non-negative sigmas.
+    squares); the residual standard deviation, corrected for the noise the
+    predictors carry, is that band's noise level.  Returns an array of B
+    non-negative sigmas.
+
+    With Z the (B, M*N) band-mode view, R = Z Z^T, the ridge weight
+    alpha = RIDGE_SCALE * tr(R) / B and Q = (R + alpha I)^-1, band i's
+    residual is (Q Z)_i / Q_ii, so everything follows from Q in closed
+    form: sigma_i^2 = (Q_ii / (Q^2)_ii - alpha) / (M N), clipped at 0.
+    The cube is read only to form R.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -131,22 +136,12 @@ def estimate_band_noise(cube):
         # all-zero cube regresses to itself exactly
         return np.zeros(b)
 
-    alpha = RIDGE_SCALE * tr / b
-    q = np.linalg.inv(r + alpha * np.eye(b))
-    # leave-one-out ridge in closed form: regressing band i on the others
-    # gives coefficients -q[:, i] / q[i, i], with band i itself left out
-    beta = q / -np.diag(q)
-    np.fill_diagonal(beta, 0.0)
-    # residuals z - beta.T @ z, a block of pixels at a time so the
-    # temporary stays small next to the cube
-    ssq = np.zeros(b)
-    for j in range(0, mn, _PIXEL_BLOCK):
-        zj = z[:, j : j + _PIXEL_BLOCK]
-        w = beta.T @ zj
-        np.subtract(zj, w, out=w)
-        ssq += np.einsum("ij,ij->i", w, w)
-    # the predictors carry noise too: Var(w) = sigma^2 (1 + |beta|^2)
-    return np.sqrt(ssq / mn / (1.0 + np.einsum("ji,ji->i", beta, beta)))
+    # on the Gram divided by its mean diagonal, so that q @ q neither
+    # overflows nor underflows for very large or very small cubes
+    s = tr / b
+    q = np.linalg.inv(r / s + RIDGE_SCALE * np.eye(b))
+    q2 = np.einsum("ji,ji->i", q, q)
+    return np.sqrt(s * np.maximum(np.diag(q) / q2 - RIDGE_SCALE, 0.0) / mn)
 
 
 def estimate_subspace_dim(cube, per_band_sigma):

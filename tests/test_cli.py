@@ -93,6 +93,19 @@ class TestDenoiseCommand:
         # flag wins over the file: one iteration, not three
         assert trace.read_text().count("\n") == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--wnnm-c", "-1"], ["--wnnm-eps", "0"], ["--early-stop", "0"]]
+    )
+    def test_out_of_range_shrinkage_constant_is_usage_error(
+        self, scene, tmp_path, flags, capsys
+    ):
+        _, noisy_path = scene
+        out = tmp_path / "o"
+        code = main(["denoise", str(noisy_path), str(out)] + flags + FAST)
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
+
     @pytest.mark.parametrize("line", ["itres = 1", "lam = 0.5", "sigma = 3"])
     def test_unknown_config_key_is_usage_error(self, scene, tmp_path, capsys, line):
         _, noisy_path = scene

@@ -122,6 +122,24 @@ class TestSam:
         with pytest.raises(ValueError):
             sam(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_independent_of_memory_layout(self, seed):
+        # C, F and band-planar copies hold the same values, so the angles
+        # must not depend on which order they are stored in
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(0.0, 255.0, (32, 32, 32))
+        test = ref + rng.standard_normal(ref.shape) * 20.0
+
+        def layouts(cube):
+            planar = np.ascontiguousarray(cube.transpose(2, 0, 1)).transpose(1, 2, 0)
+            return [np.ascontiguousarray(cube), np.asfortranarray(cube), planar]
+
+        expected = sam(ref, test)
+        for r in layouts(ref):
+            for t in layouts(test):
+                assert sam(r, t) == expected
+                assert quality_report(r, t).sam_deg == expected
+
 
 class TestQualityReport:
     def test_fields(self):

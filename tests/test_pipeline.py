@@ -82,6 +82,21 @@ class TestDenoiseConfig:
         with pytest.raises(ValueError):
             DenoiseConfig(value_scale=0.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"wnnm_c": -1.0},
+            {"wnnm_eps": 0.0},
+            {"wnnm_eps": -1e-16},
+            {"early_stop": 0.0},
+            {"early_stop": -0.01},
+        ],
+    )
+    def test_shrinkage_constants_out_of_range(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            DenoiseConfig(**bad)
+
 
 class TestDenoise:
     def test_noiseless_low_rank_is_identity(self):

@@ -167,6 +167,23 @@ class TestWnnmShrink:
         out = wnnm_shrink(g, 1.0)
         assert np.linalg.norm(out - g) / np.linalg.norm(g) < 0.05
 
+    def test_zero_c_is_identity(self):
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((16, 6))
+        np.testing.assert_allclose(wnnm_shrink(g, 0.5, c=0.0), g, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [{"c": -2.0}, {"c": -1e-12}, {"eps": 0.0}, {"eps": -1.0}])
+    def test_out_of_range_constants_rejected(self, bad):
+        # a negative c would grow the top singular value instead of
+        # shrinking it
+        g = np.random.default_rng(10).standard_normal((16, 6))
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            wnnm_shrink(g, 0.5, **bad)
+        reduced = np.random.default_rng(11).standard_normal((12, 12, 3))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            denoise_reduced(reduced, 0.5, SMALL, value_scale=1.0, **bad)
+
 
 class TestAggregate:
     def test_identity_on_clean_groups(self):

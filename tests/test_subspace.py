@@ -165,6 +165,33 @@ class TestEstimateBandNoise:
             estimate_band_noise(cube), band_noise_by_loop(cube), rtol=1e-9
         )
 
+    @pytest.mark.parametrize("m", [128, 256])
+    def test_peak_memory_independent_of_pixels(self, m):
+        # the cube is read only to form the B x B Gram; nothing after it
+        # grows with the pixel count
+        cube = add_gaussian_noise(rank_cube(m, m, 32, 6, seed=14), 10.0, seed=14)
+        assert cube.flags.c_contiguous
+        b = cube.shape[2]
+        estimate_band_noise(cube)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            estimate_band_noise(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * b * b * 8, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("e", [-150, -100, 0, 100, 150])
+    def test_scale_covariant(self, e):
+        # values near 1, so neither the Gram of the 1e150 cube overflows nor
+        # that of the 1e-150 cube underflows; what follows the Gram must not
+        # either
+        x = add_gaussian_noise(rank_cube(32, 32, 8, 3, seed=15, peak=1.0), 0.05, seed=15)
+        scale = 10.0**e
+        np.testing.assert_allclose(
+            estimate_band_noise(x * scale) / scale, estimate_band_noise(x), rtol=1e-12
+        )
+
     def test_constant_cube_near_zero(self):
         sigmas = estimate_band_noise(np.full((32, 32, 8), 87.0))
         assert sigmas.max() <= 1e-3
