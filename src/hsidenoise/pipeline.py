@@ -16,6 +16,7 @@ from .spatial import (
     DEFAULT_WNNM_EPS,
     PatchGeometry,
     denoise_reduced,
+    match_groups,
 )
 from .subspace import (
     NoiseModel,
@@ -41,6 +42,14 @@ class NumericalError(RuntimeError):
 
 
 KGrowth = Literal["cumulative", "affine"]
+
+# Patch groups are matched at iterations 1 (the noisy projection) and 2 (the
+# first regularized estimate); later iterations reuse iteration 2's groups.
+# Members are pixel positions, independent of the spectral basis, while the
+# cost of matching grows with K.  Matching at iteration 1 only was worse: on
+# a 32x32x32 rank-5 cube over sigma 10-70 it raised SAM by 6% and lowered
+# MPSNR by 0.26 dB against matching every iteration.
+_LAST_MATCH_ITER = 2
 
 
 @dataclass
@@ -149,6 +158,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     Each iteration projects the current input onto a k-dimensional
     spectral subspace, denoises the reduced image patch-wise, lifts back,
     then blends with the observation and enlarges k for the next round.
+    Patch groups are matched at iterations 1 and 2; later iterations reuse
+    iteration 2's groups.
     """
     y = as_cube(noisy, "noisy")
     if not np.all(np.isfinite(y)):
@@ -179,8 +190,16 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         t1 = time.perf_counter()
         _check_finite(model.reduced, "spectral projection", i)
 
+        if i <= _LAST_MATCH_ITER:
+            groups = match_groups(model.reduced, cfg.geom)
         m_i = denoise_reduced(
-            model.reduced, sigma_i, cfg.geom, cfg.wnnm_c, cfg.wnnm_eps, cfg.value_scale
+            model.reduced,
+            sigma_i,
+            cfg.geom,
+            cfg.wnnm_c,
+            cfg.wnnm_eps,
+            cfg.value_scale,
+            groups=groups,
         )
         x_new = mode3_product(m_i, model.basis)
         t2 = time.perf_counter()

@@ -3,11 +3,13 @@ k-NN full-band patch grouping, weighted singular-value shrinkage per group,
 and overlap-averaged reconstruction.
 
 denoise_reduced runs the step as three array passes over chunks of
-references: matching one search-window offset at a time, shrinking a stack
-of groups through their Gram matrices, and one scatter-add per chunk.  Each
-chunk holds at most _CHUNK_BYTES of float64 work, so peak memory does not
-grow with the image.  match_group, wnnm_shrink and aggregate are the same
-passes applied to one reference, one group and a list of groups.
+references: matching one search-window offset at a time (match_groups, whose
+result a caller can pass back in to reuse the groups on another image of the
+same height and width), shrinking a stack of groups through their Gram
+matrices, and one scatter-add per chunk.  Each chunk holds at most
+_CHUNK_BYTES of float64 work, so peak memory does not grow with the image.
+match_group, wnnm_shrink and aggregate are the same passes applied to one
+reference, one group and a list of groups.
 """
 
 import math
@@ -22,6 +24,7 @@ __all__ = [
     "PatchGroup",
     "reference_grid",
     "match_group",
+    "match_groups",
     "wnnm_shrink",
     "aggregate",
     "denoise_reduced",
@@ -324,22 +327,78 @@ def aggregate(groups_out, dims):
     return _average(acc, cnt, m, n, k)
 
 
+def match_groups(reduced, geom):
+    """Group members of every reference of the grid, as denoise_reduced
+    matches them.
+
+    Returns (corners, sizes), one row per reference in row-major grid
+    order: corners[i] lists flat corners r*N + c of reference i's
+    candidates, nearest first and the reference itself first of all, and
+    its first sizes[i] entries are the group.  Members are pixel positions,
+    so the pair can be passed as denoise_reduced's groups for another image
+    of the same height and width.
+    """
+    reduced = as_cube(reduced, "reduced")
+    m, n, _ = reduced.shape
+    return _match(reduced, *_grid_axes(m, n, geom), geom)
+
+
+def _check_groups(groups, m, n, geom):
+    """(corners, sizes) as int arrays, if they are match_groups' result for
+    an m x n image under geom; a ValueError otherwise, since flat corners
+    from an image of another width address other pixels."""
+    corners, sizes = (np.asarray(a) for a in groups)
+    rows, cols = _grid_axes(m, n, geom)
+    refs = (np.asarray(rows)[:, None] * n + np.asarray(cols)).ravel()
+    if corners.ndim != 2 or corners.shape[0] != refs.size or sizes.shape != (refs.size,):
+        raise ValueError(
+            f"groups of shape {corners.shape} with {sizes.size} sizes do not "
+            f"fit the {refs.size} references of a {m}x{n} image"
+        )
+    if corners.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
+        raise ValueError("group corners and sizes must be integers")
+    if np.any(sizes < 1) or np.any(sizes > min(geom.group, corners.shape[1])):
+        raise ValueError(
+            f"group sizes must be in [1, {min(geom.group, corners.shape[1])}]"
+        )
+    r, c = np.divmod(corners, n)
+    inside = (corners >= 0) & (r <= m - geom.patch) & (c <= n - geom.patch)
+    used = np.arange(corners.shape[1]) < sizes[:, None]
+    if not np.all(inside | ~used) or not np.array_equal(corners[:, 0], refs):
+        raise ValueError(
+            f"group corners do not fit a {m}x{n} image with patch "
+            f"{geom.patch}: groups must come from match_groups on an image "
+            "of the same height and width"
+        )
+    return corners, sizes
+
+
 def denoise_reduced(
-    reduced, sigma, geom, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS, value_scale=255.0
+    reduced,
+    sigma,
+    geom,
+    c=DEFAULT_WNNM_C,
+    eps=DEFAULT_WNNM_EPS,
+    value_scale=255.0,
+    groups=None,
 ):
     """Full spatial pass over the reduced image.
 
-    Matches a group for every reference of the grid, then, in chunks of
-    references with equal group size, gathers the groups as one (G, d, p)
-    stack, shrinks it as wnnm_shrink does each group, and scatter-adds it
-    into the overlap average.  With sigma = 0 this is the identity up to
-    overlap-averaging roundoff.
+    Matches a group for every reference of the grid (or takes groups, a
+    match_groups result for an image of the same height and width), then,
+    in chunks of references with equal group size, gathers the groups as
+    one (G, d, p) stack, shrinks it as wnnm_shrink does each group, and
+    scatter-adds it into the overlap average.  With sigma = 0 this is the
+    identity up to overlap-averaging roundoff.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     _check_shrink_args(sigma, value_scale, c, eps)
     m, n, k = reduced.shape
     ps = geom.patch
-    corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom)
+    if groups is None:
+        corners, sizes = match_groups(reduced, geom)
+    else:
+        corners, sizes = _check_groups(groups, m, n, geom)
     shrink = sigma >= _SIGMA_FLOOR * value_scale
     flat = reduced.ravel()
     acc = np.zeros(flat.size)

@@ -117,7 +117,8 @@ def estimate_band_noise(cube):
     alpha = RIDGE_SCALE * tr(R) / B and Q = (R + alpha I)^-1, band i's
     residual is (Q Z)_i / Q_ii, so everything follows from Q in closed
     form: sigma_i^2 = (Q_ii / (Q^2)_ii - alpha) / (M N), clipped at 0.
-    The cube is read only to form R.
+    The cube is read only to form R.  A non-finite R or tr(R), as from
+    entries near 1e152 or larger, raises numpy.linalg.LinAlgError.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -131,7 +132,14 @@ def estimate_band_noise(cube):
 
     z = cube.reshape(mn, b).T
     r = z @ z.T
-    tr = float(np.trace(r))
+    with np.errstate(over="ignore"):
+        tr = float(np.trace(r))
+    if not (np.isfinite(tr) and np.all(np.isfinite(r))):
+        # it would give an all-NaN sigma, which passes for an estimate
+        raise np.linalg.LinAlgError(
+            f"the {b}x{b} band Gram matrix or its trace is not finite: cube "
+            "entries are too large to square and sum, or not finite"
+        )
     if tr <= 0:
         # all-zero cube regresses to itself exactly
         return np.zeros(b)

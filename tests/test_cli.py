@@ -228,6 +228,14 @@ class TestOtherCommands:
         assert out.startswith("K = 2")
         assert "band sigma" in out
 
+    def test_estimate_k_overflowing_cube_is_numerical_failure(self, tmp_path, capsys):
+        cube = add_gaussian_noise(rank_cube(32, 32, 32, 5, seed=0), 10.0, seed=0)
+        path = write_cube(tmp_path / "huge", cube * 1e150)
+        assert main(["estimate-k", str(path), "--no-normalize"]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert "K =" not in captured.out
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsidenoise import spatial
 from hsidenoise.pipeline import (
     DenoiseConfig,
     denoise,
@@ -157,6 +158,33 @@ class TestDenoise:
         cfg = DenoiseConfig(k0=2, iters=5, early_stop=10.0, geom=SMALL_GEOM)
         _, trace = denoise(noisy, 10.0, cfg)
         assert 2 <= len(trace) < 5
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 5])
+    def test_groups_matched_at_first_two_iterations(self, iters, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return match(*args, **kwargs)
+
+        match = spatial._match
+        monkeypatch.setattr(spatial, "_match", counted)
+        clean = rank_cube(24, 24, 8, 2, seed=9)
+        noisy = add_gaussian_noise(clean, 20.0, seed=9)
+        cfg = DenoiseConfig(k0=2, iters=iters, geom=SMALL_GEOM)
+        _, trace = denoise(noisy, 20.0, cfg)
+        assert len(trace) == iters
+        assert len(calls) == min(iters, 2)
+        # iteration 2 matches on its own K-band image
+        assert [shape[2] for shape in calls] == [r.k for r in trace[:2]]
+
+    def test_overflowing_band_gram_raises(self):
+        """Entries near 3e152 overflow the band Gram's trace; the estimate
+        raises instead of handing on a NaN sigma and K = 1."""
+        clean = rank_cube(32, 32, 32, 5, seed=0)
+        noisy = add_gaussian_noise(clean, 10.0, seed=0) * 1e150
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            denoise(noisy, config=DenoiseConfig(iters=1, geom=SMALL_GEOM))
 
     def test_non_finite_input_rejected(self):
         bad = rank_cube(16, 16, 4, 2, seed=8)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsidenoise import spatial
 from hsidenoise.spatial import (
@@ -11,6 +12,7 @@ from hsidenoise.spatial import (
     aggregate,
     denoise_reduced,
     match_group,
+    match_groups,
     reference_grid,
     wnnm_shrink,
 )
@@ -486,3 +488,115 @@ class TestShrinkAgainstSvd:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
                 wnnm_shrink(g, 1.0)
+
+
+@st.composite
+def reduced_and_geometry(draw):
+    """A small reduced image on the 0..255 scale and a geometry that fits it."""
+    patch = draw(st.integers(1, 4))
+    geom = PatchGeometry(
+        patch=patch,
+        stride=draw(st.integers(1, patch)),
+        window=draw(st.integers(patch, 9)),
+        group=draw(st.integers(1, 12)),
+    )
+    m = draw(st.integers(patch, 12))
+    n = draw(st.integers(patch, 12))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).uniform(0.0, 255.0, (m, n, k)), geom
+
+
+class TestGroupReuse:
+    """denoise_reduced with groups from match_groups is the stage itself."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=reduced_and_geometry(), sigma=st.sampled_from([0.0, 5.0, 30.0]))
+    def test_given_groups_change_nothing(self, case, sigma):
+        reduced, geom = case
+        got = denoise_reduced(reduced, sigma, geom, groups=match_groups(reduced, geom))
+        np.testing.assert_array_equal(got, denoise_reduced(reduced, sigma, geom))
+
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_given_groups_change_nothing_on_stage_cases(self, case):
+        reduced, geom, sigma = STAGE_CASES[case]
+        got = denoise_reduced(reduced, sigma, geom, groups=match_groups(reduced, geom))
+        np.testing.assert_array_equal(got, denoise_reduced(reduced, sigma, geom))
+
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_groups_hold_match_group_members(self, case):
+        reduced, geom, _ = STAGE_CASES[case]
+        m, n, _ = reduced.shape
+        corners, sizes = match_groups(reduced, geom)
+        refs = reference_grid(m, n, geom)
+        assert corners.shape[0] == sizes.shape[0] == len(refs)
+        for ref, row, size in zip(refs, corners, sizes):
+            members = match_group(reduced, ref, geom).members
+            np.testing.assert_array_equal(row[:size], members[:, 0] * n + members[:, 1])
+
+    def test_groups_of_another_image_are_used(self):
+        """Members are positions: groups matched on one image filter another
+        of the same height and width, with its own values."""
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        other = reduced[::-1, ::-1].copy()
+        groups = match_groups(other, geom)
+        got = denoise_reduced(reduced, sigma, geom, groups=groups)
+        assert not np.array_equal(got, denoise_reduced(reduced, sigma, geom))
+        # with sigma 0 each group is kept as it is, so any groups that cover
+        # the image give back the image
+        same = denoise_reduced(reduced, 0.0, geom, groups=groups)
+        np.testing.assert_allclose(same, reduced, rtol=0, atol=1e-12 * 255.0)
+
+    def _groups(self):
+        reduced, geom, _ = STAGE_CASES["ragged"]
+        corners, sizes = match_groups(reduced, geom)
+        return reduced, geom, corners, sizes
+
+    def test_reference_count_mismatch_rejected(self):
+        reduced, geom, corners, sizes = self._groups()
+        with pytest.raises(ValueError, match="references"):
+            denoise_reduced(reduced, 10.0, geom, groups=(corners[1:], sizes[1:]))
+        with pytest.raises(ValueError, match="references"):
+            denoise_reduced(reduced[:10], 10.0, geom, groups=(corners, sizes))
+        with pytest.raises(ValueError, match="references"):
+            denoise_reduced(reduced, 10.0, geom, groups=(corners, sizes[1:]))
+
+    def test_groups_of_another_width_rejected(self):
+        """A 12x16 and a 16x12 image have the same number of references, but
+        flat corners r*16 + c address other pixels of the 16x12 image."""
+        geom = PatchGeometry(patch=2, stride=2, window=4, group=5)
+        wide = np.random.default_rng(40).uniform(0.0, 255.0, (12, 16, 2))
+        tall = np.ascontiguousarray(wide.transpose(1, 0, 2))
+        groups = match_groups(wide, geom)
+        assert groups[0].shape[0] == len(reference_grid(16, 12, geom))
+        with pytest.raises(ValueError, match="do not fit"):
+            denoise_reduced(tall, 10.0, geom, groups=groups)
+
+    @pytest.mark.parametrize("where", ["negative", "past_last_row", "past_last_col"])
+    def test_member_outside_image_rejected(self, where):
+        reduced, geom, corners, sizes = self._groups()
+        m, n, _ = reduced.shape
+        bad = corners.copy()
+        bad[3, 1] = {"negative": -1, "past_last_row": m * n - 1, "past_last_col": n - 1}[where]
+        with pytest.raises(ValueError, match="do not fit"):
+            denoise_reduced(reduced, 10.0, geom, groups=(bad, sizes))
+
+    def test_reference_not_first_rejected(self):
+        reduced, geom, corners, sizes = self._groups()
+        bad = corners.copy()
+        bad[0, [0, 1]] = bad[0, [1, 0]]
+        with pytest.raises(ValueError, match="do not fit"):
+            denoise_reduced(reduced, 10.0, geom, groups=(bad, sizes))
+
+    @pytest.mark.parametrize("size", [0, 10])
+    def test_size_out_of_range_rejected(self, size):
+        reduced, geom, corners, sizes = self._groups()
+        bad = sizes.copy()
+        bad[2] = size
+        with pytest.raises(ValueError, match="sizes must be in"):
+            denoise_reduced(reduced, 10.0, geom, groups=(corners, bad))
+
+    def test_non_integer_groups_rejected(self):
+        reduced, geom, corners, sizes = self._groups()
+        with pytest.raises(ValueError, match="integers"):
+            denoise_reduced(reduced, 10.0, geom, groups=(corners.astype(float), sizes))

@@ -192,6 +192,20 @@ class TestEstimateBandNoise:
             estimate_band_noise(x * scale) / scale, estimate_band_noise(x), rtol=1e-12
         )
 
+    def test_overflowing_gram_raises(self):
+        # entries up to about 3e152: every Gram entry stays finite, the
+        # trace does not
+        x = add_gaussian_noise(rank_cube(32, 32, 32, 5, seed=0), 10.0, seed=0)
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            estimate_band_noise(x * 1e150)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_raises(self, bad):
+        x = add_gaussian_noise(rank_cube(32, 32, 8, 3, seed=0), 10.0, seed=0)
+        x[3, 4, 5] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            estimate_band_noise(x)
+
     def test_constant_cube_near_zero(self):
         sigmas = estimate_band_noise(np.full((32, 32, 8), 87.0))
         assert sigmas.max() <= 1e-3
