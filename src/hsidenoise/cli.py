@@ -20,11 +20,12 @@ from .experiment import (
     run_experiment,
     write_trace_csv,
 )
-from .io import DataError, add_gaussian_noise, parse_band_list, write_cube
+from .io import DTYPES, DataError, add_gaussian_noise, parse_band_list, parse_key_values, write_cube
 from .metrics import quality_report
 from .pipeline import DenoiseConfig, NumericalError, denoise
 from .spatial import PatchGeometry
 from .subspace import estimate_band_noise, estimate_subspace_dim
+from .tensor import PEAK
 
 __all__ = ["main"]
 
@@ -72,24 +73,21 @@ _HELP = {
 # key -> (parser of a file value, flag, flag keywords)
 _RUN_OPTIONS = {
     "seed": (int, "--seed", dict(type=int, help=f"noise seed (default {ExperimentSpec.seed})")),
-    "sigma0": (float, "--sigma0", dict(type=float, help="noise sigma on the [0,255] scale (default: estimated)")),
-    "normalize": (_parse_bool, "--no-normalize", dict(action="store_true", help="keep stored values; skip [0,255] rescale on load")),
+    "sigma0": (float, "--sigma0", dict(type=float, help=f"noise sigma on the [0,{PEAK:g}] scale (default: estimated)")),
+    "normalize": (_parse_bool, "--no-normalize", dict(action="store_true", help=f"keep stored values; skip [0,{PEAK:g}] rescale on load")),
     "keep_bands": (str, "--keep-bands", dict(metavar="LIST", help="bands to keep, e.g. 0-102,108-148")),
 }
 
 
 def _config_fields(cls=DenoiseConfig):
-    """Yield (class, field, key, type) for each field the command line sets.
-
-    geom is set through its PatchGeometry fields; value_scale is fixed by
-    the [0, 255] scale that inputs are normalized to.
-    """
+    """Yield (class, field, key, type) for each field the command line
+    sets; geom is set through its PatchGeometry fields."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         tp = hints[f.name]
         if dataclasses.is_dataclass(tp):
             yield from _config_fields(tp)
-        elif f.name != "value_scale":
+        else:
             yield cls, f, _KEYS.get(f.name, f.name), tp
 
 
@@ -107,14 +105,8 @@ def _read_config_file(path):
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     known = {key for _, _, key, _ in _config_fields()} | _RUN_OPTIONS.keys()
     vals = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.lower().replace("-", "_")
+    for lineno, key, val in parse_key_values(text, path):
+        key = key.replace("-", "_")
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         vals[key] = val
@@ -296,7 +288,7 @@ def build_parser():
     p.add_argument("output", help="output cube path (writes .hdr + .raw)")
     p.add_argument("--clean", help="ground-truth cube for metrics")
     p.add_argument("--trace", help="write per-iteration trace CSV here")
-    p.add_argument("--dtype", default="f64", choices=["f32", "f64", "u8", "u16"])
+    p.add_argument("--dtype", default="f64", choices=list(DTYPES))
     _add_config_flags(p)
     p.set_defaults(func=_cmd_denoise)
 
@@ -304,14 +296,14 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--dtype", default="f64", choices=["f32", "f64", "u8", "u16"])
+    p.add_argument("--dtype", default="f64", choices=list(DTYPES))
     _add_config_flags(p, denoiser=False, run_options=("seed", "normalize", "keep_bands"))
     p.set_defaults(func=_cmd_add_noise)
 
     p = sub.add_parser("metrics", help="compare two cubes")
     p.add_argument("ref")
     p.add_argument("test")
-    p.add_argument("--peak", type=float, default=255.0)
+    p.add_argument("--peak", type=float, default=PEAK)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("estimate-k", help="estimate noise and subspace dimension")

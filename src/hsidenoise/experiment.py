@@ -55,8 +55,8 @@ class ExperimentSpec:
     save_cubes: bool = True
 
     def __post_init__(self):
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError(f"sigmas must be >= 0, got {self.sigmas}")
+        if not all(0 <= s < np.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be finite and >= 0, got {self.sigmas}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -65,13 +65,13 @@ class ExperimentSpec:
         return self.label or Path(self.input_path).stem
 
 
-def load_input(path, normalize=True, keep_bands=None, peak=255.0):
+def load_input(path, normalize=True, keep_bands=None):
     """Read a clean cube from a header file or a PGM band directory."""
     p = Path(path)
     if p.is_dir():
-        cube = read_band_stack(p, normalize=normalize, peak=peak)
+        cube = read_band_stack(p, normalize=normalize)
     else:
-        cube = read_cube(p, normalize=normalize, peak=peak)
+        cube = read_cube(p, normalize=normalize)
     if keep_bands is not None:
         bad = [i for i in keep_bands if not 0 <= i < cube.shape[2]]
         if bad:

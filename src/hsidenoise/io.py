@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import as_cube, fold3, unfold3
+from .tensor import PEAK, as_cube, fold3, unfold3
 
 __all__ = [
     "CubeHeader",
@@ -27,6 +27,7 @@ __all__ = [
     "add_gaussian_noise",
     "rescale",
     "parse_band_list",
+    "parse_key_values",
 ]
 
 DTYPES = {
@@ -53,6 +54,19 @@ class UnreadableFileError(DataError):
     """File missing or not readable."""
 
 
+def parse_key_values(text, source, error=ValueError):
+    """Yield (line number, lowercased key, value) per `key = value` line of
+    text, skipping `#` comments and blank lines; other lines raise error."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{source}:{lineno}: expected key = value, got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        yield lineno, key.lower(), val
+
+
 class CubeHeader:
     """Parsed native header."""
 
@@ -77,15 +91,7 @@ class CubeHeader:
 
     @classmethod
     def parse(cls, text, source="header"):
-        fields = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise HeaderError(f"{source}:{lineno}: expected key = value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            fields[key.lower()] = val
+        fields = {key: val for _, key, val in parse_key_values(text, source, HeaderError)}
         missing = {"rows", "cols", "bands", "dtype"} - fields.keys()
         if missing:
             raise HeaderError(f"{source}: missing keys {sorted(missing)}")
@@ -138,8 +144,8 @@ def _resolve_header_path(path):
     return p
 
 
-def rescale(cube, bounds=None, peak=255.0):
-    """Affine map of cube values onto [0, peak].
+def rescale(cube, bounds=None):
+    """Affine map of cube values onto [0, PEAK].
 
     bounds supplies the source range; by default the data min/max is used.
     Values outside the bounds are clipped.  A flat range maps to zeros.
@@ -151,14 +157,14 @@ def rescale(cube, bounds=None, peak=255.0):
         lo, hi = (float(b) for b in bounds)
     if hi <= lo:
         return np.zeros_like(cube)
-    return (np.clip(cube, lo, hi) - lo) * (peak / (hi - lo))
+    return (np.clip(cube, lo, hi) - lo) * (PEAK / (hi - lo))
 
 
-def read_cube(path, normalize=False, peak=255.0):
+def read_cube(path, normalize=False):
     """Read a native header + raw payload pair into a float64 cube.
 
     path may point at the .hdr file or at its stem.  normalize=True maps
-    values onto [0, peak] using the header scale when present, else the
+    values onto [0, PEAK] using the header scale when present, else the
     data range.
     """
     hdr_path = _resolve_header_path(path)
@@ -193,7 +199,7 @@ def read_cube(path, normalize=False, peak=255.0):
         mat = lo + mat / np.iinfo(np_dtype).max * (hi - lo)
     cube = fold3(mat, (header.rows, header.cols))
     if normalize:
-        cube = rescale(cube, header.scale, peak)
+        cube = rescale(cube, header.scale)
     return cube
 
 
@@ -298,8 +304,9 @@ def write_pgm(path, band, maxval=255):
     Path(path).write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval) + samples.tobytes())
 
 
-def read_band_stack(dir_path, normalize=False, peak=255.0):
-    """Stack a directory of PGM band files (lexicographic order) into a cube."""
+def read_band_stack(dir_path, normalize=False):
+    """Stack a directory of PGM band files (lexicographic order) into a
+    cube; normalize=True maps its data range onto [0, PEAK]."""
     d = Path(dir_path)
     if not d.is_dir():
         raise UnreadableFileError(f"not a directory: {d}")
@@ -317,7 +324,7 @@ def read_band_stack(dir_path, normalize=False, peak=255.0):
         bands.append(band)
     cube = np.stack(bands, axis=2)
     if normalize:
-        cube = rescale(cube, None, peak)
+        cube = rescale(cube)
     return cube
 
 
@@ -340,8 +347,8 @@ def add_gaussian_noise(cube, sigma, seed=0):
     returns the input unchanged.
     """
     cube = as_cube(cube)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return cube.copy()
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .tensor import as_cube
+from .tensor import PEAK, as_cube
 
 __all__ = ["QualityReport", "psnr", "mpsnr", "ssim", "mssim", "sam", "quality_report"]
 
@@ -37,7 +37,7 @@ def _check_pair(ref, test, ndim):
     return ref, test
 
 
-def psnr(ref, test, peak=255.0):
+def psnr(ref, test, peak=PEAK):
     """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
@@ -52,7 +52,7 @@ def psnr(ref, test, peak=255.0):
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def mpsnr(ref, test, peak=255.0):
+def mpsnr(ref, test, peak=PEAK):
     """Mean over bands of the per-band PSNR."""
     ref, test = _check_pair(ref, test, 3)
     vals = [psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
@@ -71,7 +71,7 @@ def _window_mean(img, kernel):
     return correlate1d(out, kernel, axis=1, mode="constant")
 
 
-def ssim(ref, test, peak=255.0):
+def ssim(ref, test, peak=PEAK):
     """Structural similarity of two bands.
 
     Gaussian-windowed means/variances (11x11 window, sigma 1.5), map
@@ -103,7 +103,7 @@ def ssim(ref, test, peak=255.0):
     return float(np.mean(smap[half:-half, half:-half]))
 
 
-def mssim(ref, test, peak=255.0):
+def mssim(ref, test, peak=PEAK):
     """Mean over bands of the per-band SSIM."""
     ref, test = _check_pair(ref, test, 3)
     vals = [ssim(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
@@ -146,7 +146,7 @@ def sam(ref, test):
     return float(np.degrees(np.mean(np.arccos(cos))))
 
 
-def quality_report(ref, test, peak=255.0):
+def quality_report(ref, test, peak=PEAK):
     """Full report for a (reference, test) cube pair."""
     ref, test = _check_pair(ref, test, 3)
     per_band = [psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]

@@ -71,7 +71,6 @@ class DenoiseConfig:
     wnnm_eps: float = DEFAULT_WNNM_EPS
     k_growth: KGrowth = "cumulative"
     early_stop: float | None = None
-    value_scale: float = 255.0
 
     def __post_init__(self):
         if self.k0 is not None and self.k0 < 1:
@@ -88,14 +87,13 @@ class DenoiseConfig:
             raise ValueError(
                 f"k_growth must be 'cumulative' or 'affine', got {self.k_growth!r}"
             )
-        if self.wnnm_c < 0.0:
-            raise ValueError(f"wnnm_c must be >= 0, got {self.wnnm_c}")
-        if self.wnnm_eps <= 0.0:
-            raise ValueError(f"wnnm_eps must be > 0, got {self.wnnm_eps}")
-        if self.early_stop is not None and self.early_stop <= 0.0:
-            raise ValueError(f"early_stop must be > 0, got {self.early_stop}")
-        if self.value_scale <= 0.0:
-            raise ValueError(f"value_scale must be > 0, got {self.value_scale}")
+        # written so that NaN, which fails every comparison, fails each check
+        if not 0.0 <= self.wnnm_c < np.inf:
+            raise ValueError(f"wnnm_c must be finite and >= 0, got {self.wnnm_c}")
+        if not 0.0 < self.wnnm_eps < np.inf:
+            raise ValueError(f"wnnm_eps must be finite and > 0, got {self.wnnm_eps}")
+        if self.early_stop is not None and not 0.0 < self.early_stop < np.inf:
+            raise ValueError(f"early_stop must be finite and > 0, got {self.early_stop}")
 
 
 @dataclass
@@ -174,8 +172,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     k0 = min(k0, b)
     if sigma0 is None:
         sigma0 = float(np.median(band_sigma))
-    if sigma0 < 0:
-        raise ValueError(f"sigma0 must be >= 0, got {sigma0}")
+    if not 0 <= sigma0 < np.inf:
+        raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
 
     noise = NoiseModel(sigma0_sq=sigma0 * sigma0, gamma=cfg.gamma)
     trace = []
@@ -198,7 +196,6 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             cfg.geom,
             cfg.wnnm_c,
             cfg.wnnm_eps,
-            cfg.value_scale,
             groups=groups,
         )
         x_new = mode3_product(m_i, model.basis)

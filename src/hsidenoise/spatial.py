@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_cube
+from .tensor import PEAK, as_cube
 
 __all__ = [
     "PatchGeometry",
@@ -210,26 +210,34 @@ def match_group(reduced, ref, geom):
 
 
 def _check_shrink_args(sigma, value_scale, c, eps):
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    # written so that NaN, which fails every comparison, fails each check
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     # a negative c amplifies the weak components instead of shrinking them
-    if c < 0:
-        raise ValueError(f"c must be >= 0, got {c}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if value_scale <= 0:
-        raise ValueError(f"value_scale must be > 0, got {value_scale}")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not 0 < value_scale < math.inf:
+        raise ValueError(f"value_scale must be finite and > 0, got {value_scale}")
 
 
-def _shrink(a, sig, c, eps):
-    """Weighted singular-value shrinkage of a stack of unit-scale group
-    matrices a, shape (G, d, p).
+def _shrink(a, sigma, c, eps, value_scale):
+    """Weighted singular-value shrinkage of a stack of group matrices a,
+    shape (G, d, p), which it overwrites.  c is calibrated for a unit
+    scale, so a and sigma are divided by value_scale going in and the
+    result multiplied by it; sigma under _SIGMA_FLOOR * value_scale
+    returns a unchanged.
 
     With a = U S V^T, the p x p Gram matrix a^T a = V S^2 V^T gives V and S
     by one batched eigh, and U S_new V^T = a V diag(S_new / S) V^T.
     Squaring loses accuracy only in singular values far below the
     threshold (s^2 under about c*sqrt(p)), which are zeroed either way.
     """
+    if sigma < _SIGMA_FLOOR * value_scale:
+        return a
+    a /= value_scale
+    sig = sigma / value_scale
     d, p = a.shape[1:]
     at = a.transpose(0, 2, 1)
     gram = at @ a
@@ -243,7 +251,9 @@ def _shrink(a, sig, c, eps):
     s_clean = np.sqrt(np.maximum(lam - p * sig * sig, 0.0))
     s_new = np.maximum(s - c * math.sqrt(p) / (s_clean + eps), 0.0)
     ratio = np.divide(s_new, s, out=np.zeros_like(s), where=s > 0.0)
-    return a @ ((v * ratio[:, None, :]) @ v.transpose(0, 2, 1))
+    out = a @ ((v * ratio[:, None, :]) @ v.transpose(0, 2, 1))
+    out *= value_scale
+    return out
 
 
 def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS, value_scale=1.0):
@@ -252,23 +262,15 @@ def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS, value_scale=1.
     Decompose the group, estimate the clean singular values by subtracting
     the expected noise energy, weight each inversely to that estimate, and
     soft-threshold: strong components are barely touched while weak
-    (noise-dominated) ones collapse.  The decomposition is the eigh of the
-    p x p Gram matrix, as in denoise_reduced.
-
-    The weight constant c is calibrated for data on a unit value scale;
-    value_scale divides the matrix and sigma going in (and multiplies the
-    result) so intensities on e.g. [0,255] shrink identically to their
-    [0,1] counterparts.  sigma below 1e-9 of the value scale bypasses the
-    decomposition and returns g unchanged.
+    (noise-dominated) ones collapse, as denoise_reduced does each group.
+    g and sigma on value_scale shrink as g / value_scale and sigma /
+    value_scale would; sigma under 1e-9 * value_scale returns a copy of g.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g = np.array(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
     _check_shrink_args(sigma, value_scale, c, eps)
-    if sigma < _SIGMA_FLOOR * value_scale:
-        return g
-    a = (g / value_scale)[None]
-    return _shrink(a, sigma / value_scale, c, eps)[0] * value_scale
+    return _shrink(g[None], sigma, c, eps, value_scale)[0]
 
 
 def _add_at(buf, idx, weights=None):
@@ -379,7 +381,7 @@ def denoise_reduced(
     geom,
     c=DEFAULT_WNNM_C,
     eps=DEFAULT_WNNM_EPS,
-    value_scale=255.0,
+    value_scale=PEAK,
     groups=None,
 ):
     """Full spatial pass over the reduced image.
@@ -399,7 +401,6 @@ def denoise_reduced(
         corners, sizes = match_groups(reduced, geom)
     else:
         corners, sizes = _check_groups(groups, m, n, geom)
-    shrink = sigma >= _SIGMA_FLOOR * value_scale
     flat = reduced.ravel()
     acc = np.zeros(flat.size)
     cnt = np.zeros(m * n)
@@ -411,11 +412,9 @@ def denoise_reduced(
         for lo in range(0, len(refs), step):
             members = corners[refs[lo : lo + step], :p]
             idx = _patch_index(members, ps, n, k)
+            # on its own line, so that the last chunk's result is freed first
             groups = flat[idx]
-            if shrink:
-                groups /= value_scale
-                groups = _shrink(groups, sigma / value_scale, c, eps)
-                groups *= value_scale
+            groups = _shrink(groups, sigma, c, eps, value_scale)
             _add_at(acc, idx, groups)
             _add_at(cnt, _patch_index(members, ps, n, 1))
     return _average(acc, cnt, m, n, k)

@@ -55,8 +55,8 @@ class NoiseModel:
     gamma: float = 0.5
 
     def __post_init__(self):
-        if self.sigma0_sq < 0:
-            raise ValueError(f"sigma0_sq must be >= 0, got {self.sigma0_sq}")
+        if not 0 <= self.sigma0_sq < np.inf:
+            raise ValueError(f"sigma0_sq must be finite and >= 0, got {self.sigma0_sq}")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
@@ -166,6 +166,8 @@ def estimate_subspace_dim(cube, per_band_sigma):
     sig = np.asarray(per_band_sigma, dtype=np.float64)
     if sig.shape != (b,):
         raise ValueError(f"expected {b} band sigmas, got shape {sig.shape}")
+    if not np.all((sig >= 0) & (sig < np.inf)):
+        raise ValueError("band sigmas must be finite and >= 0")
 
     z = cube.reshape(m * n, b).T
     ry = z @ z.T / (m * n)

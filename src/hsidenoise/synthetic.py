@@ -8,12 +8,12 @@ and the singular-value profile is controlled.
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .tensor import fold3
+from .tensor import PEAK, fold3
 
 __all__ = ["rank_cube"]
 
 
-def rank_cube(m, n, bands, rank, seed=0, peak=255.0, smooth=3.0, strengths=None):
+def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
     """Random nonneg cube of shape (m, n, bands) with exact spectral rank.
 
     Spatial maps are Gaussian-smoothed noise fields (orthonormalized), so

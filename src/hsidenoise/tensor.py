@@ -10,7 +10,10 @@ file payload.
 
 import numpy as np
 
-__all__ = ["unfold3", "fold3", "mode3_product", "frob_norm_sq", "as_cube"]
+__all__ = ["PEAK", "unfold3", "fold3", "mode3_product", "frob_norm_sq", "as_cube"]
+
+# the intensity scale: inputs are normalized onto [0, PEAK], sigma is in its units
+PEAK = 255.0
 
 
 def as_cube(arr, name="cube"):

@@ -118,6 +118,25 @@ class TestDenoiseCommand:
         key = line.split()[0]
         assert f"run.cfg:2: unknown key '{key}'" in capsys.readouterr().err
 
+    def test_config_line_without_equals_is_usage_error(self, scene, tmp_path, capsys):
+        _, noisy_path = scene
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iters = 1  # one\n\niters 2\n")
+        code = main(
+            ["denoise", str(noisy_path), str(tmp_path / "o"), "--config", str(cfg)]
+        )
+        assert code == 1
+        assert "run.cfg:3: expected key = value, got 'iters 2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--wnnm-c", "nan"]])
+    def test_nan_is_usage_error(self, scene, tmp_path, flags, capsys):
+        _, noisy_path = scene
+        out = tmp_path / "o"
+        code = main(["denoise", str(noisy_path), str(out), "--no-normalize"] + flags + FAST)
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
+
 
 # Every option of `denoise`; the denoiser ones mirror the config fields.
 DENOISE_OPTIONS = {

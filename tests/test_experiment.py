@@ -110,6 +110,15 @@ class TestRunExperiment:
                 output_dir=tmp_path / "out",
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected_up_front(self, cube_path, tmp_path, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            ExperimentSpec(
+                input_path=cube_path,
+                sigmas=[10.0, bad],
+                output_dir=tmp_path / "out",
+            )
+
     def test_label_overrides_stem(self, cube_path, tmp_path):
         spec = ExperimentSpec(
             input_path=cube_path,

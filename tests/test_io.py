@@ -51,6 +51,12 @@ class TestCubeHeader:
         with pytest.raises(HeaderError):
             CubeHeader.parse("rows = 2\ncols = 2\nbands = 1\ndtype = f16\n")
 
+    def test_line_without_equals(self):
+        # comment and blank lines count towards the line number
+        text = "# header\nrows = 2\n\nbands 2  # note\ncols = 2\ndtype = f64\n"
+        with pytest.raises(HeaderError, match="cube.hdr:4: expected key = value, got 'bands 2'"):
+            CubeHeader.parse(text, source="cube.hdr")
+
     def test_bad_scale(self):
         with pytest.raises(HeaderError, match="scale"):
             CubeHeader.parse(
@@ -182,6 +188,11 @@ class TestAddGaussianNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             add_gaussian_noise(np.zeros((4, 4, 2)), -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            add_gaussian_noise(np.zeros((4, 4, 2)), bad)
 
 
 class TestHelpers:

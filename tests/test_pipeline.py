@@ -80,8 +80,6 @@ class TestDenoiseConfig:
             DenoiseConfig(gamma=-1.0)
         with pytest.raises(ValueError):
             DenoiseConfig(k_growth="bogus")
-        with pytest.raises(ValueError):
-            DenoiseConfig(value_scale=0.0)
 
     @pytest.mark.parametrize(
         "bad",
@@ -97,6 +95,12 @@ class TestDenoiseConfig:
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             DenoiseConfig(**bad)
+
+    @pytest.mark.parametrize("name", ["wnnm_c", "wnnm_eps", "early_stop"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_shrinkage_constants_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DenoiseConfig(**{name: value})
 
 
 class TestDenoise:
@@ -185,6 +189,13 @@ class TestDenoise:
         noisy = add_gaussian_noise(clean, 10.0, seed=0) * 1e150
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             denoise(noisy, config=DenoiseConfig(iters=1, geom=SMALL_GEOM))
+
+    @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
+    def test_non_finite_sigma0_rejected(self, sigma0):
+        # NaN turned the shrink off and inf zeroed the estimate
+        clean = rank_cube(16, 16, 4, 2, seed=8)
+        with pytest.raises(ValueError, match="sigma0"):
+            denoise(clean, sigma0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
 
     def test_non_finite_input_rejected(self):
         bad = rank_cube(16, 16, 4, 2, seed=8)

@@ -186,6 +186,17 @@ class TestWnnmShrink:
         with pytest.raises(ValueError, match=f"{name} must be"):
             denoise_reduced(reduced, 0.5, SMALL, value_scale=1.0, **bad)
 
+    @pytest.mark.parametrize("name", ["sigma", "c", "eps", "value_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_args_rejected(self, name, value):
+        args = {"sigma": 0.5, "c": 1.0, "eps": 1e-16, "value_scale": 1.0, name: value}
+        g = np.random.default_rng(10).standard_normal((16, 6))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            wnnm_shrink(g, **args)
+        reduced = np.random.default_rng(11).standard_normal((12, 12, 3))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            denoise_reduced(reduced, geom=SMALL, **args)
+
 
 class TestAggregate:
     def test_identity_on_clean_groups(self):

@@ -248,6 +248,13 @@ class TestEstimateSubspaceDim:
             k = estimate_subspace_dim(np.zeros((8, 8, 4)), np.zeros(4))
         assert k == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_band_sigma_rejected(self, bad):
+        cube = add_gaussian_noise(rank_cube(16, 16, 6, 2, seed=4), 5.0, seed=4)
+        for sig in (np.full(6, bad), np.where(np.arange(6) == 2, bad, 5.0)):
+            with pytest.raises(ValueError, match="band sigmas"):
+                estimate_subspace_dim(cube, sig)
+
 
 class TestNoiseModel:
     def test_sigma0_property(self):
@@ -256,6 +263,11 @@ class TestNoiseModel:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma0_sq=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_variance(self, bad):
+        with pytest.raises(ValueError, match="sigma0_sq"):
+            NoiseModel(sigma0_sq=bad)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):

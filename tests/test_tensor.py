@@ -1,9 +1,14 @@
 """Cube/matrix layout conventions and small tensor helpers."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from hsidenoise.tensor import as_cube, fold3, frob_norm_sq, mode3_product, unfold3
+from hsidenoise import experiment, io, metrics, spatial, synthetic
+from hsidenoise.pipeline import DenoiseConfig
+from hsidenoise.tensor import PEAK, as_cube, fold3, frob_norm_sq, mode3_product, unfold3
 
 
 def enumerated_cube():
@@ -101,3 +106,43 @@ class TestAsCube:
     def test_error_names_argument(self):
         with pytest.raises(ValueError, match="reduced"):
             as_cube(np.zeros(5), name="reduced")
+
+
+class TestPeak:
+    """The intensity scale is tensor.PEAK, defined once."""
+
+    @pytest.mark.parametrize(
+        "func, name",
+        [
+            (metrics.psnr, "peak"),
+            (metrics.mpsnr, "peak"),
+            (metrics.ssim, "peak"),
+            (metrics.mssim, "peak"),
+            (metrics.quality_report, "peak"),
+            (synthetic.rank_cube, "peak"),
+            (spatial.denoise_reduced, "value_scale"),
+        ],
+    )
+    def test_defaults_are_peak(self, func, name):
+        assert inspect.signature(func).parameters[name].default is PEAK
+
+    def test_not_a_config_field(self):
+        assert "value_scale" not in {f.name for f in dataclasses.fields(DenoiseConfig)}
+
+    @pytest.mark.parametrize(
+        "func", [io.rescale, io.read_cube, io.read_band_stack, experiment.load_input]
+    )
+    def test_loaders_take_no_peak(self, func):
+        assert "peak" not in inspect.signature(func).parameters
+
+    def test_loaders_normalize_onto_peak(self, tmp_path):
+        cube = np.random.default_rng(0).integers(3, 40, (6, 5, 3)).astype(float)
+        header = io.write_cube(tmp_path / "cube", cube)
+        io.write_band_stack(tmp_path / "bands", cube)
+        for loaded in (
+            experiment.load_input(header),
+            experiment.load_input(tmp_path / "bands"),
+            io.read_band_stack(tmp_path / "bands", normalize=True),
+        ):
+            assert loaded.min() == 0.0
+            assert loaded.max() == pytest.approx(PEAK, rel=1e-15)
