@@ -7,6 +7,7 @@ Per-band grayscale PGM stacks are supported for datasets distributed as
 one image per band.
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -108,6 +109,8 @@ class CubeHeader:
                 scale = (float(parts[0]), float(parts[1]))
             except ValueError as exc:
                 raise HeaderError(f"{source}: bad scale values: {exc}") from exc
+            if not all(map(math.isfinite, scale)):
+                raise HeaderError(f"{source}: scale values must be finite, got {fields['scale']!r}")
         return cls(
             rows,
             cols,

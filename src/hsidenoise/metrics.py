@@ -37,8 +37,15 @@ def _check_pair(ref, test, ndim):
     return ref, test
 
 
+def _check_peak(peak):
+    # written so that NaN, which fails every comparison, fails the check
+    if not 0 < peak < math.inf:
+        raise ValueError(f"peak must be finite and > 0, got {peak}")
+
+
 def psnr(ref, test, peak=PEAK):
     """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
+    _check_peak(peak)
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
@@ -54,6 +61,7 @@ def psnr(ref, test, peak=PEAK):
 
 def mpsnr(ref, test, peak=PEAK):
     """Mean over bands of the per-band PSNR."""
+    _check_peak(peak)
     ref, test = _check_pair(ref, test, 3)
     vals = [psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
     return float(np.mean(vals))
@@ -77,6 +85,7 @@ def ssim(ref, test, peak=PEAK):
     Gaussian-windowed means/variances (11x11 window, sigma 1.5), map
     averaged over the interior where the window fits entirely.
     """
+    _check_peak(peak)
     ref, test = _check_pair(ref, test, 2)
     half = SSIM_WINDOW // 2
     if min(ref.shape) < SSIM_WINDOW:
@@ -105,6 +114,7 @@ def ssim(ref, test, peak=PEAK):
 
 def mssim(ref, test, peak=PEAK):
     """Mean over bands of the per-band SSIM."""
+    _check_peak(peak)
     ref, test = _check_pair(ref, test, 3)
     vals = [ssim(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
     return float(np.mean(vals))
@@ -148,6 +158,7 @@ def sam(ref, test):
 
 def quality_report(ref, test, peak=PEAK):
     """Full report for a (reference, test) cube pair."""
+    _check_peak(peak)
     ref, test = _check_pair(ref, test, 3)
     per_band = [psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
     return QualityReport(

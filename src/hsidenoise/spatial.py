@@ -8,11 +8,22 @@ result a caller can pass back in to reuse the groups on another image of the
 same height and width), shrinking a stack of groups through their Gram
 matrices, and one scatter-add per chunk.  Each chunk holds at most
 _CHUNK_BYTES of float64 work, so peak memory does not grow with the image.
+The shrinkage of the chunks runs on a thread pool, one worker per core, with
+OpenBLAS held to one thread; the calling thread gathers and scatters the
+chunks in order, so the result does not depend on the worker count.
 match_group, wnnm_shrink and aggregate are the same passes applied to one
 reference, one group and a list of groups.
 """
 
+import collections
+import contextlib
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +49,14 @@ DEFAULT_WNNM_EPS = 1e-16
 _SIGMA_FLOOR = 1e-9
 
 # float64 bytes per chunk: the match distances of a block of reference rows,
-# and the group matrices of a chunk of references.  It bounds the stage's
-# peak memory; from 1 to 32 MiB the run time at 96x96 stays the same.  At
-# 4 MiB, glibc's malloc went on to give the caller's next arrays fresh pages
-# (building a 96x96x64 scene after a denoise took 1,600 page faults and 30%
-# more time); from 8 MiB it reuses its heap, as after the old per-group loop.
-_CHUNK_BYTES = 8 << 20
+# and the group matrices of a chunk of references.  Up to workers + 1 chunks
+# are in flight, each with its gathered groups, its result and its indices,
+# so this bounds the stage's peak memory.  It must not depend on the worker
+# count: the chunks decide how the scatter sums are grouped.  Building a
+# 96x96x64 scene after a denoise takes about 0.02 s with 2 or 8 MiB chunks
+# (2 cores), so the page faults that 4 MiB chunks once caused in the
+# caller's next arrays do not show at this size.
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -222,9 +235,10 @@ def _check_shrink_args(sigma, value_scale, c, eps):
         raise ValueError(f"value_scale must be finite and > 0, got {value_scale}")
 
 
-def _shrink(a, sigma, c, eps, value_scale):
+def _shrink(a, sigma, c, eps, value_scale, out=None):
     """Weighted singular-value shrinkage of a stack of group matrices a,
-    shape (G, d, p), which it overwrites.  c is calibrated for a unit
+    shape (G, d, p), which it overwrites; the result goes to out when given
+    (a new array otherwise) and is returned.  c is calibrated for a unit
     scale, so a and sigma are divided by value_scale going in and the
     result multiplied by it; sigma under _SIGMA_FLOOR * value_scale
     returns a unchanged.
@@ -251,7 +265,7 @@ def _shrink(a, sigma, c, eps, value_scale):
     s_clean = np.sqrt(np.maximum(lam - p * sig * sig, 0.0))
     s_new = np.maximum(s - c * math.sqrt(p) / (s_clean + eps), 0.0)
     ratio = np.divide(s_new, s, out=np.zeros_like(s), where=s > 0.0)
-    out = a @ ((v * ratio[:, None, :]) @ v.transpose(0, 2, 1))
+    out = np.matmul(a, (v * ratio[:, None, :]) @ v.transpose(0, 2, 1), out=out)
     out *= value_scale
     return out
 
@@ -271,6 +285,75 @@ def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS, value_scale=1.
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
     _check_shrink_args(sigma, value_scale, c, eps)
     return _shrink(g[None], sigma, c, eps, value_scale)[0]
+
+
+def _workers():
+    """Shrinkage threads: one per core this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _thread_count_functions(path):
+    """(get, set) thread-count functions of the OpenBLAS at path, or None."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+        try:
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _openblas():
+    """(get, set) thread-count function pairs of every OpenBLAS mapped into
+    this process, numpy's among them; empty where none is found, as on a
+    platform without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as maps:
+            parts = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(
+        f[5] for f in parts if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
+    )
+    return tuple(fns for fns in map(_thread_count_functions, paths) if fns)
+
+
+# OpenBLAS's thread count is process-wide, so the hold is too: concurrent
+# and nested holds share one, and the last one out restores the counts.
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS found to one thread while the block runs, and
+    yield whether one was found.  Worker threads that each call BLAS would
+    otherwise compete with OpenBLAS's own threads for the cores."""
+    global _blas_holders, _blas_saved
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = tuple((set_, get()) for get, set_ in _openblas())
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_holders += 1
+        found = bool(_blas_saved)
+    try:
+        yield found
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_, count in _blas_saved:
+                    set_(count)
 
 
 def _add_at(buf, idx, weights=None):
@@ -392,6 +475,12 @@ def denoise_reduced(
     one (G, d, p) stack, shrinks it as wnnm_shrink does each group, and
     scatter-adds it into the overlap average.  With sigma = 0 this is the
     identity up to overlap-averaging roundoff.
+
+    The stacks are shrunk on a pool of one thread per core, created and
+    closed within the call, while OpenBLAS is held to one thread; with no
+    OpenBLAS found the pool has one thread.  The calling thread gathers each
+    stack and scatters the results in the order it gathered them, so the
+    output is the same bit for bit for any number of threads.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     _check_shrink_args(sigma, value_scale, c, eps)
@@ -404,17 +493,39 @@ def denoise_reduced(
     flat = reduced.ravel()
     acc = np.zeros(flat.size)
     cnt = np.zeros(m * n)
-    # Groups clipped by the image edge can be smaller than geom.group; each
-    # size is its own batch, so no group is cut or padded.
-    for p in np.unique(sizes):
-        refs = np.flatnonzero(sizes == p)
-        step = max(1, _CHUNK_BYTES // (ps * ps * k * p * 8))
-        for lo in range(0, len(refs), step):
-            members = corners[refs[lo : lo + step], :p]
-            idx = _patch_index(members, ps, n, k)
-            # on its own line, so that the last chunk's result is freed first
-            groups = flat[idx]
-            groups = _shrink(groups, sigma, c, eps, value_scale)
-            _add_at(acc, idx, groups)
+    pending = collections.deque()
+
+    def scatter(limit):
+        while len(pending) > limit:
+            idx, members, job = pending.popleft()
+            _add_at(acc, idx, job.result())
             _add_at(cnt, _patch_index(members, ps, n, 1))
+
+    with _one_blas_thread() as held:
+        workers = _workers() if held else 1
+        pool = ThreadPoolExecutor(workers)
+        try:
+            # Groups clipped by the image edge can be smaller than
+            # geom.group; each size is its own batch, so no group is cut or
+            # padded.  The arrays are allocated here, not in the workers:
+            # there they came from glibc's per-thread heaps, and a 96x96x64
+            # denoise's peak RSS rose 8%.
+            for p in np.unique(sizes):
+                refs = np.flatnonzero(sizes == p)
+                step = max(1, _CHUNK_BYTES // (ps * ps * k * p * 8))
+                for lo in range(0, len(refs), step):
+                    members = corners[refs[lo : lo + step], :p]
+                    idx = _patch_index(members, ps, n, k)
+                    a = flat[idx]
+                    # each job runs in a copy of the caller's context, which
+                    # holds numpy's floating-point error settings
+                    job = pool.submit(
+                        contextvars.copy_context().run,
+                        _shrink, a, sigma, c, eps, value_scale, np.empty_like(a),
+                    )
+                    pending.append((idx, members, job))
+                    scatter(workers)
+            scatter(0)
+        finally:
+            pool.shutdown(cancel_futures=True)
     return _average(acc, cnt, m, n, k)

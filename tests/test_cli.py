@@ -128,6 +128,14 @@ class TestDenoiseCommand:
         assert code == 1
         assert "run.cfg:3: expected key = value, got 'iters 2'" in capsys.readouterr().err
 
+    def test_non_finite_header_scale_is_data_error(self, scene, tmp_path, capsys):
+        _, noisy_path = scene
+        noisy_path.write_text(noisy_path.read_text() + "scale = nan 5\n")
+        out = tmp_path / "o"
+        assert main(["denoise", str(noisy_path), str(out)] + FAST) == 2
+        assert "scale values must be finite" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
+
     @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--wnnm-c", "nan"]])
     def test_nan_is_usage_error(self, scene, tmp_path, flags, capsys):
         _, noisy_path = scene
@@ -239,6 +247,14 @@ class TestOtherCommands:
         clean_path, _ = scene
         assert main(["metrics", str(clean_path), str(clean_path)]) == 0
         assert "inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("peak", ["nan", "0"])
+    def test_metrics_bad_peak_is_usage_error(self, scene, capsys, peak):
+        clean_path, noisy_path = scene
+        assert main(["metrics", str(clean_path), str(noisy_path), "--peak", peak]) == 1
+        captured = capsys.readouterr()
+        assert "peak must be finite and > 0" in captured.err
+        assert "mpsnr=" not in captured.out
 
     def test_estimate_k(self, scene, capsys):
         _, noisy_path = scene

@@ -63,6 +63,11 @@ class TestCubeHeader:
                 "rows = 2\ncols = 2\nbands = 1\ndtype = u8\nscale = 1\n"
             )
 
+    @pytest.mark.parametrize("scale", ["nan 5", "0 inf", "-inf 1"])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(HeaderError, match="scale values must be finite"):
+            CubeHeader.parse(f"rows = 2\ncols = 2\nbands = 1\ndtype = f64\nscale = {scale}\n")
+
 
 class TestCubeRoundTrip:
     def test_f64_bit_exact(self, tmp_path):

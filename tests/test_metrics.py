@@ -159,3 +159,16 @@ class TestQualityReport:
         assert rep.mpsnr == math.inf
         assert rep.mssim == 1.0
         assert rep.sam_deg == 0.0
+
+
+class TestPeak:
+    @pytest.mark.parametrize("peak", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("metric", [psnr, mpsnr, ssim, mssim, quality_report])
+    def test_non_finite_or_non_positive_rejected(self, metric, peak):
+        rng = np.random.default_rng(8)
+        clean = rng.uniform(0.0, 255.0, size=(16, 16, 2))
+        noisy = clean + rng.standard_normal(clean.shape) * 10.0
+        if metric in (psnr, ssim):
+            clean, noisy = clean[:, :, 0], noisy[:, :, 0]
+        with pytest.raises(ValueError, match="peak must be finite and > 0"):
+            metric(clean, noisy, peak=peak)

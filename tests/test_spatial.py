@@ -1,6 +1,9 @@
 """Patch grouping, weighted shrinkage, and aggregation."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -611,3 +614,129 @@ class TestGroupReuse:
         reduced, geom, corners, sizes = self._groups()
         with pytest.raises(ValueError, match="integers"):
             denoise_reduced(reduced, 10.0, geom, groups=(corners.astype(float), sizes))
+
+
+# --- The shrinkage thread pool ----------------------------------------------
+
+
+def blas_counts():
+    return [get() for get, _ in spatial._openblas()]
+
+
+@pytest.fixture
+def blas_at_three():
+    """Every OpenBLAS found at three threads, a count the stage never sets,
+    for the test's duration; skips where none is found."""
+    libs = spatial._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS found")
+    before = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(3)
+    try:
+        yield [3] * len(libs)
+    finally:
+        for (_, set_), count in zip(libs, before):
+            set_(count)
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(spatial, "_workers", lambda: workers)
+
+
+OVERFLOWING = np.full((14, 14, 3), 1e160)
+
+
+class TestThreadedStage:
+    """denoise_reduced shrinks its chunks on a thread pool: the output does
+    not depend on the worker count, and numpy's OpenBLAS thread count is
+    what the caller left it."""
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_worker_count_changes_no_bit(self, case, chunk_bytes, monkeypatch):
+        reduced, geom, sigma = STAGE_CASES[case]
+        if chunk_bytes is not None:
+            monkeypatch.setattr(spatial, "_CHUNK_BYTES", chunk_bytes)
+        groups = match_groups(reduced, geom)
+        use_workers(monkeypatch, 1)
+        want = denoise_reduced(reduced, sigma, geom)
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
+            np.testing.assert_array_equal(
+                denoise_reduced(reduced, sigma, geom, groups=groups), want
+            )
+
+    def test_blas_held_to_one_thread_while_shrinking(self, blas_at_three, monkeypatch):
+        seen = []
+        shrink = spatial._shrink
+
+        def recording_shrink(*args):
+            seen.append(blas_counts())
+            return shrink(*args)
+
+        monkeypatch.setattr(spatial, "_shrink", recording_shrink)
+        use_workers(monkeypatch, 2)
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        denoise_reduced(reduced, sigma, geom)
+        assert seen and all(counts == [1] * len(blas_at_three) for counts in seen)
+        assert blas_counts() == blas_at_three
+
+    def test_overflow_raises_and_restores_blas(self, blas_at_three, monkeypatch):
+        use_workers(monkeypatch, 2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+                denoise_reduced(OVERFLOWING, 10.0, SMALL)
+        assert blas_counts() == blas_at_three
+
+    def test_caller_errstate_reaches_workers(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                denoise_reduced(OVERFLOWING, 10.0, SMALL)
+
+    def test_concurrent_calls_restore_blas(self, blas_at_three, monkeypatch):
+        """More calling threads than cores, switching often: a hold that
+        saved the count inside another call's hold would restore 1."""
+        use_workers(monkeypatch, 2)
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        want = denoise_reduced(reduced, sigma, geom)
+        start = threading.Barrier(4)
+        outs = []
+
+        def call():
+            start.wait(timeout=60)
+            for _ in range(3):
+                outs.append(denoise_reduced(reduced, sigma, geom))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outs) == 12
+        for out in outs:
+            np.testing.assert_array_equal(out, want)
+        assert blas_counts() == blas_at_three
+
+    def test_no_openblas_runs_one_worker(self, monkeypatch):
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        use_workers(monkeypatch, 2)
+        want = denoise_reduced(reduced, sigma, geom)
+        pools = []
+
+        def pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(spatial, "_openblas", lambda: ())
+        np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
+        assert pools == [1]
