@@ -15,6 +15,7 @@ from .spatial import (
     DEFAULT_WNNM_C,
     DEFAULT_WNNM_EPS,
     PatchGeometry,
+    _one_blas_thread,
     denoise_reduced,
     match_groups,
 )
@@ -158,72 +159,78 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     then blends with the observation and enlarges k for the next round.
     Patch groups are matched at iterations 1 and 2; later iterations reuse
     iteration 2's groups.
+
+    OpenBLAS is held to one thread for the whole call, as denoise_reduced
+    holds it for its shrinkage pool: after a threaded BLAS call OpenBLAS's
+    idle threads spin for a while, against the pool's threads for the
+    cores.  Other threads' BLAS calls run on one thread meanwhile.
     """
-    y = as_cube(noisy, "noisy")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("input cube has non-finite entries")
-    cfg = config if config is not None else DenoiseConfig()
-    m, n, b = y.shape
+    with _one_blas_thread():
+        y = as_cube(noisy, "noisy")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("input cube has non-finite entries")
+        cfg = config if config is not None else DenoiseConfig()
+        m, n, b = y.shape
 
-    band_sigma = None
-    if cfg.k0 is None or sigma0 is None:
-        band_sigma = estimate_band_noise(y)
-    k0 = int(cfg.k0) if cfg.k0 is not None else estimate_subspace_dim(y, band_sigma)
-    k0 = min(k0, b)
-    if sigma0 is None:
-        sigma0 = float(np.median(band_sigma))
-    if not 0 <= sigma0 < np.inf:
-        raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
+        band_sigma = None
+        if cfg.k0 is None or sigma0 is None:
+            band_sigma = estimate_band_noise(y)
+        k0 = int(cfg.k0) if cfg.k0 is not None else estimate_subspace_dim(y, band_sigma)
+        k0 = min(k0, b)
+        if sigma0 is None:
+            sigma0 = float(np.median(band_sigma))
+        if not 0 <= sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
 
-    noise = NoiseModel(sigma0_sq=sigma0 * sigma0, gamma=cfg.gamma)
-    trace = []
-    k = k0
-    y_i = y
-    x = y
-    for i in range(1, cfg.iters + 1):
-        sigma_i = reestimate_noise(y_i, y, noise)
+        noise = NoiseModel(sigma0_sq=sigma0 * sigma0, gamma=cfg.gamma)
+        trace = []
+        k = k0
+        y_i = y
+        x = y
+        for i in range(1, cfg.iters + 1):
+            sigma_i = reestimate_noise(y_i, y, noise)
 
-        t0 = time.perf_counter()
-        model = spectral_decompose(y_i, k)
-        t1 = time.perf_counter()
-        _check_finite(model.reduced, "spectral projection", i)
+            t0 = time.perf_counter()
+            model = spectral_decompose(y_i, k)
+            t1 = time.perf_counter()
+            _check_finite(model.reduced, "spectral projection", i)
 
-        if i <= _LAST_MATCH_ITER:
-            groups = match_groups(model.reduced, cfg.geom)
-        m_i = denoise_reduced(
-            model.reduced,
-            sigma_i,
-            cfg.geom,
-            cfg.wnnm_c,
-            cfg.wnnm_eps,
-            groups=groups,
-        )
-        x_new = mode3_product(m_i, model.basis)
-        t2 = time.perf_counter()
-        _check_finite(x_new, "spatial filtering", i)
-
-        trace.append(
-            IterationRecord(
-                iteration=i,
-                k=k,
-                sigma=sigma_i,
-                residual=float(np.linalg.norm((y_i - x_new).ravel())),
-                psnr=metrics.mpsnr(clean, x_new) if clean is not None else None,
-                stage_a_seconds=t1 - t0,
-                stage_b_seconds=t2 - t1,
+            if i <= _LAST_MATCH_ITER:
+                groups = match_groups(model.reduced, cfg.geom)
+            m_i = denoise_reduced(
+                model.reduced,
+                sigma_i,
+                cfg.geom,
+                cfg.wnnm_c,
+                cfg.wnnm_eps,
+                groups=groups,
             )
-        )
+            x_new = mode3_product(m_i, model.basis)
+            t2 = time.perf_counter()
+            _check_finite(x_new, "spatial filtering", i)
 
-        x_prev, x = x, x_new
-        if (
-            cfg.early_stop is not None
-            and i > 1
-            and np.linalg.norm((x - x_prev).ravel())
-            < cfg.early_stop * np.linalg.norm(x_prev.ravel())
-        ):
-            break
-        if i < cfg.iters:
-            y_i = iterate_regularize(x, y, cfg.lam)
-            k = update_k(k0, cfg.delta, i, b, cfg.k_growth)
+            trace.append(
+                IterationRecord(
+                    iteration=i,
+                    k=k,
+                    sigma=sigma_i,
+                    residual=float(np.linalg.norm((y_i - x_new).ravel())),
+                    psnr=metrics.mpsnr(clean, x_new) if clean is not None else None,
+                    stage_a_seconds=t1 - t0,
+                    stage_b_seconds=t2 - t1,
+                )
+            )
 
-    return x, trace
+            x_prev, x = x, x_new
+            if (
+                cfg.early_stop is not None
+                and i > 1
+                and np.linalg.norm((x - x_prev).ravel())
+                < cfg.early_stop * np.linalg.norm(x_prev.ravel())
+            ):
+                break
+            if i < cfg.iters:
+                y_i = iterate_regularize(x, y, cfg.lam)
+                k = update_k(k0, cfg.delta, i, b, cfg.k_growth)
+
+        return x, trace

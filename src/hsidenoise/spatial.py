@@ -366,6 +366,20 @@ def _add_at(buf, idx, weights=None):
     buf[lo : lo + span] += np.bincount((idx - lo).ravel(), weights, span)
 
 
+def _coverage(corners, sizes, m, n, ps):
+    """Patches covering each pixel of an m x n image, over the first
+    sizes[i] flat corners of each row of corners: the count of each corner,
+    added at the ps * ps offsets of a patch.  The counts are exact integers,
+    so they do not depend on the order of the adds."""
+    used = corners[np.arange(corners.shape[1]) < sizes[:, None]]
+    at = np.bincount(used, minlength=m * n).reshape(m, n)[: m - ps + 1, : n - ps + 1]
+    cnt = np.zeros((m, n))
+    for i in range(ps):
+        for j in range(ps):
+            cnt[i : i + m - ps + 1, j : j + n - ps + 1] += at
+    return cnt
+
+
 def _average(acc, cnt, m, n, k):
     cnt = cnt.reshape(m, n)
     if not np.all(cnt):
@@ -492,14 +506,12 @@ def denoise_reduced(
         corners, sizes = _check_groups(groups, m, n, geom)
     flat = reduced.ravel()
     acc = np.zeros(flat.size)
-    cnt = np.zeros(m * n)
     pending = collections.deque()
 
     def scatter(limit):
         while len(pending) > limit:
-            idx, members, job = pending.popleft()
+            idx, job = pending.popleft()
             _add_at(acc, idx, job.result())
-            _add_at(cnt, _patch_index(members, ps, n, 1))
 
     with _one_blas_thread() as held:
         workers = _workers() if held else 1
@@ -523,9 +535,9 @@ def denoise_reduced(
                         contextvars.copy_context().run,
                         _shrink, a, sigma, c, eps, value_scale, np.empty_like(a),
                     )
-                    pending.append((idx, members, job))
+                    pending.append((idx, job))
                     scatter(workers)
             scatter(0)
         finally:
             pool.shutdown(cancel_futures=True)
-    return _average(acc, cnt, m, n, k)
+    return _average(acc, _coverage(corners, sizes, m, n, ps), m, n, k)

@@ -1,12 +1,13 @@
 """Outer iteration: subspace projection, reduced denoising, mixing."""
 
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsidenoise import spatial
+from hsidenoise import pipeline, spatial
 from hsidenoise.pipeline import (
     DenoiseConfig,
     denoise,
@@ -202,6 +203,69 @@ class TestDenoise:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             denoise(bad, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
+
+
+def blas_counts():
+    return [get() for get, _ in spatial._openblas()]
+
+
+# the names denoise calls BLAS through, as pipeline binds them
+BLAS_CALLERS = [
+    "estimate_band_noise",
+    "estimate_subspace_dim",
+    "spectral_decompose",
+    "denoise_reduced",
+    "mode3_product",
+]
+
+
+class TestBlasHold:
+    """denoise holds every OpenBLAS to one thread for the whole call and
+    restores the caller's counts however it ends."""
+
+    def test_one_thread_in_every_blas_caller(self, blas_at_three, monkeypatch):
+        seen = {}
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                seen.setdefault(name, []).append(blas_counts())
+                return fn(*args, **kwargs)
+            return call
+
+        for name in BLAS_CALLERS:
+            monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+        noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=10), 20.0, seed=10)
+        denoise(noisy, config=DenoiseConfig(iters=2, geom=SMALL_GEOM))
+        assert sorted(seen) == sorted(BLAS_CALLERS)
+        one = [1] * len(blas_at_three)
+        assert all(counts == one for calls in seen.values() for counts in calls)
+        assert blas_counts() == blas_at_three
+
+    def test_counts_restored_after_errors(self, blas_at_three):
+        overflowing = add_gaussian_noise(rank_cube(32, 32, 32, 5, seed=0), 10.0, seed=0)
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            denoise(overflowing * 1e150, config=DenoiseConfig(iters=1, geom=SMALL_GEOM))
+        assert blas_counts() == blas_at_three
+        bad = rank_cube(16, 16, 4, 2, seed=8)
+        bad[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            denoise(bad, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
+        assert blas_counts() == blas_at_three
+
+    def test_shrinkage_pool_keeps_its_workers(self, blas_at_three, monkeypatch):
+        """The nested hold in denoise_reduced still finds OpenBLAS, so each
+        call's pool gets one thread per core, not one."""
+        pools = []
+
+        def pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(spatial, "_workers", lambda: 3)
+        monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
+        noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=11), 20.0, seed=11)
+        denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM))
+        assert pools == [3, 3, 3]
 
 
 TINY_GEOM = PatchGeometry(patch=2, stride=2, window=4, group=4)

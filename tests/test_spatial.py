@@ -418,6 +418,19 @@ class TestStageEquivalence:
         top = {tuple(m) for m in grp.members[:5]}
         assert top == {(4, 4), (0, 8), (8, 0), (9, 9), (2, 0)}
 
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_coverage_matches_group_scatter(self, case):
+        """The count built from the corners equals a scatter of every
+        group's patches, one group at a time."""
+        reduced, geom, _ = STAGE_CASES[case]
+        m, n, _ = reduced.shape
+        corners, sizes = match_groups(reduced, geom)
+        want = np.zeros(m * n)
+        for row, p in zip(corners, sizes):
+            spatial._add_at(want, spatial._patch_index(row[:p], geom.patch, n, 1))
+        got = spatial._coverage(corners, sizes, m, n, geom.patch)
+        np.testing.assert_array_equal(got, want.reshape(m, n))
+
     def test_small_chunks_change_nothing(self, monkeypatch):
         """Chunk size bounds memory only: one group per chunk gives the same
         members and matches the loop as closely as the default chunks."""
@@ -621,23 +634,6 @@ class TestGroupReuse:
 
 def blas_counts():
     return [get() for get, _ in spatial._openblas()]
-
-
-@pytest.fixture
-def blas_at_three():
-    """Every OpenBLAS found at three threads, a count the stage never sets,
-    for the test's duration; skips where none is found."""
-    libs = spatial._openblas()
-    if not libs:
-        pytest.skip("no OpenBLAS found")
-    before = [get() for get, _ in libs]
-    for _, set_ in libs:
-        set_(3)
-    try:
-        yield [3] * len(libs)
-    finally:
-        for (_, set_), count in zip(libs, before):
-            set_(count)
 
 
 def use_workers(monkeypatch, workers):
