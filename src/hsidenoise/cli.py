@@ -64,8 +64,8 @@ _HELP = {
     "stride": "reference patch spacing",
     "window": "search window side",
     "group": "patches per group",
-    "wnnm_c": "shrinkage weight constant",
-    "wnnm_eps": "shrinkage weight floor",
+    "wnnm_c": "fixed shrinkage constant on the [0,1] scale (default: WNNM's sigma^2 weight)",
+    "wnnm_eps": "shrinkage weight floor, relative to a group's largest singular value",
     "k_growth": "subspace growth rule",
     "early_stop": "relative-change stop threshold (default: off)",
 }

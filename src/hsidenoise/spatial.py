@@ -6,13 +6,13 @@ denoise_reduced runs the step as three array passes over chunks of
 references: matching one search-window offset at a time (match_groups, whose
 result a caller can pass back in to reuse the groups on another image of the
 same height and width), shrinking a stack of groups through their Gram
-matrices, and one scatter-add per chunk.  Each chunk holds at most
-_CHUNK_BYTES of float64 work, so peak memory does not grow with the image.
-The shrinkage of the chunks runs on a thread pool, one worker per core, with
-OpenBLAS held to one thread; the calling thread gathers and scatters the
-chunks in order, so the result does not depend on the worker count.
-match_group, wnnm_shrink and aggregate are the same passes applied to one
-reference, one group and a list of groups.
+matrices with one threshold on the image's own scale, and one scatter-add per
+chunk.  Each chunk holds at most _CHUNK_BYTES of float64 work, so peak memory
+does not grow with the image.  The shrinkage of the chunks runs on a thread
+pool, one worker per core, with OpenBLAS held to one thread; the calling
+thread gathers and scatters the chunks in order, so the result does not
+depend on the worker count.  match_group, wnnm_shrink and aggregate are the
+same passes applied to one reference, one group and a list of groups.
 """
 
 import collections
@@ -45,8 +45,6 @@ __all__ = [
 
 DEFAULT_WNNM_C = 2.0 * math.sqrt(2.0)
 DEFAULT_WNNM_EPS = 1e-16
-# sigma below this fraction of the value scale leaves groups unchanged
-_SIGMA_FLOOR = 1e-9
 
 # float64 bytes per chunk: the match distances of a block of reference rows,
 # and the group matrices of a chunk of references.  Up to workers + 1 chunks
@@ -222,7 +220,7 @@ def match_group(reduced, ref, geom):
     )
 
 
-def _check_shrink_args(sigma, value_scale, c, eps):
+def _check_shrink_args(sigma, c, eps):
     # written so that NaN, which fails every comparison, fails each check
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -231,27 +229,23 @@ def _check_shrink_args(sigma, value_scale, c, eps):
         raise ValueError(f"c must be finite and >= 0, got {c}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if not 0 < value_scale < math.inf:
-        raise ValueError(f"value_scale must be finite and > 0, got {value_scale}")
 
 
-def _shrink(a, sigma, c, eps, value_scale, out=None):
+def _shrink(a, sigma, c, eps, out=None):
     """Weighted singular-value shrinkage of a stack of group matrices a,
-    shape (G, d, p), which it overwrites; the result goes to out when given
-    (a new array otherwise) and is returned.  c is calibrated for a unit
-    scale, so a and sigma are divided by value_scale going in and the
-    result multiplied by it; sigma under _SIGMA_FLOOR * value_scale
-    returns a unchanged.
+    shape (G, d, p); the result goes to out when given (a new array
+    otherwise) and is returned.  sigma = 0 returns a itself.  Each singular
+    value s becomes max(s - c*sqrt(p) / (s_clean + eps*s_max), 0), with
+    s_clean = sqrt(max(s^2 - p*sigma^2, 0)) and s_max the group's largest:
+    scaling a and sigma by t and c by t^2 scales the result by t.
 
     With a = U S V^T, the p x p Gram matrix a^T a = V S^2 V^T gives V and S
     by one batched eigh, and U S_new V^T = a V diag(S_new / S) V^T.
     Squaring loses accuracy only in singular values far below the
     threshold (s^2 under about c*sqrt(p)), which are zeroed either way.
     """
-    if sigma < _SIGMA_FLOOR * value_scale:
+    if sigma == 0:
         return a
-    a /= value_scale
-    sig = sigma / value_scale
     d, p = a.shape[1:]
     at = a.transpose(0, 2, 1)
     gram = at @ a
@@ -262,29 +256,29 @@ def _shrink(a, sigma, c, eps, value_scale, out=None):
     lam, v = np.linalg.eigh(gram)
     lam = np.maximum(lam, 0.0)
     s = np.sqrt(lam)
-    s_clean = np.sqrt(np.maximum(lam - p * sig * sig, 0.0))
-    s_new = np.maximum(s - c * math.sqrt(p) / (s_clean + eps), 0.0)
-    ratio = np.divide(s_new, s, out=np.zeros_like(s), where=s > 0.0)
-    out = np.matmul(a, (v * ratio[:, None, :]) @ v.transpose(0, 2, 1), out=out)
-    out *= value_scale
-    return out
+    s_clean = np.sqrt(np.maximum(lam - p * sigma * sigma, 0.0))
+    # eigh sorts s ascending; a zero singular value gets weight 0 and stays 0
+    weight = c * math.sqrt(p) / np.where(s > 0.0, s_clean + eps * s[:, -1:], np.inf)
+    ratio = np.divide(np.maximum(s - weight, 0.0), s, out=np.zeros_like(s), where=s > 0.0)
+    return np.matmul(a, (v * ratio[:, None, :]) @ v.transpose(0, 2, 1), out=out)
 
 
-def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS, value_scale=1.0):
+def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS):
     """Weighted singular-value shrinkage of one group matrix.
 
     Decompose the group, estimate the clean singular values by subtracting
     the expected noise energy, weight each inversely to that estimate, and
     soft-threshold: strong components are barely touched while weak
     (noise-dominated) ones collapse, as denoise_reduced does each group.
-    g and sigma on value_scale shrink as g / value_scale and sigma /
-    value_scale would; sigma under 1e-9 * value_scale returns a copy of g.
+    The threshold c is on the scale of g squared (WNNM's c*sigma^2 is one
+    choice), eps is relative to the largest singular value, and sigma = 0
+    returns a copy of g.
     """
     g = np.array(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
-    _check_shrink_args(sigma, value_scale, c, eps)
-    return _shrink(g[None], sigma, c, eps, value_scale)[0]
+    _check_shrink_args(sigma, c, eps)
+    return _shrink(g[None], sigma, c, eps)[0]
 
 
 def _workers():
@@ -443,7 +437,7 @@ def match_groups(reduced, geom):
 
 
 def _check_groups(groups, m, n, geom):
-    """(corners, sizes) as int arrays, if they are match_groups' result for
+    """(corners, sizes) as int64 arrays, if they are match_groups' result for
     an m x n image under geom; a ValueError otherwise, since flat corners
     from an image of another width address other pixels."""
     corners, sizes = (np.asarray(a) for a in groups)
@@ -456,6 +450,8 @@ def _check_groups(groups, m, n, geom):
         )
     if corners.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
         raise ValueError("group corners and sizes must be integers")
+    # unsigned corners plus the int64 patch offsets would promote to float64
+    corners, sizes = (a.astype(np.int64, copy=False) for a in (corners, sizes))
     if np.any(sizes < 1) or np.any(sizes > min(geom.group, corners.shape[1])):
         raise ValueError(
             f"group sizes must be in [1, {min(geom.group, corners.shape[1])}]"
@@ -476,9 +472,8 @@ def denoise_reduced(
     reduced,
     sigma,
     geom,
-    c=DEFAULT_WNNM_C,
+    c=DEFAULT_WNNM_C * PEAK**2,
     eps=DEFAULT_WNNM_EPS,
-    value_scale=PEAK,
     groups=None,
 ):
     """Full spatial pass over the reduced image.
@@ -487,8 +482,9 @@ def denoise_reduced(
     match_groups result for an image of the same height and width), then,
     in chunks of references with equal group size, gathers the groups as
     one (G, d, p) stack, shrinks it as wnnm_shrink does each group, and
-    scatter-adds it into the overlap average.  With sigma = 0 this is the
-    identity up to overlap-averaging roundoff.
+    scatter-adds it into the overlap average.  c is on the scale of reduced
+    squared: the default is DEFAULT_WNNM_C on the [0, 1] scale of [0, PEAK].
+    With sigma = 0 this is the identity up to overlap-averaging roundoff.
 
     The stacks are shrunk on a pool of one thread per core, created and
     closed within the call, while OpenBLAS is held to one thread; with no
@@ -497,7 +493,7 @@ def denoise_reduced(
     output is the same bit for bit for any number of threads.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
-    _check_shrink_args(sigma, value_scale, c, eps)
+    _check_shrink_args(sigma, c, eps)
     m, n, k = reduced.shape
     ps = geom.patch
     if groups is None:
@@ -533,7 +529,7 @@ def denoise_reduced(
                     # holds numpy's floating-point error settings
                     job = pool.submit(
                         contextvars.copy_context().run,
-                        _shrink, a, sigma, c, eps, value_scale, np.empty_like(a),
+                        _shrink, a, sigma, c, eps, np.empty_like(a),
                     )
                     pending.append((idx, job))
                     scatter(workers)

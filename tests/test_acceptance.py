@@ -1,9 +1,10 @@
 """End-to-end behavior on reference scenes and frozen numerical targets.
 
 Each test pins one externally meaningful guarantee of the toolkit:
-reference-scene quality, convergence of the outer iteration, noise
-whiteness under projection, optimality of the spectral fit, timing
-shape, metric values, dimension recovery, and shrinkage invariants.
+reference-scene quality, convergence of the outer iteration and its
+improvement under the default config, noise whiteness under projection,
+optimality of the spectral fit, timing shape, metric values, dimension
+recovery, and shrinkage invariants.
 """
 
 import math
@@ -66,6 +67,19 @@ def test_synthetic_gain_and_stabilization():
         assert mpsnr(clean, out) >= mpsnr(clean, noisy) + 10.0
         assert abs(trace[4].psnr - trace[3].psnr) < 0.1
     assert time.perf_counter() - t0 < 60.0
+
+
+@pytest.mark.parametrize("sigma", [10.0, 30.0, 50.0])
+def test_default_iterations_improve(sigma):
+    """With the default config each outer iteration is at least as good as
+    the one before, and the last beats the noisy input by 10 dB."""
+    clean = rank_cube(32, 32, 32, 5, seed=0)
+    noisy = add_gaussian_noise(clean, sigma, seed=42)
+    _, trace = denoise(noisy, sigma, DenoiseConfig(), clean=clean)
+    psnrs = [rec.psnr for rec in trace]
+    assert len(psnrs) == 5
+    assert all(b >= a for a, b in zip(psnrs, psnrs[1:])), psnrs
+    assert psnrs[-1] >= mpsnr(clean, noisy) + 10.0
 
 
 def test_projected_noise_stays_white():

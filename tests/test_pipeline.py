@@ -1,5 +1,6 @@
 """Outer iteration: subspace projection, reduced denoising, mixing."""
 
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 
@@ -163,6 +164,28 @@ class TestDenoise:
         cfg = DenoiseConfig(k0=2, iters=5, early_stop=10.0, geom=SMALL_GEOM)
         _, trace = denoise(noisy, 10.0, cfg)
         assert 2 <= len(trace) < 5
+
+    @pytest.mark.parametrize("wnnm_c", [None, 0.1])
+    def test_shrink_threshold(self, wnnm_c, monkeypatch):
+        """No wnnm_c gives WNNM's weight 32*sqrt(2) * sigma_i^2 each
+        iteration; a wnnm_c gives the fixed threshold wnnm_c * PEAK^2."""
+        seen = []
+
+        def recorded(reduced, sigma, geom, c, eps, **kwargs):
+            seen.append((sigma, c, eps))
+            return stage(reduced, sigma, geom, c, eps, **kwargs)
+
+        stage = pipeline.denoise_reduced
+        monkeypatch.setattr(pipeline, "denoise_reduced", recorded)
+        clean = rank_cube(24, 24, 8, 2, seed=10)
+        noisy = add_gaussian_noise(clean, 20.0, seed=10)
+        cfg = DenoiseConfig(k0=2, iters=3, wnnm_c=wnnm_c, geom=SMALL_GEOM)
+        _, trace = denoise(noisy, 20.0, cfg)
+        assert [sigma for sigma, _, _ in seen] == [r.sigma for r in trace]
+        for sigma, c, eps in seen:
+            want = 0.1 * 255.0**2 if wnnm_c else 32.0 * math.sqrt(2.0) * sigma**2
+            assert c == pytest.approx(want, rel=1e-15)
+            assert eps == cfg.wnnm_eps
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 5])
     def test_groups_matched_at_first_two_iterations(self, iters, monkeypatch):

@@ -19,6 +19,7 @@ from hsidenoise.spatial import (
     reference_grid,
     wnnm_shrink,
 )
+from hsidenoise.tensor import PEAK
 
 
 SMALL = PatchGeometry(patch=2, stride=2, window=6, group=4)
@@ -151,12 +152,17 @@ class TestWnnmShrink:
         g = rng.standard_normal((16, 8))
         np.testing.assert_array_equal(wnnm_shrink(g, 0.0), g)
 
-    def test_value_scale_matches_manual_normalization(self):
+    def test_scale_covariant_bit_for_bit(self):
+        """Scaling g and sigma by 2^e and c by 4^e scales the result by 2^e
+        exactly: the shrink has no scale of its own."""
         rng = np.random.default_rng(6)
-        g = rng.standard_normal((20, 7)) * 100.0
-        a = wnnm_shrink(g, 12.0, value_scale=255.0)
-        b = 255.0 * wnnm_shrink(g / 255.0, 12.0 / 255.0)
-        np.testing.assert_array_equal(a, b)
+        g = low_rank_group(rng, 20, 7, 1.0)
+        want = wnnm_shrink(g, 1.0, c=2.0)
+        assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
+        for e in range(-100, 101):
+            t = 2.0**e
+            got = wnnm_shrink(t * g, t, c=2.0 * t * t)
+            np.testing.assert_array_equal(got, t * want, err_msg=f"e = {e}")
 
     def test_large_sigma_flattens(self):
         rng = np.random.default_rng(7)
@@ -187,12 +193,12 @@ class TestWnnmShrink:
             wnnm_shrink(g, 0.5, **bad)
         reduced = np.random.default_rng(11).standard_normal((12, 12, 3))
         with pytest.raises(ValueError, match=f"{name} must be"):
-            denoise_reduced(reduced, 0.5, SMALL, value_scale=1.0, **bad)
+            denoise_reduced(reduced, 0.5, SMALL, **bad)
 
-    @pytest.mark.parametrize("name", ["sigma", "c", "eps", "value_scale"])
+    @pytest.mark.parametrize("name", ["sigma", "c", "eps"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_args_rejected(self, name, value):
-        args = {"sigma": 0.5, "c": 1.0, "eps": 1e-16, "value_scale": 1.0, name: value}
+        args = {"sigma": 0.5, "c": 1.0, "eps": 1e-16, name: value}
         g = np.random.default_rng(10).standard_normal((16, 6))
         with pytest.raises(ValueError, match=f"{name} must be"):
             wnnm_shrink(g, **args)
@@ -270,7 +276,7 @@ class TestDenoiseReduced:
     def test_zero_sigma_identity(self):
         rng = np.random.default_rng(14)
         reduced = rng.standard_normal((12, 12, 3))
-        out = denoise_reduced(reduced, 0.0, SMALL, value_scale=1.0)
+        out = denoise_reduced(reduced, 0.0, SMALL)
         np.testing.assert_allclose(out, reduced, rtol=0, atol=1e-12)
 
     def test_reduces_noise_on_smooth_image(self):
@@ -278,7 +284,7 @@ class TestDenoiseReduced:
         clean = np.tile(np.linspace(0.0, 255.0, 20)[:, None, None], (1, 20, 2))
         noisy = clean + rng.standard_normal(clean.shape) * 20.0
         geom = PatchGeometry(patch=4, stride=2, window=10, group=20)
-        out = denoise_reduced(noisy, 20.0, geom, c=0.5)
+        out = denoise_reduced(noisy, 20.0, geom, c=0.5 * PEAK**2)
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
 
 
@@ -314,26 +320,28 @@ def match_by_window(reduced, ref, geom):
     return members, matrix
 
 
-def shrink_by_svd(g, sigma, c=2.0 * math.sqrt(2.0), eps=1e-16, value_scale=1.0):
-    """Weighted singular-value shrinkage through the SVD of the group."""
-    if sigma < 1e-9 * value_scale:
+def shrink_by_svd(g, sigma, c=2.0 * math.sqrt(2.0), eps=1e-16):
+    """Weighted singular-value shrinkage through the SVD of the group, with
+    eps relative to the largest singular value."""
+    if sigma == 0:
         return g
-    u, s, vt = np.linalg.svd(g / value_scale, full_matrices=False)
+    u, s, vt = np.linalg.svd(g, full_matrices=False)
+    if s[0] == 0:
+        return g
     p = g.shape[1]
-    sig = sigma / value_scale
-    s_clean = np.sqrt(np.maximum(s * s - p * sig * sig, 0.0))
-    s_new = np.maximum(s - c * math.sqrt(p) / (s_clean + eps), 0.0)
-    return (u * (s_new * value_scale)) @ vt
+    s_clean = np.sqrt(np.maximum(s * s - p * sigma * sigma, 0.0))
+    s_new = np.maximum(s - c * math.sqrt(p) / (s_clean + eps * s[0]), 0.0)
+    return (u * s_new) @ vt
 
 
-def denoise_by_loop(reduced, sigma, geom, c=2.0 * math.sqrt(2.0), value_scale=255.0):
+def denoise_by_loop(reduced, sigma, geom, c=2.0 * math.sqrt(2.0) * 255.0**2):
     m, n, k = reduced.shape
     ps = geom.patch
     acc = np.zeros((m, n, k))
     cnt = np.zeros((m, n, 1))
     for ref in reference_grid(m, n, geom):
         members, matrix = match_by_window(reduced, ref, geom)
-        out = shrink_by_svd(matrix, sigma, c, value_scale=value_scale)
+        out = shrink_by_svd(matrix, sigma, c)
         for j, (r, col) in enumerate(members):
             acc[r : r + ps, col : col + ps, :] += out[:, j].reshape(ps, ps, k)
             cnt[r : r + ps, col : col + ps, :] += 1.0
@@ -450,9 +458,9 @@ class TestStageEquivalence:
 SHRINK_RTOL = 1e-11
 
 
-def assert_shrinks_agree(g, sigma, value_scale=1.0):
-    got = wnnm_shrink(g, sigma, value_scale=value_scale)
-    want = shrink_by_svd(g, sigma, value_scale=value_scale)
+def assert_shrinks_agree(g, sigma, c=2.0 * math.sqrt(2.0)):
+    got = wnnm_shrink(g, sigma, c=c)
+    want = shrink_by_svd(g, sigma, c=c)
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(
         got, want, rtol=0, atol=SHRINK_RTOL * np.abs(g).max()
@@ -488,18 +496,19 @@ class TestShrinkAgainstSvd:
         np.testing.assert_array_equal(wnnm_shrink(g, 1.0), g)
         np.testing.assert_array_equal(shrink_by_svd(g, 1.0), g)
 
-    @pytest.mark.parametrize("value_scale", [1.0, 255.0])
-    def test_sigma_just_above_bypass(self, value_scale):
+    # scale: c is 2*sqrt(2) on the scale of g / scale
+    @pytest.mark.parametrize("scale", [1.0, 255.0])
+    def test_sigma_just_above_bypass(self, scale):
         rng = np.random.default_rng(31)
-        g = low_rank_group(rng, 40, 10, 1.0, scale=value_scale)
-        want = assert_shrinks_agree(g, 1.5e-9 * value_scale, value_scale)
+        g = low_rank_group(rng, 40, 10, 1.0, scale=scale)
+        want = assert_shrinks_agree(g, 1.5e-9 * scale, 2.0 * math.sqrt(2.0) * scale**2)
         assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
 
-    @pytest.mark.parametrize("value_scale", [1.0, 255.0])
-    def test_entries_near_1e150(self, value_scale):
+    @pytest.mark.parametrize("scale", [1.0, 255.0])
+    def test_entries_near_1e150(self, scale):
         rng = np.random.default_rng(32)
         g = low_rank_group(rng, 36, 12, 0.1) * 1e150
-        assert_shrinks_agree(g, 0.05e150, value_scale)
+        assert_shrinks_agree(g, 0.05e150, 2.0 * math.sqrt(2.0) * scale**2)
 
     def test_both_overflow_at_1e160(self):
         rng = np.random.default_rng(33)
@@ -622,6 +631,16 @@ class TestGroupReuse:
         bad[2] = size
         with pytest.raises(ValueError, match="sizes must be in"):
             denoise_reduced(reduced, 10.0, geom, groups=(corners, bad))
+
+    def test_unsigned_groups_match_signed(self):
+        reduced = np.random.default_rng(41).uniform(0.0, 255.0, (20, 20, 3))
+        geom = PatchGeometry(4, 2, 8, 6)
+        corners, sizes = match_groups(reduced, geom)
+        want = denoise_reduced(reduced, 10.0, geom, groups=(corners, sizes))
+        got = denoise_reduced(
+            reduced, 10.0, geom, groups=(corners.astype(np.uint64), sizes.astype(np.uint64))
+        )
+        np.testing.assert_array_equal(got, want)
 
     def test_non_integer_groups_rejected(self):
         reduced, geom, corners, sizes = self._groups()

@@ -120,11 +120,14 @@ class TestPeak:
             (metrics.mssim, "peak"),
             (metrics.quality_report, "peak"),
             (synthetic.rank_cube, "peak"),
-            (spatial.denoise_reduced, "value_scale"),
         ],
     )
     def test_defaults_are_peak(self, func, name):
         assert inspect.signature(func).parameters[name].default is PEAK
+
+    def test_shrink_default_on_peak_scale(self):
+        default = inspect.signature(spatial.denoise_reduced).parameters["c"].default
+        assert default == spatial.DEFAULT_WNNM_C * PEAK**2
 
     def test_not_a_config_field(self):
         assert "value_scale" not in {f.name for f in dataclasses.fields(DenoiseConfig)}
