@@ -64,9 +64,6 @@ _HELP = {
     "stride": "reference patch spacing",
     "window": "search window side",
     "group": "patches per group",
-    "wnnm_c": "fixed shrinkage constant on the [0,1] scale (default: WNNM's sigma^2 weight)",
-    "wnnm_eps": "shrinkage weight floor, relative to a group's largest singular value",
-    "k_growth": "subspace growth rule",
     "early_stop": "relative-change stop threshold (default: off)",
 }
 # run options that are not denoiser fields:
@@ -92,10 +89,8 @@ def _config_fields(cls=DenoiseConfig):
 
 
 def _arg_type(tp):
-    """(type, choices) for a field annotation; X | None takes an X."""
-    if typing.get_origin(tp) is typing.Literal:
-        return str, typing.get_args(tp)
-    return next(a for a in typing.get_args(tp) or (tp,) if a is not type(None)), None
+    """The type a field annotation parses as; X | None takes an X."""
+    return next(a for a in typing.get_args(tp) or (tp,) if a is not type(None))
 
 
 def _read_config_file(path):
@@ -122,14 +117,11 @@ def _add_config_flags(parser, denoiser=True, run_options=tuple(_RUN_OPTIONS)):
     grp = parser.add_argument_group("denoiser options") if denoiser else parser
     grp.add_argument("--config", metavar="FILE", help="key = value defaults; flags override")
     for _, f, key, tp in _config_fields() if denoiser else ():
-        kind, choices = _arg_type(tp)
         text = _HELP[f.name]
         if f.default is not None:
             default = f"{f.default:g}" if isinstance(f.default, float) else f.default
             text += f" (default {default})"
-        grp.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=kind, choices=choices, help=text
-        )
+        grp.add_argument("--" + key.replace("_", "-"), dest=key, type=_arg_type(tp), help=text)
     for key in run_options:
         _, flag, kwargs = _RUN_OPTIONS[key]
         grp.add_argument(flag, **kwargs)
@@ -151,7 +143,7 @@ def _build_config(args):
 
     kwargs = {DenoiseConfig: {}, PatchGeometry: {}}
     for cls, f, key, tp in _config_fields():
-        val = pick(key, _arg_type(tp)[0])
+        val = pick(key, _arg_type(tp))
         if val is not None:
             kwargs[cls][f.name] = val
     cfg = DenoiseConfig(geom=PatchGeometry(**kwargs[PatchGeometry]), **kwargs[DenoiseConfig])

@@ -7,18 +7,11 @@ while the subspace dimension grows.
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Literal, get_args
 
 import numpy as np
 
 from . import metrics
-from .spatial import (
-    DEFAULT_WNNM_EPS,
-    PatchGeometry,
-    _one_blas_thread,
-    denoise_reduced,
-    match_groups,
-)
+from .spatial import PatchGeometry, _one_blas_thread, denoise_reduced, match_groups
 from .subspace import (
     NoiseModel,
     estimate_band_noise,
@@ -26,7 +19,7 @@ from .subspace import (
     reestimate_noise,
     spectral_decompose,
 )
-from .tensor import PEAK, as_cube, mode3_product
+from .tensor import as_cube, mode3_product
 
 __all__ = [
     "DenoiseConfig",
@@ -42,8 +35,6 @@ class NumericalError(RuntimeError):
     """Non-finite values appeared mid-pipeline."""
 
 
-KGrowth = Literal["cumulative", "affine"]
-
 # Patch groups are matched at iterations 1 (the noisy projection) and 2 (the
 # first regularized estimate); later iterations reuse iteration 2's groups.
 # Members are pixel positions, independent of the spectral basis, while the
@@ -54,7 +45,7 @@ KGrowth = Literal["cumulative", "affine"]
 _LAST_MATCH_ITER = 2
 
 # WNNM's weight c * sqrt(p) * sigma_i^2 / (s + eps) (Gu et al., CVPR 2014):
-# the default shrink threshold is _SIGMA_WEIGHT_C * sigma_i^2.  Iteration 1
+# each iteration's shrink threshold is _SIGMA_WEIGHT_C * sigma_i^2.  Iteration 1
 # runs at sigma_1 = gamma * sigma0, where 32*sqrt(2) * sigma_1^2 is the
 # 8*sqrt(2) weight at sigma0 for the default gamma of 0.5.
 _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
@@ -66,11 +57,11 @@ class DenoiseConfig:
 
     k0 is the initial subspace dimension (estimated from the data when
     None).  delta grows it each iteration; lam mixes the estimate with the
-    observation; gamma scales the per-iteration noise re-estimate.
-    wnnm_c None shrinks each iteration's groups with WNNM's weight,
-    threshold 32*sqrt(2) * sigma_i^2; a number is a fixed threshold
-    wnnm_c * PEAK^2, i.e. wnnm_c on the [0, 1] scale.  wnnm_eps is the
-    weight's floor relative to each group's largest singular value.
+    observation; gamma scales the per-iteration noise re-estimate;
+    early_stop, when set, ends the loop once an iteration changes the
+    estimate by less than that fraction of its norm.  Each iteration
+    shrinks its patch groups with WNNM's weight, threshold
+    32*sqrt(2) * sigma_i^2.
     """
 
     k0: int | None = None
@@ -79,9 +70,6 @@ class DenoiseConfig:
     gamma: float = 0.5
     iters: int = 5
     geom: PatchGeometry = field(default_factory=PatchGeometry)
-    wnnm_c: float | None = None
-    wnnm_eps: float = DEFAULT_WNNM_EPS
-    k_growth: KGrowth = "cumulative"
     early_stop: float | None = None
 
     def __post_init__(self):
@@ -95,15 +83,7 @@ class DenoiseConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.k_growth not in get_args(KGrowth):
-            raise ValueError(
-                f"k_growth must be 'cumulative' or 'affine', got {self.k_growth!r}"
-            )
-        # written so that NaN, which fails every comparison, fails each check
-        if self.wnnm_c is not None and not 0.0 <= self.wnnm_c < np.inf:
-            raise ValueError(f"wnnm_c must be finite and >= 0, got {self.wnnm_c}")
-        if not 0.0 < self.wnnm_eps < np.inf:
-            raise ValueError(f"wnnm_eps must be finite and > 0, got {self.wnnm_eps}")
+        # written so that NaN, which fails every comparison, fails the check
         if self.early_stop is not None and not 0.0 < self.early_stop < np.inf:
             raise ValueError(f"early_stop must be finite and > 0, got {self.early_stop}")
 
@@ -121,21 +101,15 @@ class IterationRecord:
     stage_b_seconds: float
 
 
-def update_k(k0, delta, i, bands, growth="cumulative"):
+def update_k(k0, delta, i, bands):
     """Subspace dimension after iteration i, clamped to the band count.
 
-    The cumulative rule adds delta*i at iteration i (so k0+delta, then
-    +2*delta, ...); the affine rule jumps straight to k0 + delta*i.
+    Iteration i adds delta*i, so K runs k0, k0+delta, k0+3*delta,
+    k0+6*delta, ...: k0 + delta*i*(i+1)/2 after iteration i.
     """
     if i < 1:
         raise ValueError(f"iteration index must be >= 1, got {i}")
-    if growth == "cumulative":
-        k = k0 + delta * i * (i + 1) // 2
-    elif growth == "affine":
-        k = k0 + delta * i
-    else:
-        raise ValueError(f"unknown growth rule {growth!r}")
-    return min(k, bands)
+    return min(k0 + delta * i * (i + 1) // 2, bands)
 
 
 def iterate_regularize(x_i, y, lam):
@@ -180,6 +154,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         y = as_cube(noisy, "noisy")
         if not np.all(np.isfinite(y)):
             raise ValueError("input cube has non-finite entries")
+        if clean is not None and np.shape(clean) != y.shape:
+            raise ValueError(f"clean has shape {np.shape(clean)}, noisy has {y.shape}")
         cfg = config if config is not None else DenoiseConfig()
         m, n, b = y.shape
 
@@ -208,13 +184,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
 
             if i <= _LAST_MATCH_ITER:
                 groups = match_groups(model.reduced, cfg.geom)
-            if cfg.wnnm_c is None:
-                tau = _SIGMA_WEIGHT_C * sigma_i * sigma_i
-            else:
-                tau = cfg.wnnm_c * PEAK**2
-            m_i = denoise_reduced(
-                model.reduced, sigma_i, cfg.geom, tau, cfg.wnnm_eps, groups=groups
-            )
+            tau = _SIGMA_WEIGHT_C * sigma_i * sigma_i
+            m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, tau, groups=groups)
             x_new = mode3_product(m_i, model.basis)
             t2 = time.perf_counter()
             _check_finite(x_new, "spatial filtering", i)
@@ -241,6 +212,6 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
                 break
             if i < cfg.iters:
                 y_i = iterate_regularize(x, y, cfg.lam)
-                k = update_k(k0, cfg.delta, i, b, cfg.k_growth)
+                k = update_k(k0, cfg.delta, i, b)
 
         return x, trace

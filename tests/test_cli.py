@@ -94,7 +94,7 @@ class TestDenoiseCommand:
         assert trace.read_text().count("\n") == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--wnnm-c", "-1"], ["--wnnm-eps", "0"], ["--early-stop", "0"]]
+        "flags", [["--early-stop", "-1"], ["--early-stop", "inf"], ["--early-stop", "0"]]
     )
     def test_out_of_range_shrinkage_constant_is_usage_error(
         self, scene, tmp_path, flags, capsys
@@ -136,7 +136,7 @@ class TestDenoiseCommand:
         assert "scale values must be finite" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
-    @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--wnnm-c", "nan"]])
+    @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--early-stop", "nan"]])
     def test_nan_is_usage_error(self, scene, tmp_path, flags, capsys):
         _, noisy_path = scene
         out = tmp_path / "o"
@@ -150,8 +150,8 @@ class TestDenoiseCommand:
 DENOISE_OPTIONS = {
     "-h", "--help", "--clean", "--trace", "--dtype", "--config", "--k0",
     "--delta", "--lambda", "--gamma", "--iters", "--patch", "--stride",
-    "--window", "--group", "--seed", "--sigma0", "--wnnm-c", "--wnnm-eps",
-    "--k-growth", "--early-stop", "--no-normalize", "--keep-bands",
+    "--window", "--group", "--seed", "--sigma0", "--early-stop",
+    "--no-normalize", "--keep-bands",
 }
 # a non-default value for each settable field and the config key it is read under
 FIELD_VALUES = {
@@ -160,10 +160,7 @@ FIELD_VALUES = {
     "lam": ("lambda", 0.5),
     "gamma": ("gamma", 0.25),
     "iters": ("iters", 2),
-    "wnnm_c": ("wnnm_c", 1.5),
-    "wnnm_eps": ("wnnm-eps", 1e-9),
-    "k_growth": ("k_growth", "affine"),
-    "early_stop": ("early_stop", 0.01),
+    "early_stop": ("early-stop", 0.01),
     "patch": ("patch", 5),
     "stride": ("stride", 3),
     "window": ("window", 20),
@@ -200,8 +197,7 @@ class TestConfigFields:
         assert run.normalize is True
 
     def test_every_field_has_a_config_key(self, tmp_path):
-        settable = set(_flat(DenoiseConfig())) - {"value_scale"}
-        assert settable == FIELD_VALUES.keys()
+        assert _flat(DenoiseConfig()).keys() == FIELD_VALUES.keys()
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in FIELD_VALUES.values()))
         got = _flat(_denoise_config("--config", str(path))[0])

@@ -21,7 +21,6 @@ FAST_CFG = DenoiseConfig(
     k0=2,
     delta=0,
     iters=2,
-    wnnm_c=0.1,
     geom=PatchGeometry(patch=4, stride=2, window=10, group=16),
 )
 

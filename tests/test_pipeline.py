@@ -30,19 +30,11 @@ class TestUpdateK:
         ks = [6] + [update_k(6, 2, i, 64) for i in range(1, 4)]
         assert ks == [6, 8, 12, 18]
 
-    def test_affine_sequence(self):
-        ks = [6] + [update_k(6, 2, i, 64, growth="affine") for i in range(1, 4)]
-        assert ks == [6, 8, 10, 12]
-
     def test_clamped_to_band_count(self):
         assert update_k(6, 2, 10, 16) == 16
 
     def test_zero_delta_constant(self):
         assert all(update_k(5, 0, i, 64) == 5 for i in range(1, 8))
-
-    def test_unknown_growth_rejected(self):
-        with pytest.raises(ValueError):
-            update_k(5, 2, 1, 64, growth="geometric")
 
 
 class TestIterateRegularize:
@@ -80,17 +72,15 @@ class TestDenoiseConfig:
             DenoiseConfig(iters=0)
         with pytest.raises(ValueError):
             DenoiseConfig(gamma=-1.0)
-        with pytest.raises(ValueError):
-            DenoiseConfig(k_growth="bogus")
 
     @pytest.mark.parametrize(
         "bad",
         [
-            {"wnnm_c": -1.0},
-            {"wnnm_eps": 0.0},
-            {"wnnm_eps": -1e-16},
             {"early_stop": 0.0},
             {"early_stop": -0.01},
+            {"gamma": 0.0},
+            {"lam": -0.1},
+            {"delta": -1},
         ],
     )
     def test_shrinkage_constants_out_of_range(self, bad):
@@ -98,7 +88,7 @@ class TestDenoiseConfig:
         with pytest.raises(ValueError, match=name):
             DenoiseConfig(**bad)
 
-    @pytest.mark.parametrize("name", ["wnnm_c", "wnnm_eps", "early_stop"])
+    @pytest.mark.parametrize("name", ["lam", "gamma", "early_stop"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_shrinkage_constants_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -137,7 +127,7 @@ class TestDenoise:
     def test_improves_noisy_input(self):
         clean = rank_cube(48, 48, 16, 3, seed=4)
         noisy = add_gaussian_noise(clean, 30.0, seed=4)
-        cfg = DenoiseConfig(k0=3, delta=0, wnnm_c=0.1, lam=0.8, geom=SMALL_GEOM)
+        cfg = DenoiseConfig(k0=3, delta=0, lam=0.8, geom=SMALL_GEOM)
         out, _ = denoise(noisy, 30.0, cfg, clean=clean)
         assert mpsnr(clean, out) > mpsnr(clean, noisy) + 5.0
 
@@ -165,27 +155,28 @@ class TestDenoise:
         _, trace = denoise(noisy, 10.0, cfg)
         assert 2 <= len(trace) < 5
 
-    @pytest.mark.parametrize("wnnm_c", [None, 0.1])
-    def test_shrink_threshold(self, wnnm_c, monkeypatch):
-        """No wnnm_c gives WNNM's weight 32*sqrt(2) * sigma_i^2 each
-        iteration; a wnnm_c gives the fixed threshold wnnm_c * PEAK^2."""
+    @pytest.mark.parametrize("sigma0", [None, 20.0])
+    def test_shrink_threshold(self, sigma0, monkeypatch):
+        """Each iteration shrinks with WNNM's weight, threshold
+        32*sqrt(2) * sigma_i^2, and the spatial stage's default eps,
+        whether sigma0 is given or estimated."""
         seen = []
 
-        def recorded(reduced, sigma, geom, c, eps, **kwargs):
-            seen.append((sigma, c, eps))
-            return stage(reduced, sigma, geom, c, eps, **kwargs)
+        def recorded(reduced, sigma, geom, c, **kwargs):
+            seen.append((sigma, c, kwargs.get("eps", spatial.DEFAULT_WNNM_EPS)))
+            return stage(reduced, sigma, geom, c, **kwargs)
 
         stage = pipeline.denoise_reduced
         monkeypatch.setattr(pipeline, "denoise_reduced", recorded)
         clean = rank_cube(24, 24, 8, 2, seed=10)
         noisy = add_gaussian_noise(clean, 20.0, seed=10)
-        cfg = DenoiseConfig(k0=2, iters=3, wnnm_c=wnnm_c, geom=SMALL_GEOM)
-        _, trace = denoise(noisy, 20.0, cfg)
+        cfg = DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM)
+        _, trace = denoise(noisy, sigma0, cfg)
+        assert len(seen) == 3
         assert [sigma for sigma, _, _ in seen] == [r.sigma for r in trace]
         for sigma, c, eps in seen:
-            want = 0.1 * 255.0**2 if wnnm_c else 32.0 * math.sqrt(2.0) * sigma**2
-            assert c == pytest.approx(want, rel=1e-15)
-            assert eps == cfg.wnnm_eps
+            assert c == pytest.approx(32.0 * math.sqrt(2.0) * sigma**2, rel=1e-15)
+            assert eps == spatial.DEFAULT_WNNM_EPS
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 5])
     def test_groups_matched_at_first_two_iterations(self, iters, monkeypatch):
@@ -220,6 +211,16 @@ class TestDenoise:
         clean = rank_cube(16, 16, 4, 2, seed=8)
         with pytest.raises(ValueError, match="sigma0"):
             denoise(clean, sigma0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
+
+    def test_clean_of_another_shape_rejected_up_front(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("spectral_decompose ran")
+
+        monkeypatch.setattr(pipeline, "spectral_decompose", never)
+        clean = rank_cube(16, 16, 4, 2, seed=8)
+        with pytest.raises(ValueError, match="shape"):
+            denoise(clean, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM),
+                    clean=clean[:, :, :3])
 
     def test_non_finite_input_rejected(self):
         bad = rank_cube(16, 16, 4, 2, seed=8)

@@ -393,6 +393,23 @@ STAGE_CASES = {
 STAGE_RTOL = 1e-12
 
 
+@st.composite
+def reduced_and_geometry(draw):
+    """A small reduced image on the 0..255 scale and a geometry that fits it."""
+    patch = draw(st.integers(1, 4))
+    geom = PatchGeometry(
+        patch=patch,
+        stride=draw(st.integers(1, patch)),
+        window=draw(st.integers(patch, 9)),
+        group=draw(st.integers(1, 12)),
+    )
+    m = draw(st.integers(patch, 12))
+    n = draw(st.integers(patch, 12))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).uniform(0.0, 255.0, (m, n, k)), geom
+
+
 class TestStageEquivalence:
     @pytest.mark.parametrize("case", sorted(STAGE_CASES))
     def test_members_match_loop(self, case):
@@ -426,11 +443,10 @@ class TestStageEquivalence:
         top = {tuple(m) for m in grp.members[:5]}
         assert top == {(4, 4), (0, 8), (8, 0), (9, 9), (2, 0)}
 
-    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
-    def test_coverage_matches_group_scatter(self, case):
+    @staticmethod
+    def assert_coverage_matches_scatter(reduced, geom):
         """The count built from the corners equals a scatter of every
         group's patches, one group at a time."""
-        reduced, geom, _ = STAGE_CASES[case]
         m, n, _ = reduced.shape
         corners, sizes = match_groups(reduced, geom)
         want = np.zeros(m * n)
@@ -438,6 +454,16 @@ class TestStageEquivalence:
             spatial._add_at(want, spatial._patch_index(row[:p], geom.patch, n, 1))
         got = spatial._coverage(corners, sizes, m, n, geom.patch)
         np.testing.assert_array_equal(got, want.reshape(m, n))
+
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_coverage_matches_group_scatter(self, case):
+        reduced, geom, _ = STAGE_CASES[case]
+        self.assert_coverage_matches_scatter(reduced, geom)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=reduced_and_geometry())
+    def test_coverage_matches_group_scatter_on_random_images(self, case):
+        self.assert_coverage_matches_scatter(*case)
 
     def test_small_chunks_change_nothing(self, monkeypatch):
         """Chunk size bounds memory only: one group per chunk gives the same
@@ -524,23 +550,6 @@ class TestShrinkAgainstSvd:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
                 wnnm_shrink(g, 1.0)
-
-
-@st.composite
-def reduced_and_geometry(draw):
-    """A small reduced image on the 0..255 scale and a geometry that fits it."""
-    patch = draw(st.integers(1, 4))
-    geom = PatchGeometry(
-        patch=patch,
-        stride=draw(st.integers(1, patch)),
-        window=draw(st.integers(patch, 9)),
-        group=draw(st.integers(1, 12)),
-    )
-    m = draw(st.integers(patch, 12))
-    n = draw(st.integers(patch, 12))
-    k = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return np.random.default_rng(seed).uniform(0.0, 255.0, (m, n, k)), geom
 
 
 class TestGroupReuse:

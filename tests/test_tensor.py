@@ -5,6 +5,7 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsidenoise import experiment, io, metrics, spatial, synthetic
 from hsidenoise.pipeline import DenoiseConfig
@@ -40,10 +41,14 @@ class TestUnfold3:
 
 
 class TestFold3:
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(0)
-        cube = rng.standard_normal((6, 5, 4))
-        np.testing.assert_array_equal(fold3(unfold3(cube), (6, 5)), cube)
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 9), n=st.integers(1, 9), b=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_exact(self, m, n, b, seed):
+        cube = np.random.default_rng(seed).standard_normal((m, n, b))
+        mat = unfold3(cube)
+        assert mat.shape == (b, m * n)
+        np.testing.assert_array_equal(fold3(mat, (m, n)), cube)
 
     def test_inverse_of_hand_layout(self):
         mat = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
