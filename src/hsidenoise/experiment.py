@@ -4,6 +4,7 @@ and the band-count scaling benchmark.
 
 import csv
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -96,10 +97,12 @@ def write_trace_csv(path, trace):
 
 
 def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):
-    """One (image, sigma) case; failures are captured in the status field."""
+    """One (image, sigma) case; a failure is captured in the status field,
+    and its traceback in {tag}_error.txt in outdir."""
     row = {f: "" for f in REPORT_FIELDS}
     row["image"] = image_name
     row["sigma"] = repr(float(sigma))
+    tag = f"{image_name}_sigma{sigma:g}"
     try:
         noisy = add_gaussian_noise(clean, sigma, seed=case_seed)
         t0 = time.perf_counter()
@@ -116,12 +119,13 @@ def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):
             status="ok",
         )
         if outdir is not None:
-            tag = f"{image_name}_sigma{sigma:g}"
             write_trace_csv(Path(outdir) / f"{tag}_trace.csv", trace)
             if save_cubes:
                 write_cube(Path(outdir) / f"{tag}_denoised.hdr", x)
     except Exception as exc:  # harness must keep going
         row["status"] = f"error: {type(exc).__name__}: {exc}"
+        if outdir is not None:
+            (Path(outdir) / f"{tag}_error.txt").write_text(traceback.format_exc())
     return row
 
 

@@ -2,15 +2,20 @@
 k-NN full-band patch grouping, weighted singular-value shrinkage per group,
 and overlap-averaged reconstruction.
 
-denoise_reduced runs the step as three array passes over chunks of
-references: matching one search-window offset at a time (match_groups, whose
-result a caller can pass back in to reuse the groups on another image of the
-same height and width), shrinking a stack of groups through their Gram
-matrices with one threshold on the image's own scale, and one scatter-add per
-chunk.  Each chunk holds at most _CHUNK_BYTES of float64 work, so peak memory
-does not grow with the image.  The shrinkage of the chunks runs on a thread
-pool, one worker per core, with OpenBLAS held to one thread; the calling
-thread gathers and scatters the chunks in order, so the result does not
+denoise_reduced runs the step as array passes over chunks of references:
+matching one search-window offset at a time (match_groups, whose result a
+caller can pass back in to reuse the groups on another image of the same
+height and width), then, per chunk of groups, gathering the groups, shrinking
+them through their Gram matrices with one threshold on the image's own scale,
+and adding them into a span of the image with one bincount.  Each chunk holds
+at most _CHUNK_BYTES of float64 work, so peak memory does not grow with the
+image.
+
+Both passes run on a thread pool, one worker per core, with OpenBLAS held to
+one thread.  A worker matches one block of reference rows, or gathers,
+shrinks and scatters one chunk of groups end to end; the calling thread
+allocates the buffers a chunk's worker writes and adds the returned spans
+into the image in the order it submitted the chunks, so the result does not
 depend on the worker count.  match_group, wnnm_shrink and aggregate are the
 same passes applied to one reference, one group and a list of groups.
 """
@@ -47,13 +52,19 @@ DEFAULT_WNNM_C = 2.0 * math.sqrt(2.0)
 DEFAULT_WNNM_EPS = 1e-16
 
 # float64 bytes per chunk: the match distances of a block of reference rows,
-# and the group matrices of a chunk of references.  Up to workers + 1 chunks
-# are in flight, each with its gathered groups, its result and its indices,
-# so this bounds the stage's peak memory.  It must not depend on the worker
-# count: the chunks decide how the scatter sums are grouped.  Building a
-# 96x96x64 scene after a denoise takes about 0.02 s with 2 or 8 MiB chunks
-# (2 cores), so the page faults that 4 MiB chunks once caused in the
-# caller's next arrays do not show at this size.
+# and the group matrices of a chunk of references.  One worker matches a
+# block; it allocates the block's distances itself and sorts them one
+# reference row at a time.  Up to workers + 1 chunks of groups are in flight,
+# each with three buffers the calling thread allocates (the gathered groups,
+# their scatter indices and the shrunk result), so this bounds the stage's
+# peak memory.  It must not depend on the
+# worker count: the chunks decide how the scatter sums are grouped.  Row
+# blocks must not be split finer to feed more workers: on a 32x32x32 scene,
+# 2 * workers blocks per image multiplied the per-offset Python overhead and
+# made a denoise 40% slower.  Building a 96x96x64 scene after a denoise takes
+# about 0.02 s with 2 or 8 MiB chunks (2 cores), so the page faults that
+# 4 MiB chunks once caused in the caller's next arrays do not show at this
+# size.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -133,7 +144,36 @@ def _window_sums(x, starts, size, axis):
     return out
 
 
-def _match(reduced, rows, cols, geom):
+def _match_rows(image, padded, rows, cols, ok_r, ok_c, ps, out):
+    """Write into out the search-window offsets of the candidates of the
+    references rows x cols, nearest first, the reference itself first of
+    all; ok_r and ok_c flag the offsets that stay inside the image."""
+    n = image.shape[2]
+    w = ok_c.shape[1]
+    h = w // 2
+    top, bottom = rows[0], rows[-1] + ps
+    ref = image[:, top:bottom]
+    diff = np.empty_like(ref)
+    sq = np.empty((w, bottom - top, n))
+    dist = np.empty((len(rows), len(cols), w, w))
+    for a in range(w):
+        band = padded[:, top + a : bottom + a]
+        for b in range(w):
+            np.subtract(band[:, :, b : b + n], ref, out=diff)
+            np.einsum("kij,kij->ij", diff, diff, out=sq[b])
+        box = _window_sums(sq, rows - top, ps, axis=1)
+        dist[:, :, a, :] = _window_sums(box, cols, ps, axis=2).transpose(1, 2, 0)
+    # Out-of-image candidates get NaN, which sorts after the +inf an
+    # overflowing in-image distance can reach; the reference sorts first.
+    dist[~(ok_r[:, None, :, None] & ok_c[None, :, None, :])] = np.nan
+    dist[:, :, h, h] = -np.inf
+    # one reference row at a time: sorting the block at once held a second,
+    # int64 block of the distances' size, in each worker
+    for i, row in enumerate(dist.reshape(len(rows), len(cols), w * w)):
+        out[i] = np.argsort(row, axis=1, kind="stable")[:, : out.shape[2]]
+
+
+def _match(reduced, rows, cols, geom, pool):
     """Group members of the references rows x cols, row-major.
 
     Returns (corners, sizes): corners[i] lists flat corners r*N + c of
@@ -145,7 +185,8 @@ def _match(reduced, rows, cols, geom):
     then over the patch rows at the reference rows and the patch columns at
     the reference columns.  Every term is non-negative, so exact duplicates
     score exactly 0.  Offsets are laid out row-major, so a stable sort keeps
-    ties in row-major candidate order.
+    ties in row-major candidate order.  Each block of reference rows is one
+    job on pool, which writes the block's slice of the candidate order.
     """
     m, n, _ = reduced.shape
     ps, h = geom.patch, geom.window // 2
@@ -157,42 +198,33 @@ def _match(reduced, rows, cols, geom):
     ok_c = (cols[:, None] + shifts >= 0) & (cols[:, None] + shifts <= n - ps)
     image = np.ascontiguousarray(reduced.transpose(2, 0, 1))
     padded = np.pad(image, ((0, 0), (h, h), (h, h)))
-    keep = min(geom.group, w * w)
-    order = np.empty((len(rows), len(cols), keep), dtype=np.int64)
+    order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * len(cols) * w * w))
-    for lo in range(0, len(rows), step):
-        blk = rows[lo : lo + step]
-        top, bottom = blk[0], blk[-1] + ps
-        ref = image[:, top:bottom]
-        diff = np.empty_like(ref)
-        sq = np.empty((w, bottom - top, n))
-        dist = np.empty((len(blk), len(cols), w, w))
-        for a in range(w):
-            band = padded[:, top + a : bottom + a]
-            for b in range(w):
-                np.subtract(band[:, :, b : b + n], ref, out=diff)
-                np.einsum("kij,kij->ij", diff, diff, out=sq[b])
-            box = _window_sums(sq, blk - top, ps, axis=1)
-            dist[:, :, a, :] = _window_sums(box, cols, ps, axis=2).transpose(1, 2, 0)
-        # Out-of-image candidates get NaN, which sorts after the +inf an
-        # overflowing in-image distance can reach; the reference sorts first.
-        dist[~(ok_r[lo : lo + step, None, :, None] & ok_c[None, :, None, :])] = np.nan
-        dist[:, :, h, h] = -np.inf
-        flat = dist.reshape(len(blk), len(cols), w * w)
-        order[lo : lo + step] = np.argsort(flat, axis=2, kind="stable")[..., :keep]
+    blocks = [
+        _submit(pool, _match_rows, image, padded, rows[lo : lo + step], cols,
+                ok_r[lo : lo + step], ok_c, ps, order[lo : lo + step])
+        for lo in range(0, len(rows), step)
+    ]
+    for job in blocks:
+        job.result()
     dr, dc = np.divmod(order, w)
     corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
     sizes = np.minimum(geom.group, ok_r.sum(axis=1)[:, None] * ok_c.sum(axis=1))
-    return corners.reshape(-1, keep), sizes.ravel()
+    return corners.reshape(-1, order.shape[2]), sizes.ravel()
+
+
+def _patch_offsets(ps, n, k):
+    """Flat offsets of a patch's entries from its corner's first entry in a
+    C-ordered (M, N, k) cube, in (row, col, band) order."""
+    i = np.arange(ps)
+    return ((i[:, None] * n + i)[:, :, None] * k + np.arange(k)).ravel()
 
 
 def _patch_index(corners, ps, n, k):
     """Flat indices into a C-ordered (M, N, k) cube of the patches at the
     given flat corners r*N + c: shape (..., p) -> (..., ps*ps*k, p), one
     vectorized patch per column, rows in (row, col, band) order."""
-    i = np.arange(ps)
-    offsets = ((i[:, None] * n + i)[:, :, None] * k + np.arange(k)).ravel()
-    return corners[..., None, :] * k + offsets[:, None]
+    return corners[..., None, :] * k + _patch_offsets(ps, n, k)[:, None]
 
 
 def match_group(reduced, ref, geom):
@@ -211,7 +243,8 @@ def match_group(reduced, ref, geom):
     r0, c0 = int(ref[0]), int(ref[1])
     if not (0 <= r0 <= m - ps and 0 <= c0 <= n - ps):
         raise ValueError(f"reference {ref} out of bounds for {m}x{n} image")
-    corners, sizes = _match(reduced, [r0], [c0], geom)
+    with _stage_pool() as (pool, _):
+        corners, sizes = _match(reduced, [r0], [c0], geom, pool)
     members = corners[0, : sizes[0]]
     return PatchGroup(
         ref_pos=(r0, c0),
@@ -231,36 +264,40 @@ def _check_shrink_args(sigma, c, eps):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
-def _shrink(a, sigma, c, eps, out=None):
-    """Weighted singular-value shrinkage of a stack of group matrices a,
-    shape (G, d, p); the result goes to out when given (a new array
-    otherwise) and is returned.  sigma = 0 returns a itself.  Each singular
+def _shrink(b, sigma, c, eps, out=None):
+    """Weighted singular-value shrinkage of a stack of group matrices, given
+    transposed as b, shape (G, p, d), one vectorized patch per row; the
+    result, in the same layout, goes to out when given (a new array
+    otherwise) and is returned.  sigma = 0 returns b itself.  Each singular
     value s becomes max(s - c*sqrt(p) / (s_clean + eps*s_max), 0), with
     s_clean = sqrt(max(s^2 - p*sigma^2, 0)) and s_max the group's largest:
-    scaling a and sigma by t and c by t^2 scales the result by t.
+    scaling b and sigma by t and c by t^2 scales the result by t.
 
-    With a = U S V^T, the p x p Gram matrix a^T a = V S^2 V^T gives V and S
-    by one batched eigh, and U S_new V^T = a V diag(S_new / S) V^T.
+    With b = V S U^T, the p x p Gram matrix b b^T = V S^2 V^T gives V and S
+    by one batched eigh, and V S_new U^T = V diag(S_new / S) V^T b.
     Squaring loses accuracy only in singular values far below the
     threshold (s^2 under about c*sqrt(p)), which are zeroed either way.
     """
     if sigma == 0:
-        return a
-    d, p = a.shape[1:]
-    at = a.transpose(0, 2, 1)
-    gram = at @ a
+        return b
+    p, d = b.shape[1:]
+    gram = b @ b.transpose(0, 2, 1)
     if not np.all(np.isfinite(gram)):
         raise np.linalg.LinAlgError(
             f"Gram matrix of a {d}x{p} group matrix overflowed"
         )
     lam, v = np.linalg.eigh(gram)
+    # at most two (G, p, p) arrays at a time: the Gram goes here, and
+    # V diag(ratio) V^T is formed as W W^T, W = V diag(sqrt(ratio)) in v
+    del gram
     lam = np.maximum(lam, 0.0)
     s = np.sqrt(lam)
     s_clean = np.sqrt(np.maximum(lam - p * sigma * sigma, 0.0))
     # eigh sorts s ascending; a zero singular value gets weight 0 and stays 0
     weight = c * math.sqrt(p) / np.where(s > 0.0, s_clean + eps * s[:, -1:], np.inf)
     ratio = np.divide(np.maximum(s - weight, 0.0), s, out=np.zeros_like(s), where=s > 0.0)
-    return np.matmul(a, (v * ratio[:, None, :]) @ v.transpose(0, 2, 1), out=out)
+    v *= np.sqrt(ratio)[:, None, :]
+    return np.matmul(v @ v.transpose(0, 2, 1), b, out=out)
 
 
 def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS):
@@ -278,7 +315,7 @@ def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS):
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
     _check_shrink_args(sigma, c, eps)
-    return _shrink(g[None], sigma, c, eps)[0]
+    return _shrink(g.T[None], sigma, c, eps)[0].T
 
 
 def _workers():
@@ -350,6 +387,26 @@ def _one_blas_thread():
                     set_(count)
 
 
+@contextlib.contextmanager
+def _stage_pool():
+    """Yield (pool, workers): a thread pool of one worker per core, with
+    OpenBLAS held to one thread, or of one worker when no OpenBLAS is found.
+    The pool is closed, and jobs not yet started are cancelled, on exit."""
+    with _one_blas_thread() as held:
+        workers = _workers() if held else 1
+        pool = ThreadPoolExecutor(workers)
+        try:
+            yield pool, workers
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _submit(pool, fn, *args):
+    # each job runs in a copy of the caller's context, which holds numpy's
+    # floating-point error settings
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
 def _add_at(buf, idx, weights=None):
     """buf[idx] += weights (1 when None), repeated indices summed: one
     bincount over the span of idx."""
@@ -358,6 +415,27 @@ def _add_at(buf, idx, weights=None):
     if weights is not None:
         weights = weights.ravel()
     buf[lo : lo + span] += np.bincount((idx - lo).ravel(), weights, span)
+
+
+def _shrink_chunk(flat, k, members, offsets, sigma, c, eps, stack, idx, out):
+    """Gather, shrink and scatter one chunk of groups of a C-ordered
+    (M, N, k) image flattened to flat, in the caller's buffers.
+
+    members (G, p) holds each group's flat corners r*N + c, and offsets the
+    d = ps*ps*k entries of a patch from its corner's first entry.  The flat
+    indices of the groups' entries, less start (that of the first corner),
+    go to idx (G, p, d), the groups to stack (G, p, d), and the shrunk
+    groups to out.  Returns (start, sums): sums[i] adds up the shrunk
+    entries at flat[start + i], in the order of idx.
+    """
+    first = int(members.min())
+    start = first * k
+    np.add(((members - first) * k)[..., None], offsets, out=idx)
+    # mode="raise" would gather through a temporary copy of stack
+    np.take(flat[start:], idx, out=stack, mode="clip")
+    shrunk = _shrink(stack, sigma, c, eps, out)
+    span = (int(members.max()) - first) * k + int(offsets[-1]) + 1
+    return start, np.bincount(idx.ravel(), shrunk.ravel(), span)
 
 
 def _coverage(corners, sizes, m, n, ps):
@@ -429,11 +507,14 @@ def match_groups(reduced, geom):
     candidates, nearest first and the reference itself first of all, and
     its first sizes[i] entries are the group.  Members are pixel positions,
     so the pair can be passed as denoise_reduced's groups for another image
-    of the same height and width.
+    of the same height and width.  The blocks of reference rows are matched
+    on a thread pool made for the call, as denoise_reduced makes one.
     """
     reduced = as_cube(reduced, "reduced")
     m, n, _ = reduced.shape
-    return _match(reduced, *_grid_axes(m, n, geom), geom)
+    axes = _grid_axes(m, n, geom)
+    with _stage_pool() as (pool, _):
+        return _match(reduced, *axes, geom, pool)
 
 
 def _check_groups(groups, m, n, geom):
@@ -481,59 +562,54 @@ def denoise_reduced(
     Matches a group for every reference of the grid (or takes groups, a
     match_groups result for an image of the same height and width), then,
     in chunks of references with equal group size, gathers the groups as
-    one (G, d, p) stack, shrinks it as wnnm_shrink does each group, and
+    one (G, p, d) stack, shrinks it as wnnm_shrink does each group, and
     scatter-adds it into the overlap average.  c is on the scale of reduced
     squared: the default is DEFAULT_WNNM_C on the [0, 1] scale of [0, PEAK].
     With sigma = 0 this is the identity up to overlap-averaging roundoff.
 
-    The stacks are shrunk on a pool of one thread per core, created and
-    closed within the call, while OpenBLAS is held to one thread; with no
-    OpenBLAS found the pool has one thread.  The calling thread gathers each
-    stack and scatters the results in the order it gathered them, so the
-    output is the same bit for bit for any number of threads.
+    One pool of one thread per core, created and closed within the call,
+    runs both passes while OpenBLAS is held to one thread; with no OpenBLAS
+    found the pool has one thread.  A worker matches one block of reference
+    rows into its slice of the candidate order, or gathers, shrinks and
+    scatters one chunk into a span of the image, in three buffers the
+    calling thread allocated for it.  The calling thread adds the spans into
+    the image in the order it submitted the chunks, so the output is the
+    same bit for bit for any number of threads.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     _check_shrink_args(sigma, c, eps)
     m, n, k = reduced.shape
     ps = geom.patch
-    if groups is None:
-        corners, sizes = match_groups(reduced, geom)
-    else:
+    if groups is not None:
         corners, sizes = _check_groups(groups, m, n, geom)
     flat = reduced.ravel()
+    offsets = _patch_offsets(ps, n, k)
     acc = np.zeros(flat.size)
     pending = collections.deque()
 
     def scatter(limit):
         while len(pending) > limit:
-            idx, job = pending.popleft()
-            _add_at(acc, idx, job.result())
+            start, sums = pending.popleft().result()
+            acc[start : start + sums.size] += sums
 
-    with _one_blas_thread() as held:
-        workers = _workers() if held else 1
-        pool = ThreadPoolExecutor(workers)
-        try:
-            # Groups clipped by the image edge can be smaller than
-            # geom.group; each size is its own batch, so no group is cut or
-            # padded.  The arrays are allocated here, not in the workers:
-            # there they came from glibc's per-thread heaps, and a 96x96x64
-            # denoise's peak RSS rose 8%.
-            for p in np.unique(sizes):
-                refs = np.flatnonzero(sizes == p)
-                step = max(1, _CHUNK_BYTES // (ps * ps * k * p * 8))
-                for lo in range(0, len(refs), step):
-                    members = corners[refs[lo : lo + step], :p]
-                    idx = _patch_index(members, ps, n, k)
-                    a = flat[idx]
-                    # each job runs in a copy of the caller's context, which
-                    # holds numpy's floating-point error settings
-                    job = pool.submit(
-                        contextvars.copy_context().run,
-                        _shrink, a, sigma, c, eps, np.empty_like(a),
-                    )
-                    pending.append((idx, job))
-                    scatter(workers)
-            scatter(0)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with _stage_pool() as (pool, workers):
+        if groups is None:
+            corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom, pool)
+        # Groups clipped by the image edge can be smaller than geom.group;
+        # each size is its own batch, so no group is cut or padded.  The
+        # buffers are allocated here, not in the workers: there they came
+        # from glibc's per-thread heaps, and a 96x96x64 denoise's peak RSS
+        # rose 8%.
+        for p in np.unique(sizes):
+            refs = np.flatnonzero(sizes == p)
+            step = max(1, _CHUNK_BYTES // (ps * ps * k * p * 8))
+            for lo in range(0, len(refs), step):
+                members = corners[refs[lo : lo + step], :p]
+                shape = members.shape + offsets.shape
+                pending.append(_submit(
+                    pool, _shrink_chunk, flat, k, members, offsets, sigma, c, eps,
+                    np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape),
+                ))
+                scatter(workers)
+        scatter(0)
     return _average(acc, _coverage(corners, sizes, m, n, ps), m, n, k)

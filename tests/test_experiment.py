@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from hsidenoise import experiment, spatial
 from hsidenoise.experiment import (
+    REPORT_FIELDS,
     ExperimentSpec,
     bench_bands,
     load_input,
@@ -158,6 +160,56 @@ class TestRunExperiment:
             ExperimentSpec(output_dir=tmp_path / "p", jobs=2, **base)
         )
         assert [r["mpsnr"] for r in serial] == [r["mpsnr"] for r in parallel]
+
+    def test_parallel_report_and_cubes_equal_serial(self, cube_path, tmp_path, monkeypatch):
+        """Forked workers each match and shrink on their own thread pool;
+        chunks small enough for several match row blocks and shrink jobs."""
+        monkeypatch.setattr(spatial, "_CHUNK_BYTES", 1 << 15)
+        base = dict(
+            input_path=cube_path,
+            sigmas=[10.0, 20.0, 40.0],
+            config=FAST_CFG,
+            normalize=False,
+        )
+        serial = run_experiment(ExperimentSpec(output_dir=tmp_path / "s", **base))
+        parallel = run_experiment(ExperimentSpec(output_dir=tmp_path / "p", jobs=2, **base))
+        timing = {"seconds", "stage_a_seconds", "stage_b_seconds"}
+
+        def untimed(rows):
+            return [{f: r[f] for f in REPORT_FIELDS if f not in timing} for r in rows]
+
+        assert untimed(serial) == untimed(parallel)
+        assert all(r["status"] == "ok" for r in serial)
+        for sigma in base["sigmas"]:
+            name = f"scene_sigma{sigma:g}_denoised.hdr"
+            np.testing.assert_array_equal(
+                read_cube(tmp_path / "p" / name), read_cube(tmp_path / "s" / name)
+            )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_traceback_written(self, cube_path, tmp_path, monkeypatch, jobs):
+        def failing_denoise(noisy, sigma, cfg, clean=None):
+            if sigma == 20.0:
+                raise RuntimeError("boom")
+            return denoise(noisy, sigma, cfg, clean=clean)
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(experiment, "denoise", failing_denoise)
+        spec = ExperimentSpec(
+            input_path=cube_path,
+            sigmas=[10.0, 20.0],
+            output_dir=tmp_path / "out",
+            config=FAST_CFG,
+            normalize=False,
+            save_cubes=False,
+            jobs=jobs,
+        )
+        rows = run_experiment(spec)
+        assert [r["status"] for r in rows] == ["ok", "error: RuntimeError: boom"]
+        text = (tmp_path / "out" / "scene_sigma20_error.txt").read_text()
+        assert text.startswith("Traceback")
+        assert "failing_denoise" in text and "RuntimeError: boom" in text
+        assert not (tmp_path / "out" / "scene_sigma10_error.txt").exists()
 
 
 class TestTraceCsv:

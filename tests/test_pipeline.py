@@ -277,8 +277,8 @@ class TestBlasHold:
         assert blas_counts() == blas_at_three
 
     def test_shrinkage_pool_keeps_its_workers(self, blas_at_three, monkeypatch):
-        """The nested hold in denoise_reduced still finds OpenBLAS, so each
-        call's pool gets one thread per core, not one."""
+        """The nested holds in match_groups and denoise_reduced still find
+        OpenBLAS, so each call's pool gets one thread per core, not one."""
         pools = []
 
         def pool(workers):
@@ -289,7 +289,8 @@ class TestBlasHold:
         monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
         noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=11), 20.0, seed=11)
         denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM))
-        assert pools == [3, 3, 3]
+        # match_groups at iterations 1 and 2, denoise_reduced at all three
+        assert pools == [3] * 5
 
 
 TINY_GEOM = PatchGeometry(patch=2, stride=2, window=4, group=4)

@@ -764,3 +764,87 @@ class TestThreadedStage:
         monkeypatch.setattr(spatial, "_openblas", lambda: ())
         np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
         assert pools == [1]
+
+
+def match_block_bytes(reduced, geom, rows_per_block):
+    """A _CHUNK_BYTES that gives match blocks of rows_per_block reference rows."""
+    cols = len(spatial._grid_axes(*reduced.shape[:2], geom)[1])
+    w = 2 * (geom.window // 2) + 1
+    return rows_per_block * 8 * cols * w * w
+
+
+class TestPooledMatch:
+    """The blocks of reference rows are matched on the same kind of pool as
+    the shrinkage: the groups do not depend on the worker count or on how
+    the rows are split into blocks."""
+
+    @pytest.mark.parametrize("rows_per_block", [None, 2])
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_worker_count_changes_no_member(self, case, rows_per_block, monkeypatch):
+        reduced, geom, sigma = STAGE_CASES[case]
+        use_workers(monkeypatch, 1)
+        corners, sizes = match_groups(reduced, geom)
+        if rows_per_block is not None:
+            chunk = match_block_bytes(reduced, geom, rows_per_block)
+            monkeypatch.setattr(spatial, "_CHUNK_BYTES", chunk)
+        want = denoise_reduced(reduced, sigma, geom)
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            got_corners, got_sizes = match_groups(reduced, geom)
+            np.testing.assert_array_equal(got_corners, corners)
+            np.testing.assert_array_equal(got_sizes, sizes)
+            np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
+
+    def test_blocks_run_on_pool_threads(self, monkeypatch):
+        reduced, geom, _ = STAGE_CASES["default_geometry"]
+        monkeypatch.setattr(spatial, "_CHUNK_BYTES", match_block_bytes(reduced, geom, 1))
+        use_workers(monkeypatch, 2)
+        threads = []
+        match_rows = spatial._match_rows
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return match_rows(*args)
+
+        monkeypatch.setattr(spatial, "_match_rows", recording)
+        match_groups(reduced, geom)
+        rows = len(spatial._grid_axes(*reduced.shape[:2], geom)[0])
+        assert len(threads) == rows > 1
+        assert threading.current_thread() not in threads
+
+    def test_match_groups_makes_one_pool_and_restores_blas(self, blas_at_three, monkeypatch):
+        reduced, geom, _ = STAGE_CASES["default_geometry"]
+        use_workers(monkeypatch, 2)
+        pools = []
+
+        def pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
+        seen = []
+        match_rows = spatial._match_rows
+
+        def recording(*args):
+            seen.append(blas_counts())
+            return match_rows(*args)
+
+        monkeypatch.setattr(spatial, "_match_rows", recording)
+        match_groups(reduced, geom)
+        assert pools == [2]
+        assert seen and all(counts == [1] * len(blas_at_three) for counts in seen)
+        assert blas_counts() == blas_at_three
+
+    def test_caller_errstate_reaches_match_workers(self, monkeypatch):
+        # each squared difference, 1e308, is finite; their sum over a patch
+        # row overflows in the window sums
+        reduced = np.full((14, 14, 1), 5e153)
+        reduced[::2] *= -1.0
+        use_workers(monkeypatch, 2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                match_groups(reduced, SMALL)
+        with np.errstate(over="ignore"):
+            corners, _ = match_groups(reduced, SMALL)
+        refs = [r * 14 + c for r, c in reference_grid(14, 14, SMALL)]
+        np.testing.assert_array_equal(corners[:, 0], refs)
