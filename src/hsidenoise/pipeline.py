@@ -174,7 +174,9 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         trace = []
         k = k0
         y_i = y
-        x = y
+        # Only cubes the loop reads again are held: the previous estimate x
+        # is kept through the next iteration only for the early-stop test.
+        x = None
         for i in range(1, cfg.iters + 1):
             sigma_i = reestimate_noise(y_i, y, noise)
 
@@ -188,6 +190,7 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             tau = _SIGMA_WEIGHT_C * sigma_i * sigma_i
             m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, tau, groups=groups)
             x_new = mode3_product(m_i, model.basis)
+            del m_i
             t2 = time.perf_counter()
             _check_finite(x_new, "spatial filtering", i)
 
@@ -203,16 +206,20 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
                 )
             )
 
-            x_prev, x = x, x_new
-            if (
+            stop = (
                 cfg.early_stop is not None
-                and i > 1
-                and np.linalg.norm((x - x_prev).ravel())
-                < cfg.early_stop * np.linalg.norm(x_prev.ravel())
-            ):
+                and x is not None
+                and np.linalg.norm((x_new - x).ravel())
+                < cfg.early_stop * np.linalg.norm(x.ravel())
+            )
+            x = x_new
+            del x_new
+            if stop:
                 break
             if i < cfg.iters:
                 y_i = iterate_regularize(x, y, cfg.lam)
                 k = update_k(k0, cfg.delta, i, b)
+                if cfg.early_stop is None:
+                    x = None
 
         return x, trace

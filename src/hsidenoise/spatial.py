@@ -14,10 +14,12 @@ image.
 Both passes run on a thread pool, one worker per core, with OpenBLAS held to
 one thread.  A worker matches one block of reference rows, or gathers,
 shrinks and scatters one chunk of groups end to end; the calling thread
-allocates the buffers a chunk's worker writes and adds the returned spans
-into the image in the order it submitted the chunks, so the result does not
-depend on the worker count.  match_group, wnnm_shrink and aggregate are the
-same passes applied to one reference, one group and a list of groups.
+allocates the two buffers a chunk's worker writes (the gathered groups, whose
+memory then holds their scatter indices, and the shrunk groups) and adds the
+returned spans into the image in the order it submitted the chunks, so the
+result does not depend on the worker count.  match_group, wnnm_shrink and
+aggregate are the same passes applied to one reference, one group and a list
+of groups, on the calling thread.
 """
 
 import collections
@@ -55,13 +57,13 @@ DEFAULT_WNNM_EPS = 1e-16
 # and the group matrices of a chunk of references.  One worker matches a
 # block; it allocates the block's distances itself and sorts them one
 # reference row at a time.  Up to workers + 1 chunks of groups are in flight,
-# each with three buffers the calling thread allocates (the gathered groups,
-# their scatter indices and the shrunk result), so this bounds the stage's
-# peak memory.  It must not depend on the
-# worker count: the chunks decide how the scatter sums are grouped.  Row
-# blocks must not be split finer to feed more workers: on a 32x32x32 scene,
-# 2 * workers blocks per image multiplied the per-offset Python overhead and
-# made a denoise 40% slower.  Building a 96x96x64 scene after a denoise takes
+# each with two buffers the calling thread allocates (the gathered groups,
+# whose memory then holds their scatter indices, and the shrunk result), so
+# this bounds the stage's peak memory.  It must not depend on the worker
+# count: the chunks decide how the scatter sums are grouped.  Row blocks must
+# not be split finer to feed more workers: on a 32x32x32 scene, 2 * workers
+# blocks per image multiplied the per-offset Python overhead and made a
+# denoise 40% slower.  Building a 96x96x64 scene after a denoise takes
 # about 0.02 s with 2 or 8 MiB chunks (2 cores), so the page faults that
 # 4 MiB chunks once caused in the caller's next arrays do not show at this
 # size.
@@ -186,7 +188,8 @@ def _match(reduced, rows, cols, geom, pool):
     the reference columns.  Every term is non-negative, so exact duplicates
     score exactly 0.  Offsets are laid out row-major, so a stable sort keeps
     ties in row-major candidate order.  Each block of reference rows is one
-    job on pool, which writes the block's slice of the candidate order.
+    job on pool, which writes the block's slice of the candidate order; with
+    pool None the blocks run in turn on the calling thread.
     """
     m, n, _ = reduced.shape
     ps, h = geom.patch, geom.window // 2
@@ -201,12 +204,16 @@ def _match(reduced, rows, cols, geom, pool):
     order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * len(cols) * w * w))
     blocks = [
-        _submit(pool, _match_rows, image, padded, rows[lo : lo + step], cols,
-                ok_r[lo : lo + step], ok_c, ps, order[lo : lo + step])
+        (image, padded, rows[lo : lo + step], cols, ok_r[lo : lo + step], ok_c, ps,
+         order[lo : lo + step])
         for lo in range(0, len(rows), step)
     ]
-    for job in blocks:
-        job.result()
+    if pool is None:
+        for block in blocks:
+            _match_rows(*block)
+    else:
+        for job in [_submit(pool, _match_rows, *block) for block in blocks]:
+            job.result()
     dr, dc = np.divmod(order, w)
     corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
     sizes = np.minimum(geom.group, ok_r.sum(axis=1)[:, None] * ok_c.sum(axis=1))
@@ -235,7 +242,8 @@ def match_group(reduced, ref, geom):
     Similarity is squared Euclidean distance over all patch entries and
     bands; ties break in row-major position order.  The reference itself
     is always member 0.  If the window holds fewer than geom.group
-    candidates, all of them are taken.
+    candidates, all of them are taken.  The one reference is matched on the
+    calling thread: no pool is made and BLAS's thread count is not touched.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     m, n, k = reduced.shape
@@ -243,8 +251,7 @@ def match_group(reduced, ref, geom):
     r0, c0 = int(ref[0]), int(ref[1])
     if not (0 <= r0 <= m - ps and 0 <= c0 <= n - ps):
         raise ValueError(f"reference {ref} out of bounds for {m}x{n} image")
-    with _stage_pool() as (pool, _):
-        corners, sizes = _match(reduced, [r0], [c0], geom, pool)
+    corners, sizes = _match(reduced, [r0], [c0], geom, None)
     members = corners[0, : sizes[0]]
     return PatchGroup(
         ref_pos=(r0, c0),
@@ -417,25 +424,31 @@ def _add_at(buf, idx, weights=None):
     buf[lo : lo + span] += np.bincount((idx - lo).ravel(), weights, span)
 
 
-def _shrink_chunk(flat, k, members, offsets, sigma, c, eps, stack, idx, out):
+def _shrink_chunk(pixels, k, members, offsets, sigma, c, eps, stack, out):
     """Gather, shrink and scatter one chunk of groups of a C-ordered
-    (M, N, k) image flattened to flat, in the caller's buffers.
+    (M, N, k) image viewed as pixels (M*N, k), in the caller's buffers.
 
     members (G, p) holds each group's flat corners r*N + c, and offsets the
-    d = ps*ps*k entries of a patch from its corner's first entry.  The flat
-    indices of the groups' entries, less start (that of the first corner),
-    go to idx (G, p, d), the groups to stack (G, p, d), and the shrunk
-    groups to out.  Returns (start, sums): sums[i] adds up the shrunk
-    entries at flat[start + i], in the order of idx.
+    ps*ps pixels of a patch from its corner.  The groups go to stack
+    (G, p, d), d = ps*ps*k in (row, col, band) order, and the shrunk groups
+    to out; once shrunk, stack's memory holds their flat entry indices, less
+    start (that of the first corner's first entry).  Returns (start, sums):
+    sums[i] adds up the shrunk entries at flat[start + i], in entry order.
     """
     first = int(members.min())
-    start = first * k
-    np.add(((members - first) * k)[..., None], offsets, out=idx)
+    pidx = (members - first)[..., None] + offsets
+    by_pixel = pidx.shape + (k,)
     # mode="raise" would gather through a temporary copy of stack
-    np.take(flat[start:], idx, out=stack, mode="clip")
+    np.take(pixels[first:], pidx, axis=0, out=stack.reshape(by_pixel), mode="clip")
     shrunk = _shrink(stack, sigma, c, eps, out)
-    span = (int(members.max()) - first) * k + int(offsets[-1]) + 1
-    return start, np.bincount(idx.ravel(), shrunk.ravel(), span)
+    if shrunk is not out:  # sigma = 0 returns stack itself
+        out[...] = shrunk
+    # stack is spent: its memory takes the int64 entry indices
+    idx = stack.view(np.int64)
+    pidx *= k
+    np.add(pidx[..., None], np.arange(k), out=idx.reshape(by_pixel))
+    span = (int(members.max()) - first + int(offsets[-1]) + 1) * k
+    return first * k, np.bincount(idx.ravel(), out.ravel(), span)
 
 
 def _coverage(corners, sizes, m, n, ps):
@@ -571,10 +584,11 @@ def denoise_reduced(
     runs both passes while OpenBLAS is held to one thread; with no OpenBLAS
     found the pool has one thread.  A worker matches one block of reference
     rows into its slice of the candidate order, or gathers, shrinks and
-    scatters one chunk into a span of the image, in three buffers the
-    calling thread allocated for it.  The calling thread adds the spans into
-    the image in the order it submitted the chunks, so the output is the
-    same bit for bit for any number of threads.
+    scatters one chunk into a span of the image, in two buffers the calling
+    thread allocated for it: the gathered stack, which holds the scatter
+    indices once shrunk, and the shrunk result.  The calling thread adds
+    the spans into the image in the order it submitted the chunks, so the
+    output is the same bit for bit for any number of threads.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     _check_shrink_args(sigma, c, eps)
@@ -582,9 +596,10 @@ def denoise_reduced(
     ps = geom.patch
     if groups is not None:
         corners, sizes = _check_groups(groups, m, n, geom)
-    flat = reduced.ravel()
-    offsets = _patch_offsets(ps, n, k)
-    acc = np.zeros(flat.size)
+    pixels = reduced.reshape(m * n, k)
+    offsets = _patch_offsets(ps, n, 1)
+    d = ps * ps * k
+    acc = np.zeros(reduced.size)
     pending = collections.deque()
 
     def scatter(limit):
@@ -602,13 +617,13 @@ def denoise_reduced(
         # rose 8%.
         for p in np.unique(sizes):
             refs = np.flatnonzero(sizes == p)
-            step = max(1, _CHUNK_BYTES // (ps * ps * k * p * 8))
+            step = max(1, _CHUNK_BYTES // (d * p * 8))
             for lo in range(0, len(refs), step):
                 members = corners[refs[lo : lo + step], :p]
-                shape = members.shape + offsets.shape
+                shape = members.shape + (d,)
                 pending.append(_submit(
-                    pool, _shrink_chunk, flat, k, members, offsets, sigma, c, eps,
-                    np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape),
+                    pool, _shrink_chunk, pixels, k, members, offsets, sigma, c, eps,
+                    np.empty(shape), np.empty(shape),
                 ))
                 scatter(workers)
         scatter(0)

@@ -126,6 +126,32 @@ class TestMatchGroup:
         with pytest.raises(ValueError):
             match_group(np.zeros((8, 8, 1)), (7, 0), SMALL)
 
+    def test_matched_on_calling_thread(self, monkeypatch):
+        """One reference needs no pool and no BLAS hold, and its group is
+        the one match_groups gives it."""
+        reduced, geom, _ = STAGE_CASES["default_geometry"]
+        m, n, _ = reduced.shape
+        corners, sizes = match_groups(reduced, geom)
+
+        def refused(*args):
+            raise AssertionError("match_group made a pool or a BLAS hold")
+
+        threads = []
+        match_rows = spatial._match_rows
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return match_rows(*args)
+
+        monkeypatch.setattr(spatial, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(spatial, "_one_blas_thread", refused)
+        monkeypatch.setattr(spatial, "_match_rows", recording)
+        refs = reference_grid(m, n, geom)
+        for (r, c), row, p in zip(refs, corners, sizes):
+            grp = match_group(reduced, (r, c), geom)
+            np.testing.assert_array_equal(grp.members[:, 0] * n + grp.members[:, 1], row[:p])
+        assert threads == [threading.current_thread()] * len(refs)
+
 
 class TestWnnmShrink:
     def test_hand_oracle_diagonal(self):
