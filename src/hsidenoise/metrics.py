@@ -7,14 +7,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
-from .tensor import PEAK, as_cube
+from .tensor import PEAK, _correlate_symmetric, as_cube
 
 __all__ = ["QualityReport", "psnr", "mpsnr", "ssim", "mssim", "sam", "quality_report"]
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+# mssim filters this many bytes of each map's bands at once: 2 MiB blocks
+# raised the resident peak of a process reporting on 128x128x191 cubes by
+# 36 MB, 512 KiB blocks by 5 MB
+_SSIM_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -74,9 +77,54 @@ def _gaussian_kernel():
     return k / k.sum()
 
 
-def _window_mean(img, kernel):
-    out = correlate1d(img, kernel, axis=0, mode="constant")
-    return correlate1d(out, kernel, axis=1, mode="constant")
+def _band_ssims(ref, test, peak):
+    """SSIM of each band of two (bands, rows, cols) stacks, as a list.
+
+    The five windowed means (of ref, test, ref*test, ref*ref, test*test) are
+    filtered together, and only where the window fits, which is all the map
+    average reads.  The arithmetic after them runs in place, in the order of
+    the textbook formula.
+    """
+    bands, m, n = ref.shape
+    if min(m, n) < SSIM_WINDOW:
+        raise ValueError(
+            f"image {(m, n)} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
+        )
+    half = SSIM_WINDOW // 2
+    kernel = _gaussian_kernel()
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+
+    maps = np.empty((5, bands, m, n))
+    maps[0] = ref
+    maps[1] = test
+    np.multiply(ref, test, out=maps[2])
+    np.multiply(ref, ref, out=maps[3])
+    np.multiply(test, test, out=maps[4])
+    maps = _correlate_symmetric(_correlate_symmetric(maps, kernel, 2), kernel, 3)
+    mu1, mu2, s12, s11, s22 = maps
+
+    num = mu1 * mu2
+    s12 -= num
+    s11 -= np.multiply(mu1, mu1, out=mu1)
+    s22 -= np.multiply(mu2, mu2, out=mu2)
+    # num = (2 mu1mu2 + c1)(2 s12 + c2), den = (mu1^2 + mu2^2 + c1)(s11 + s22 + c2)
+    num *= 2.0
+    num += c1
+    s12 *= 2.0
+    s12 += c2
+    num *= s12
+    den = mu1
+    den += mu2
+    den += c1
+    s11 += s22
+    s11 += c2
+    den *= s11
+    # each band's map keeps the row stride of a full map, so its mean sums in
+    # the same order as the mean of a full map's interior
+    smap = np.empty((bands, m - 2 * half, n))[:, :, : n - 2 * half]
+    np.divide(num, den, out=smap)
+    return [float(np.mean(band)) for band in smap]
 
 
 def ssim(ref, test, peak=PEAK):
@@ -87,36 +135,20 @@ def ssim(ref, test, peak=PEAK):
     """
     _check_peak(peak)
     ref, test = _check_pair(ref, test, 2)
-    half = SSIM_WINDOW // 2
-    if min(ref.shape) < SSIM_WINDOW:
-        raise ValueError(
-            f"image {ref.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
-        )
-
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
-    kernel = _gaussian_kernel()
-
-    mu1 = _window_mean(ref, kernel)
-    mu2 = _window_mean(test, kernel)
-    mu1mu2 = mu1 * mu2
-    mu1sq = mu1 * mu1
-    mu2sq = mu2 * mu2
-    s12 = _window_mean(ref * test, kernel) - mu1mu2
-    s11 = _window_mean(ref * ref, kernel) - mu1sq
-    s22 = _window_mean(test * test, kernel) - mu2sq
-
-    num = (2.0 * mu1mu2 + c1) * (2.0 * s12 + c2)
-    den = (mu1sq + mu2sq + c1) * (s11 + s22 + c2)
-    smap = num / den
-    return float(np.mean(smap[half:-half, half:-half]))
+    return _band_ssims(ref[None], test[None], peak)[0]
 
 
 def mssim(ref, test, peak=PEAK):
     """Mean over bands of the per-band SSIM."""
     _check_peak(peak)
     ref, test = _check_pair(ref, test, 3)
-    vals = [ssim(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
+    m, n, bands = ref.shape
+    step = max(1, _SSIM_BLOCK_BYTES // (m * n * ref.itemsize))
+    vals = []
+    for b in range(0, bands, step):
+        block = slice(b, b + step)
+        vals += _band_ssims(ref[:, :, block].transpose(2, 0, 1),
+                            test[:, :, block].transpose(2, 0, 1), peak)
     return float(np.mean(vals))
 
 

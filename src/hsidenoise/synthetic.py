@@ -6,11 +6,33 @@ and the singular-value profile is controlled.
 """
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .tensor import PEAK, fold3
+from .tensor import PEAK, _correlate_symmetric, fold3
 
 __all__ = ["rank_cube"]
+
+
+def _gaussian_smooth(x, sigma):
+    """x Gaussian-smoothed along axes 0 and 1 as scipy.ndimage.gaussian_filter
+    smooths it with sigma (sigma, sigma, 0, ...), bit for bit: its kernel
+    (truncated at 4 sigma), its reflect edge and its order of axes and of
+    terms.  sigma <= 0 returns x."""
+    if not sigma > 0:
+        return x
+    radius = int(4.0 * float(sigma) + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    kernel = kernel / kernel.sum()
+    for axis in (0, 1):
+        # the reflect edge mirrors the axis again and again, d c b a | a b c d
+        # | d c b a | a b ...; the gather puts the filtered axis first, where
+        # each term's slice is contiguous
+        size = x.shape[axis]
+        k = np.arange(-radius, size + radius) % (2 * size)
+        index = np.where(k < size, k, 2 * size - 1 - k)
+        padded = np.moveaxis(x, axis, 0).take(index, axis=0)
+        x = np.moveaxis(_correlate_symmetric(padded, kernel, 0), 0, axis)
+    return x
 
 
 def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
@@ -29,14 +51,14 @@ def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
 
     if rank == 1:
         # single component: |smooth field| (x) positive spectrum, scaled
-        field = np.abs(gaussian_filter(rng.standard_normal((m, n)), smooth)) + 1e-3
+        field = np.abs(_gaussian_smooth(rng.standard_normal((m, n)), smooth)) + 1e-3
         spectrum = rng.uniform(0.3, 1.0, bands)
         cube = field[:, :, None] * spectrum[None, None, :]
         return cube * (peak / cube.max())
 
     maps = rng.standard_normal((m, n, rank))
-    if smooth > 0:
-        maps = gaussian_filter(maps, sigma=(smooth, smooth, 0))
+    # map 0 becomes the flat map below, so only the others are smoothed
+    maps[:, :, 1:] = _gaussian_smooth(maps[:, :, 1:], smooth)
     w = maps.reshape(m * n, rank, order="F")
     w[:, 0] = 1.0
     w, _ = np.linalg.qr(w)
@@ -52,6 +74,9 @@ def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
         raise ValueError(f"need {rank} positive strengths")
 
     cube = fold3((a * strengths) @ w.T, (m, n))
-    # affine rescale to [0, peak]; the shift lies along component 0
+    # affine rescale to [0, peak]; the shift lies along component 0.  In
+    # place, since two cube-sized temporaries took 8.5 ms at 128x128x191
     lo, hi = cube.min(), cube.max()
-    return (cube - lo) * (peak / (hi - lo))
+    cube -= lo
+    cube *= peak / (hi - lo)
+    return cube

@@ -334,3 +334,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "denoise" in proc.stdout
+
+    def test_imports_load_no_scipy(self):
+        # numpy is the only runtime dependency; scipy would also map a second
+        # OpenBLAS into every process
+        code = ("import sys, hsidenoise, hsidenoise.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

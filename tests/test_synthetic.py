@@ -1,5 +1,7 @@
 """Synthetic low-rank cube generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,18 @@ class TestRankCube:
             rank_cube(16, 16, 8, 0)
         with pytest.raises(ValueError):
             rank_cube(16, 16, 8, 9)
+
+
+# SHA-1 of the C-order float64 bytes of rank_cube(m, n, bands, rank, seed=0),
+# recorded while rank_cube still smoothed with scipy.ndimage.gaussian_filter:
+# the benchmark's scenes (scene96, sweep, bands191) and a rank-1 field.  The
+# smoothing is exact, but the QR and the product run in LAPACK and BLAS,
+# whose rounding a build other than numpy 2.4's OpenBLAS 0.3.31 may change.
+@pytest.mark.parametrize("args, digest", [
+    ((96, 96, 64, 5), "b7b3186a7783db1273aeb2c2a8303c294744eeb8"),
+    ((32, 32, 32, 5), "bdf51957b774e989219535b15d6c04ff69c3cc94"),
+    ((128, 128, 191, 8), "a3f1014c270afb18106ffa3312130ae0f3751a0f"),
+    ((20, 24, 6, 1), "569913f27d65da038c10771ae464a27aed20238d"),
+])
+def test_scenes_pinned(args, digest):
+    assert hashlib.sha1(rank_cube(*args, seed=0).tobytes()).hexdigest() == digest
