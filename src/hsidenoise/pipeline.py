@@ -19,7 +19,15 @@ from .subspace import (
     reestimate_noise,
     spectral_decompose,
 )
-from .tensor import as_cube, mode3_product
+from .tensor import (
+    PEAK,
+    _all_finite,
+    _row_blocks,
+    _sum_sq,
+    as_cube,
+    frob_norm_sq,
+    mode3_product,
+)
 
 __all__ = [
     "DenoiseConfig",
@@ -49,6 +57,15 @@ _LAST_MATCH_ITER = 2
 # runs at sigma_1 = gamma * sigma0, where 32*sqrt(2) * sigma_1^2 is the
 # 8*sqrt(2) weight at sigma0 for the default gamma of 0.5.
 _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
+
+# denoise runs its loop on an input whose largest magnitude, or sigma0 if
+# larger, lies between PEAK * 2^-_SCALE_BAND and PEAK * 2^_SCALE_BAND as it
+# is; one outside is scaled by a power of two onto [128, 256), next to PEAK,
+# and the estimate scaled back.  Power-of-two scaling is exact, so the result
+# is the same up to that scale, where squares and Gram matrices of entries
+# near 1e152 would overflow, or of entries near 1e-160 underflow.  Data on
+# [0, 1] (2^-8 PEAK) and at 16 bits (2^8 PEAK) lie well inside the band.
+_SCALE_BAND = 16
 
 
 @dataclass
@@ -126,10 +143,20 @@ def iterate_regularize(x_i, y, lam):
 
 
 def _check_finite(arr, stage, iteration):
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise NumericalError(
             f"non-finite values after {stage} at iteration {iteration}"
         )
+
+
+def _scale_exponent(y, sigma0):
+    """e such that the loop runs on y * 2^-e and sigma0 * 2^-e: 0 when the
+    larger of max|y| and sigma0 (None counts as 0) lies within the band
+    around PEAK or is 0, otherwise the e that puts it in [128, 256)."""
+    top = max(float(y.max()), -float(y.min()), sigma0 or 0.0)
+    if top == 0.0 or PEAK * 2.0**-_SCALE_BAND <= top <= PEAK * 2.0**_SCALE_BAND:
+        return 0
+    return math.frexp(top)[1] - math.frexp(PEAK)[1]
 
 
 def denoise(noisy, sigma0=None, config=None, clean=None):
@@ -138,6 +165,11 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     sigma0 is the observation noise sigma on the cube's value scale; when
     None it is taken as the median of the per-band regression estimates.
     clean, if given, adds a mean-over-bands PSNR to each trace record.
+    When the larger of max|noisy| and sigma0 lies far from PEAK (outside
+    PEAK * 2^+-16), the loop runs on the cube and sigma0 scaled by a power
+    of two and its estimate, sigmas and residuals are scaled back, so a
+    cube of entries near 1e152, whose band Gram matrix overflows, still
+    gives a finite estimate.
 
     Each iteration projects the current input onto a k-dimensional
     spectral subspace, denoises the reduced image patch-wise, lifts back,
@@ -153,12 +185,22 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     """
     with _one_blas_thread():
         y = as_cube(noisy, "noisy")
-        if not np.all(np.isfinite(y)):
+        if not _all_finite(y):
             raise ValueError("input cube has non-finite entries")
         if clean is not None and np.shape(clean) != y.shape:
             raise ValueError(f"clean has shape {np.shape(clean)}, noisy has {y.shape}")
+        if sigma0 is not None:
+            sigma0 = float(sigma0)
+            if not 0 <= sigma0 < np.inf:
+                raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
         cfg = config if config is not None else DenoiseConfig()
         m, n, b = y.shape
+
+        e = _scale_exponent(y, sigma0)
+        if e:
+            y = np.ldexp(y, -e)
+            if sigma0 is not None:
+                sigma0 = math.ldexp(sigma0, -e)
 
         band_sigma = None
         if cfg.k0 is None or sigma0 is None:
@@ -167,8 +209,6 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         k0 = min(k0, b)
         if sigma0 is None:
             sigma0 = float(np.median(band_sigma))
-        if not 0 <= sigma0 < np.inf:
-            raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
 
         noise = NoiseModel(sigma0_sq=sigma0 * sigma0, gamma=cfg.gamma)
         trace = []
@@ -176,6 +216,9 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         y_i = y
         # Only cubes the loop reads again are held: the previous estimate x
         # is kept through the next iteration only for the early-stop test.
+        # Passes over whole cubes run a row block at a time, and each
+        # iteration's input y_i goes into one buffer, allocated at iteration
+        # 1, since y may be the caller's.
         x = None
         for i in range(1, cfg.iters + 1):
             sigma_i = reestimate_noise(y_i, y, noise)
@@ -190,17 +233,20 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             tau = _SIGMA_WEIGHT_C * sigma_i * sigma_i
             m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, tau, groups=groups)
             x_new = mode3_product(m_i, model.basis)
-            del m_i
+            del m_i, model
             t2 = time.perf_counter()
             _check_finite(x_new, "spatial filtering", i)
 
+            psnr = None
+            if clean is not None:
+                psnr = metrics.mpsnr(clean, np.ldexp(x_new, e) if e else x_new)
             trace.append(
                 IterationRecord(
                     iteration=i,
                     k=k,
-                    sigma=sigma_i,
-                    residual=float(np.linalg.norm((y_i - x_new).ravel())),
-                    psnr=metrics.mpsnr(clean, x_new) if clean is not None else None,
+                    sigma=math.ldexp(sigma_i, e),
+                    residual=math.ldexp(math.sqrt(_sum_sq(y_i, x_new)), e),
+                    psnr=psnr,
                     stage_a_seconds=t1 - t0,
                     stage_b_seconds=t2 - t1,
                 )
@@ -209,17 +255,21 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             stop = (
                 cfg.early_stop is not None
                 and x is not None
-                and np.linalg.norm((x_new - x).ravel())
-                < cfg.early_stop * np.linalg.norm(x.ravel())
+                and math.sqrt(_sum_sq(x_new, x)) < cfg.early_stop * math.sqrt(frob_norm_sq(x))
             )
             x = x_new
             del x_new
             if stop:
                 break
             if i < cfg.iters:
-                y_i = iterate_regularize(x, y, cfg.lam)
+                if y_i is y:
+                    y_i = np.empty(y.shape)
+                for rows in _row_blocks(y):
+                    y_i[rows] = iterate_regularize(x[rows], y[rows], cfg.lam)
                 k = update_k(k0, cfg.delta, i, b)
                 if cfg.early_stop is None:
                     x = None
 
+        if e:
+            np.ldexp(x, e, out=x)
         return x, trace

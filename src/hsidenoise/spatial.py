@@ -7,9 +7,10 @@ matching one search-window offset at a time (match_groups, whose result a
 caller can pass back in to reuse the groups on another image of the same
 height and width), then, per chunk of groups, gathering the groups, shrinking
 them through their Gram matrices with one threshold on the image's own scale,
-and adding them into a span of the image with one bincount.  Each chunk holds
-at most _CHUNK_BYTES of float64 work, so peak memory does not grow with the
-image.
+and adding them into a span of the image with one bincount.  A block of
+reference rows holds at most _CHUNK_BYTES of match distances, and each
+buffer of a chunk of groups at most half that, so peak memory does not grow
+with the image.
 
 Both passes run on a thread pool, one worker per core, with OpenBLAS held to
 one thread.  A worker matches one block of reference rows, or gathers,
@@ -53,8 +54,8 @@ __all__ = [
 DEFAULT_WNNM_C = 2.0 * math.sqrt(2.0)
 DEFAULT_WNNM_EPS = 1e-16
 
-# float64 bytes per chunk: the match distances of a block of reference rows,
-# and the group matrices of a chunk of references.  One worker matches a
+# float64 bytes of the match distances of a block of reference rows; each
+# buffer of a chunk of groups holds at most half of it.  One worker matches a
 # block; it allocates the block's distances itself and sorts them one
 # reference row at a time.  Up to workers + 1 chunks of groups are in flight,
 # each with two buffers the calling thread allocates (the gathered groups,
@@ -63,10 +64,14 @@ DEFAULT_WNNM_EPS = 1e-16
 # count: the chunks decide how the scatter sums are grouped.  Row blocks must
 # not be split finer to feed more workers: on a 32x32x32 scene, 2 * workers
 # blocks per image multiplied the per-offset Python overhead and made a
-# denoise 40% slower.  Building a 96x96x64 scene after a denoise takes
-# about 0.02 s with 2 or 8 MiB chunks (2 cores), so the page faults that
-# 4 MiB chunks once caused in the caller's next arrays do not show at this
-# size.
+# denoise 40% slower, and 1 MiB blocks made matching the K = 7 image of a
+# 96x96x64 scene 40% slower than 2 MiB (165 against 119 ms, 2 cores).  Group
+# buffers of 1 MiB halved the in-flight memory of that scene's default
+# denoise at level time (medians 2.09 s, 2.11 s with 2 MiB); 512 KiB made it
+# 22% slower (2.57 s), from the overhead per chunk: one K = 25 group fills
+# one.  Building a 96x96x64 scene after a denoise takes about 0.02 s with 2
+# or 8 MiB chunks (2 cores), so the page faults that 4 MiB chunks once caused
+# in the caller's next arrays do not show at this size.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -466,6 +471,8 @@ def _coverage(corners, sizes, m, n, ps):
 
 
 def _average(acc, cnt, m, n, k):
+    """The overlap average acc / cnt as an (m, n, k) cube, divided in place
+    in acc's memory."""
     cnt = cnt.reshape(m, n)
     if not np.all(cnt):
         gaps = np.argwhere(cnt == 0)
@@ -473,7 +480,9 @@ def _average(acc, cnt, m, n, k):
             f"coverage gap: {len(gaps)} pixels covered by no patch, "
             f"first at {tuple(gaps[0])}"
         )
-    return acc.reshape(m, n, k) / cnt[:, :, None]
+    acc = acc.reshape(m, n, k)
+    acc /= cnt[:, :, None]
+    return acc
 
 
 def aggregate(groups_out, dims):
@@ -617,7 +626,7 @@ def denoise_reduced(
         # rose 8%.
         for p in np.unique(sizes):
             refs = np.flatnonzero(sizes == p)
-            step = max(1, _CHUNK_BYTES // (d * p * 8))
+            step = max(1, _CHUNK_BYTES // 2 // (d * p * 8))
             for lo in range(0, len(refs), step):
                 members = corners[refs[lo : lo + step], :p]
                 shape = members.shape + (d,)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_cube, mode3_product
+from .tensor import _all_finite, _sum_sq, as_cube, mode3_product
 
 __all__ = [
     "SubspaceModel",
@@ -85,23 +85,24 @@ def spectral_decompose(cube, k):
     The decomposition runs on the B x B band Gram matrix, so the cost
     stays linear in the pixel count.
     """
-    cube = as_cube(cube)
+    # one C-ordered copy of another layout serves the Gram and the projection
+    cube = np.ascontiguousarray(as_cube(cube))
     m, n, b = cube.shape
     k = int(k)
     if not 1 <= k <= b:
         raise ValueError(f"subspace dimension must be in [1, {b}], got {k}")
-    if not np.all(np.isfinite(cube)):
+    if not _all_finite(cube):
         raise ValueError("cube has non-finite entries")
 
-    z = cube.reshape(m * n, b).T
+    flat = cube.reshape(m * n, b)
     try:
-        _, evecs = np.linalg.eigh(z @ z.T)
+        _, evecs = np.linalg.eigh(flat.T @ flat)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
         ) from exc
     basis = _fix_column_signs(np.ascontiguousarray(evecs[:, ::-1][:, :k]))
-    reduced = (basis.T @ z).T.reshape(m, n, k)
+    reduced = mode3_product(cube, basis.T)
     return SubspaceModel(basis=basis, reduced=reduced)
 
 
@@ -197,11 +198,12 @@ def reestimate_noise(y_i, y, noise):
     """Noise level for the current iteration.
 
     sigma_i = gamma * sqrt(|sigma0^2 - mean((y_i - y)^2)|), the mean taken
-    over all cube entries.  At iteration 1 (y_i = y) this is gamma*sigma0.
+    over all cube entries a row block at a time, so no cube-sized
+    difference is formed.  At iteration 1 (y_i = y) this is gamma*sigma0.
     """
     y_i = as_cube(y_i, "y_i")
     y = as_cube(y, "y")
     if y_i.shape != y.shape:
         raise ValueError(f"shape mismatch: {y_i.shape} vs {y.shape}")
-    msd = float(np.mean((y_i - y) ** 2))
+    msd = _sum_sq(y_i, y) / y.size
     return noise.gamma * float(np.sqrt(abs(noise.sigma0_sq - msd)))

@@ -2,8 +2,9 @@
 
 A cube is a plain ndarray of shape (M, N, B): M rows, N columns, B bands.
 All routines promote to float64.  Computation on the band mode works on
-the (B, M*N) view ``cube.reshape(M*N, B).T``, whose pixel order is
-row-major; band-mode matrix products do not depend on that order.  The
+the (M*N, B) view ``cube.reshape(M*N, B)`` or its transpose, whose pixel
+order is row-major; band-mode matrix products do not depend on that order,
+and their results keep it, so they stay C-ordered cubes.  The
 column-major unfolding of :func:`unfold3` is the pixel order of the cube
 file payload.
 """
@@ -14,6 +15,11 @@ __all__ = ["PEAK", "unfold3", "fold3", "mode3_product", "frob_norm_sq", "as_cube
 
 # the intensity scale: inputs are normalized onto [0, PEAK], sigma is in its units
 PEAK = 255.0
+
+# float64 bytes per row block of the passes that read whole cubes entry by
+# entry (differences, sums of squares, finiteness checks, blends): each pass
+# holds one block's temporaries, not a cube's.
+_BLOCK_BYTES = 256 << 10
 
 
 def as_cube(arr, name="cube"):
@@ -60,9 +66,12 @@ def mode3_product(cube, p):
 
     p has shape (B2, B); the result has shape (M, N, B2).  With p orthonormal
     of shape (B, K) this projects onto a K-dimensional spectral subspace via
-    p.T, and lifts back via p.  A C-contiguous cube is read through a
-    (B, M*N) view, not copied; the result is a band-planar view of the
-    (B2, M*N) product, each band contiguous.
+    p.T, and lifts back via p.  A C-contiguous cube is read through an
+    (M*N, B) view, not copied, and the result is C-ordered: the (M*N, B2)
+    product cube @ p.T, so its pixels' bands lie next to each other as in
+    the input.  The product is formed a row block of that view at a time:
+    OpenBLAS's threads pack all of a tall left operand at once, so a whole
+    (128*128, 191) @ (191, 8) product touched 24 MB of buffers on 2 threads.
     """
     cube = as_cube(cube)
     p = np.asarray(p, dtype=np.float64)
@@ -71,13 +80,41 @@ def mode3_product(cube, p):
             f"matrix shape {p.shape} does not match band count {cube.shape[2]}"
         )
     m, n, b = cube.shape
-    return (p @ cube.reshape(m * n, b).T).T.reshape(m, n, p.shape[0])
+    flat = cube.reshape(m * n, b)
+    out = np.empty((m * n, p.shape[0]))
+    for rows in _row_blocks(flat):
+        np.matmul(flat[rows], p.T, out=out[rows])
+    return out.reshape(m, n, p.shape[0])
+
+
+def _row_blocks(cube):
+    """Slices of consecutive rows (leading-axis entries) of a cube, each of
+    at most _BLOCK_BYTES of float64 (one row at least), covering it in
+    order."""
+    m = cube.shape[0]
+    step = max(1, _BLOCK_BYTES // (8 * cube[0].size))
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+
+def _sum_sq(a, b=None):
+    """Sum of the squared entries of a - b (of a when b is None), two arrays
+    of one shape, formed a row block at a time: one block of temporaries."""
+    total = 0.0
+    for rows in _row_blocks(a):
+        d = a[rows] if b is None else a[rows] - b[rows]
+        total += float(np.vdot(d, d))
+    return total
+
+
+def _all_finite(cube):
+    """Whether every entry of a cube is finite, checked a row block at a time."""
+    return all(np.isfinite(cube[rows]).all() for rows in _row_blocks(cube))
 
 
 def frob_norm_sq(arr):
-    """Squared Frobenius norm (sum of squared entries) as a float."""
-    a = np.asarray(arr, dtype=np.float64)
-    return float(np.sum(a * a))
+    """Squared Frobenius norm (sum of squared entries) as a float, summed a
+    block of leading-axis slices at a time."""
+    return _sum_sq(np.atleast_1d(np.asarray(arr, dtype=np.float64)))
 
 
 def _correlate_symmetric(x, weights, axis):

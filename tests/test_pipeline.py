@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hsidenoise import pipeline, spatial
 from hsidenoise.pipeline import (
@@ -186,6 +186,22 @@ class TestDenoise:
             tracemalloc.stop()
         assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_traced_peak_many_bands(self, monkeypatch):
+        """With 191 bands and K at most 25 the loop's full-band passes set
+        the peak: one iterate buffer, the new estimate and row blocks of
+        temporaries, 2.6 cubes traced here, where whole-cube temporaries
+        took 4.2."""
+        monkeypatch.setattr(spatial, "_workers", lambda: 1)
+        clean = rank_cube(48, 48, 191, 5)
+        noisy = add_gaussian_noise(clean, 30.0, seed=0)
+        tracemalloc.start()
+        try:
+            denoise(noisy, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} cubes"
+
     @pytest.mark.parametrize("sigma0", [None, 20.0])
     def test_shrink_threshold(self, sigma0, monkeypatch):
         """Each iteration shrinks with WNNM's weight, threshold
@@ -228,13 +244,18 @@ class TestDenoise:
         # iteration 2 matches on its own K-band image
         assert [shape[2] for shape in calls] == [r.k for r in trace[:2]]
 
-    def test_overflowing_band_gram_raises(self):
-        """Entries near 3e152 overflow the band Gram's trace; the estimate
-        raises instead of handing on a NaN sigma and K = 1."""
+    def test_overflowing_band_gram_scaled_away(self):
+        """Entries near 3e152 overflow the band Gram's trace, where
+        estimate_band_noise raises; denoise scales them by a power of two
+        first and gives the unscaled cube's estimate, times 1e150."""
         clean = rank_cube(32, 32, 32, 5, seed=0)
-        noisy = add_gaussian_noise(clean, 10.0, seed=0) * 1e150
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            denoise(noisy, config=DenoiseConfig(iters=1, geom=SMALL_GEOM))
+        noisy = add_gaussian_noise(clean, 10.0, seed=0)
+        cfg = DenoiseConfig(iters=1, geom=SMALL_GEOM)
+        x, trace = denoise(noisy * 1e150, config=cfg)
+        want, want_trace = denoise(noisy, config=cfg)
+        assert np.all(np.isfinite(x))
+        assert rel_diff(x, want * 1e150) <= 1e-10
+        assert trace[0].sigma == pytest.approx(want_trace[0].sigma * 1e150, rel=1e-10)
 
     @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
     def test_non_finite_sigma0_rejected(self, sigma0):
@@ -296,10 +317,14 @@ class TestBlasHold:
         assert all(counts == one for calls in seen.values() for counts in calls)
         assert blas_counts() == blas_at_three
 
-    def test_counts_restored_after_errors(self, blas_at_three):
-        overflowing = add_gaussian_noise(rank_cube(32, 32, 32, 5, seed=0), 10.0, seed=0)
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            denoise(overflowing * 1e150, config=DenoiseConfig(iters=1, geom=SMALL_GEOM))
+    def test_counts_restored_after_errors(self, blas_at_three, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Gram matrix overflowed")
+
+        monkeypatch.setattr(pipeline, "denoise_reduced", failing)
+        noisy = add_gaussian_noise(rank_cube(32, 32, 32, 5, seed=0), 10.0, seed=0)
+        with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+            denoise(noisy, config=DenoiseConfig(iters=1, geom=SMALL_GEOM))
         assert blas_counts() == blas_at_three
         bad = rank_cube(16, 16, 4, 2, seed=8)
         bad[0, 0, 0] = np.nan
@@ -428,3 +453,26 @@ class TestSymmetries:
         x, _ = denoise(y, 20.0)
         x4, _ = denoise(4.0 * y, 80.0)
         np.testing.assert_array_equal(x4, 4.0 * x)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(e=st.integers(-400, 400), sigma0=st.sampled_from([None, 20.0]))
+    @example(e=-400, sigma0=20.0)
+    @example(e=400, sigma0=None)
+    @example(e=-9, sigma0=20.0)  # [0, 1] data: unscaled
+    @example(e=17, sigma0=20.0)  # just outside the unscaled band
+    @example(e=-17, sigma0=None)
+    @example(e=600, sigma0=20.0)  # squares overflow unscaled
+    @example(e=-600, sigma0=None)  # squares underflow unscaled
+    def test_power_of_two_scale(self, e, sigma0):
+        """Scaling the cube and sigma0 by 2^e scales the estimate and the
+        trace's sigmas by 2^e, also where the squares of the scaled cube
+        overflow or underflow and denoise scales it back near PEAK."""
+        y = symmetry_scene(20, 24, 6, 3)
+        cfg = DenoiseConfig(iters=2)
+        x, trace = denoise(y, sigma0, cfg)
+        scaled = None if sigma0 is None else math.ldexp(sigma0, e)
+        xe, trace_e = denoise(np.ldexp(y, e), scaled, cfg)
+        assert rel_diff(xe, np.ldexp(x, e)) <= 1e-10
+        for got, want in zip(trace_e, trace):
+            assert got.sigma == pytest.approx(math.ldexp(want.sigma, e), rel=1e-10)
+            assert got.residual == pytest.approx(math.ldexp(want.residual, e), rel=1e-10)

@@ -313,11 +313,14 @@ class TestSpectralLayerOnViews:
         b = cube.shape[2]
         sig = estimate_band_noise(cube)
         p = np.random.default_rng(12).standard_normal((b // 2, b))
+        flipped = cube[::-1]
+        noise = NoiseModel(sigma0_sq=100.0)
         return {
             "estimate_band_noise": lambda: estimate_band_noise(cube),
             "estimate_subspace_dim": lambda: estimate_subspace_dim(cube, sig),
             "spectral_decompose": lambda: spectral_decompose(cube, b // 2),
             "mode3_product": lambda: mode3_product(cube, p),
+            "reestimate_noise": lambda: reestimate_noise(cube, flipped, noise),
         }
 
     def test_peak_memory_below_one_cube(self):
@@ -351,5 +354,6 @@ class TestSpectralLayerOnViews:
             (got["spectral_decompose"].basis, ref["spectral_decompose"].basis),
             (got["spectral_decompose"].reduced, ref["spectral_decompose"].reduced),
             (got["mode3_product"], ref["mode3_product"]),
+            (got["reestimate_noise"], ref["reestimate_noise"]),
         ]:
             assert rel_frob(a, b) <= 1e-12
