@@ -25,7 +25,6 @@ from .tensor import (
     _row_blocks,
     _sum_sq,
     as_cube,
-    frob_norm_sq,
     mode3_product,
 )
 
@@ -112,9 +111,14 @@ class IterationRecord:
     iteration: int
     k: int
     sigma: float
-    residual: float  # ||y_i - x_i||_F
+    # ||y_i - x_i||_F, formed as sqrt(||(I - P P^T) y_i||^2 + ||P^T y_i - m_i||^2)
+    # with P the iteration's basis and m_i the filtered reduced image: the
+    # first part is summed before the spatial stage, so y_i is not kept
+    residual: float
     psnr: float | None
+    # the full-band work: projection, off-subspace sum, lift-back and blend
     stage_a_seconds: float
+    # the spatial stage on the k-band reduced image: matching and filtering
     stage_b_seconds: float
 
 
@@ -177,6 +181,14 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     Patch groups are matched at iterations 1 and 2; later iterations reuse
     iteration 2's groups.
 
+    No full-band cube besides the observation is alive while the spatial
+    stage runs: the input's part off the subspace, all the residual needs
+    of it, is summed right after the projection and the input dropped.
+    One row-block pass then lifts the filtered image back, checks it and
+    blends it into the next input.  The full-band estimate is written only
+    at the last iteration, and at each one when early_stop or clean is
+    given; the estimate is the same either way.
+
     OpenBLAS is held to one thread for the whole call, as match_groups and
     denoise_reduced hold it for their thread pools: after a threaded BLAS
     call OpenBLAS's idle threads spin for a while, against the pools'
@@ -214,61 +226,79 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         trace = []
         k = k0
         y_i = y
-        # Only cubes the loop reads again are held: the previous estimate x
-        # is kept through the next iteration only for the early-stop test.
-        # Passes over whole cubes run a row block at a time, and each
-        # iteration's input y_i goes into one buffer, allocated at iteration
-        # 1, since y may be the caller's.
+        # y_i is dropped once projected, so the spatial stage holds no
+        # full-band cube besides y, the observation, which may be the
+        # caller's array.  The estimate x is written only where it is read
+        # again: at the last iteration, for the PSNR against clean, and for
+        # the early-stop test, which alone keeps it through the next
+        # iteration and overwrites it in place, each block's change summed
+        # first.
         x = None
         for i in range(1, cfg.iters + 1):
+            last = i == cfg.iters
             sigma_i = reestimate_noise(y_i, y, noise)
 
             t0 = time.perf_counter()
             model = spectral_decompose(y_i, k)
-            t1 = time.perf_counter()
             _check_finite(model.reduced, "spectral projection", i)
+            basis = model.basis
+            # ||y_i - x_i||^2 = ||(I - P P^T) y_i||^2 + ||reduced - m_i||^2,
+            # for x_i = P m_i and reduced = P^T y_i with P = basis: the parts
+            # lie in orthogonal subspaces.  The first is summed here, the
+            # last read of y_i.
+            off_sq = 0.0
+            for rows in _row_blocks(y_i):
+                off_sq += _sum_sq(y_i[rows], mode3_product(model.reduced[rows], basis))
+            del y_i
+            t1 = time.perf_counter()
 
             if i <= _LAST_MATCH_ITER:
                 groups = match_groups(model.reduced, cfg.geom)
             tau = _SIGMA_WEIGHT_C * sigma_i * sigma_i
             m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, tau, groups=groups)
-            x_new = mode3_product(m_i, model.basis)
-            del m_i, model
+            residual = math.sqrt(off_sq + _sum_sq(model.reduced, m_i))
+            del model
             t2 = time.perf_counter()
-            _check_finite(x_new, "spatial filtering", i)
+
+            # the lift-back, its finiteness check, the early-stop sums and
+            # the blend with the observation, one row block at a time
+            if x is None and (last or clean is not None or cfg.early_stop is not None):
+                x = np.empty(y.shape)
+            y_i = None if last else np.empty(y.shape)
+            check_stop = cfg.early_stop is not None and i > 1
+            change_sq = norm_sq = 0.0
+            for rows in _row_blocks(y):
+                x_rows = mode3_product(m_i[rows], basis)
+                _check_finite(x_rows, "spatial filtering", i)
+                if check_stop:
+                    change_sq += _sum_sq(x_rows, x[rows])
+                    norm_sq += _sum_sq(x[rows])
+                if x is not None:
+                    x[rows] = x_rows
+                if y_i is not None:
+                    y_i[rows] = iterate_regularize(x_rows, y[rows], cfg.lam)
+            del m_i
+            t3 = time.perf_counter()
 
             psnr = None
             if clean is not None:
-                psnr = metrics.mpsnr(clean, np.ldexp(x_new, e) if e else x_new)
+                psnr = metrics.mpsnr(clean, np.ldexp(x, e) if e else x)
             trace.append(
                 IterationRecord(
                     iteration=i,
                     k=k,
                     sigma=math.ldexp(sigma_i, e),
-                    residual=math.ldexp(math.sqrt(_sum_sq(y_i, x_new)), e),
+                    residual=math.ldexp(residual, e),
                     psnr=psnr,
-                    stage_a_seconds=t1 - t0,
+                    stage_a_seconds=(t1 - t0) + (t3 - t2),
                     stage_b_seconds=t2 - t1,
                 )
             )
-
-            stop = (
-                cfg.early_stop is not None
-                and x is not None
-                and math.sqrt(_sum_sq(x_new, x)) < cfg.early_stop * math.sqrt(frob_norm_sq(x))
-            )
-            x = x_new
-            del x_new
-            if stop:
+            if last or (check_stop and math.sqrt(change_sq) < cfg.early_stop * math.sqrt(norm_sq)):
                 break
-            if i < cfg.iters:
-                if y_i is y:
-                    y_i = np.empty(y.shape)
-                for rows in _row_blocks(y):
-                    y_i[rows] = iterate_regularize(x[rows], y[rows], cfg.lam)
-                k = update_k(k0, cfg.delta, i, b)
-                if cfg.early_stop is None:
-                    x = None
+            if cfg.early_stop is None:
+                x = None
+            k = update_k(k0, cfg.delta, i, b)
 
         if e:
             np.ldexp(x, e, out=x)

@@ -120,6 +120,15 @@ def estimate_band_noise(cube):
     form: sigma_i^2 = (Q_ii / (Q^2)_ii - alpha) / (M N), clipped at 0.
     The cube is read only to form R.  A non-finite R or tr(R), as from
     entries near 1e152 or larger, raises numpy.linalg.LinAlgError.
+
+    Each regression fits B - 1 predictors on M*N samples, so it needs M*N
+    well above B; with few pixels per band it reads sigma low.  On
+    rank_cube(m, m, 191, 3) with sigma 30 noise the median reads 20.1 at
+    m = 24 (M*N about 3B), where K is then estimated as 93, 27.6 at
+    m = 48 (about 12B) and 29.4 at m = 96; through the command line, which
+    normalizes the noisy cube, the 24x24 cube reads 12.9.  Pass sigma0 to
+    denoise for such cubes, and k0 too: estimate_subspace_dim reads these
+    sigmas.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape

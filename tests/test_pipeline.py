@@ -202,6 +202,38 @@ class TestDenoise:
             tracemalloc.stop()
         assert peak < 3.5 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} cubes"
 
+    def test_traced_peak_one_full_band_cube(self, monkeypatch):
+        """The loop drops each iteration's input once it is projected, so the
+        spatial stage holds no full-band cube of the loop's own: 1.9 cubes
+        traced here, where holding the input through it took 2.9."""
+        monkeypatch.setattr(spatial, "_workers", lambda: 1)
+        clean = rank_cube(48, 48, 191, 5)
+        noisy = add_gaussian_noise(clean, 30.0, seed=0)
+        tracemalloc.start()
+        try:
+            denoise(noisy, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} cubes"
+
+    def test_kept_estimate_does_not_change_it(self):
+        """The branches that write the full-band estimate at every
+        iteration, for the PSNR against clean and for an early stop that
+        never fires, return what a run without them returns, bit for bit."""
+        clean = rank_cube(32, 32, 8, 2, seed=12)
+        noisy = add_gaussian_noise(clean, 20.0, seed=12)
+        cfg = DenoiseConfig(iters=3, geom=SMALL_GEOM)
+        plain, plain_trace = denoise(noisy, 20.0, cfg)
+        with_clean, _ = denoise(noisy, 20.0, cfg, clean=clean)
+        never_stops, trace = denoise(
+            noisy, 20.0, dataclasses.replace(cfg, early_stop=1e-300)
+        )
+        assert len(trace) == cfg.iters
+        np.testing.assert_array_equal(with_clean, plain)
+        np.testing.assert_array_equal(never_stops, plain)
+        assert [r.residual for r in trace] == [r.residual for r in plain_trace]
+
     @pytest.mark.parametrize("sigma0", [None, 20.0])
     def test_shrink_threshold(self, sigma0, monkeypatch):
         """Each iteration shrinks with WNNM's weight, threshold
@@ -286,6 +318,51 @@ def blas_counts():
 
 
 # the names denoise calls BLAS through, as pipeline binds them
+def direct_residuals(noisy, sigma0, cfg):
+    """||y_i - x_i||_F of each iteration, formed from whole cubes: x_i is
+    the estimate of a run of i iterations, y_1 the observation and y_i the
+    blend of x_(i-1) with it."""
+    y_i = noisy
+    out = []
+    for i in range(1, cfg.iters + 1):
+        x_i, _ = denoise(noisy, sigma0, dataclasses.replace(cfg, iters=i))
+        out.append(math.sqrt(frob_norm_sq(y_i - x_i)))
+        y_i = iterate_regularize(x_i, noisy, cfg.lam)
+    return out
+
+
+class TestResidualSplit:
+    """The trace's residual, summed as the input's part off the subspace
+    plus the reduced image's change, is ||y_i - x_i||_F."""
+
+    def test_first_iteration(self):
+        clean = rank_cube(32, 32, 8, 2, seed=13)
+        noisy = add_gaussian_noise(clean, 20.0, seed=13)
+        x, trace = denoise(noisy, 20.0, DenoiseConfig(iters=1, geom=SMALL_GEOM))
+        direct = math.sqrt(frob_norm_sq(noisy - x))
+        assert trace[0].residual == pytest.approx(direct, rel=1e-12)
+
+    def test_second_iteration(self):
+        clean = rank_cube(32, 32, 8, 2, seed=14)
+        noisy = add_gaussian_noise(clean, 20.0, seed=14)
+        cfg = DenoiseConfig(iters=2, geom=SMALL_GEOM)
+        x1, _ = denoise(noisy, 20.0, dataclasses.replace(cfg, iters=1))
+        x2, trace = denoise(noisy, 20.0, cfg)
+        direct = math.sqrt(frob_norm_sq(iterate_regularize(x1, noisy, cfg.lam) - x2))
+        assert trace[1].residual == pytest.approx(direct, rel=1e-10)
+
+    def test_noiseless_low_rank(self):
+        """On an exactly rank-K cube without noise both parts are rounding
+        error, and their sum stays a finite, non-negative residual."""
+        clean = rank_cube(32, 32, 8, 2, seed=15)
+        cfg = DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM)
+        _, trace = denoise(clean, 0.0, cfg)
+        tol = 1e-9 * math.sqrt(frob_norm_sq(clean))
+        for rec, direct in zip(trace, direct_residuals(clean, 0.0, cfg), strict=True):
+            assert math.isfinite(rec.residual) and rec.residual >= 0.0
+            assert abs(rec.residual - direct) <= tol
+
+
 BLAS_CALLERS = [
     "estimate_band_noise",
     "estimate_subspace_dim",
