@@ -208,16 +208,16 @@ def _cmd_estimate_k(args):
     return 0
 
 
-def _parse_float_list(text, what):
+def _parse_list(text, what, kind=float):
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ValueError(f"bad {what} list {text!r}") from exc
 
 
 def _cmd_run_exp(args):
     cfg, run = _build_config(args)
-    sigmas = _parse_float_list(args.sigmas, "sigma")
+    sigmas = _parse_list(args.sigmas, "sigma")
     spec = ExperimentSpec(
         input_path=args.input,
         sigmas=sigmas,
@@ -255,7 +255,7 @@ def _cmd_bench_bands(args):
         normalize=run.normalize,
         keep_bands=run.keep_bands,
     )
-    counts = [int(c) for c in _parse_float_list(args.bands, "band")] if args.bands else None
+    counts = _parse_list(args.bands, "band", int) if args.bands else None
     rows = bench_bands(spec, counts)
     for row in rows:
         print(

@@ -13,7 +13,6 @@ import numpy as np
 from . import metrics
 from .spatial import PatchGeometry, _one_blas_thread, denoise_reduced, match_groups
 from .subspace import (
-    NoiseModel,
     estimate_band_noise,
     estimate_subspace_dim,
     reestimate_noise,
@@ -51,12 +50,6 @@ class NumericalError(RuntimeError):
 # per case; matching at iteration 1 only lost 0.06 dB and raised SAM by 1.8%.
 _LAST_MATCH_ITER = 2
 
-# WNNM's weight c * sqrt(p) * sigma_i^2 / (s + eps) (Gu et al., CVPR 2014):
-# each iteration's shrink threshold is _SIGMA_WEIGHT_C * sigma_i^2.  Iteration 1
-# runs at sigma_1 = gamma * sigma0, where 32*sqrt(2) * sigma_1^2 is the
-# 8*sqrt(2) weight at sigma0 for the default gamma of 0.5.
-_SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
-
 # denoise runs its loop on an input whose largest magnitude, or sigma0 if
 # larger, lies between PEAK * 2^-_SCALE_BAND and PEAK * 2^_SCALE_BAND as it
 # is; one outside is scaled by a power of two onto [128, 256), next to PEAK,
@@ -76,8 +69,8 @@ class DenoiseConfig:
     observation; gamma scales the per-iteration noise re-estimate;
     early_stop, when set, ends the loop once an iteration changes the
     estimate by less than that fraction of its norm.  Each iteration
-    shrinks its patch groups with WNNM's weight, threshold
-    32*sqrt(2) * sigma_i^2.
+    passes its noise re-estimate sigma_i to the spatial stage, which
+    shrinks the patch groups with WNNM's weight at that level.
     """
 
     k0: int | None = None
@@ -222,7 +215,6 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         if sigma0 is None:
             sigma0 = float(np.median(band_sigma))
 
-        noise = NoiseModel(sigma0_sq=sigma0 * sigma0, gamma=cfg.gamma)
         trace = []
         k = k0
         y_i = y
@@ -236,7 +228,7 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         x = None
         for i in range(1, cfg.iters + 1):
             last = i == cfg.iters
-            sigma_i = reestimate_noise(y_i, y, noise)
+            sigma_i = reestimate_noise(y_i, y, sigma0, cfg.gamma)
 
             t0 = time.perf_counter()
             model = spectral_decompose(y_i, k)
@@ -254,8 +246,7 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
 
             if i <= _LAST_MATCH_ITER:
                 groups = match_groups(model.reduced, cfg.geom)
-            tau = _SIGMA_WEIGHT_C * sigma_i * sigma_i
-            m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, tau, groups=groups)
+            m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
             residual = math.sqrt(off_sq + _sum_sq(model.reduced, m_i))
             del model
             t2 = time.perf_counter()

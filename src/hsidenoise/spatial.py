@@ -6,11 +6,11 @@ denoise_reduced runs the step as array passes over chunks of references:
 matching one search-window offset at a time (match_groups, whose result a
 caller can pass back in to reuse the groups on another image of the same
 height and width), then, per chunk of groups, gathering the groups, shrinking
-them through their Gram matrices with one threshold on the image's own scale,
-and adding them into a span of the image with one bincount.  A block of
-reference rows holds at most _CHUNK_BYTES of match distances, and each
-buffer of a chunk of groups at most half that, so peak memory does not grow
-with the image.
+them through their Gram matrices with WNNM's weight at the image's noise
+level sigma, and adding them into a span of the image with one bincount.  A
+block of reference rows holds at most _CHUNK_BYTES of match distances, and
+each buffer of a chunk of groups at most half that, so peak memory does not
+grow with the image.
 
 Both passes run on a thread pool, one worker per core, with OpenBLAS held to
 one thread.  A worker matches one block of reference rows, or gathers,
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import PEAK, as_cube
+from .tensor import as_cube
 
 __all__ = [
     "PatchGeometry",
@@ -47,12 +47,17 @@ __all__ = [
     "wnnm_shrink",
     "aggregate",
     "denoise_reduced",
-    "DEFAULT_WNNM_C",
-    "DEFAULT_WNNM_EPS",
 ]
 
-DEFAULT_WNNM_C = 2.0 * math.sqrt(2.0)
-DEFAULT_WNNM_EPS = 1e-16
+# WNNM's weight c * sqrt(p) * sigma_i^2 / (s + eps) (Gu et al., CVPR 2014):
+# each iteration's shrink threshold is _SIGMA_WEIGHT_C * sigma_i^2.  Iteration 1
+# runs at sigma_1 = gamma * sigma0, where 32*sqrt(2) * sigma_1^2 is the
+# 8*sqrt(2) weight at sigma0 for the default gamma of 0.5.
+_SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
+
+# the weight's eps, relative to the group's largest singular value, so the
+# shrink has no scale of its own
+_WEIGHT_EPS = 1e-16
 
 # float64 bytes of the match distances of a block of reference rows; each
 # buffer of a chunk of groups holds at most half of it.  One worker matches a
@@ -265,25 +270,21 @@ def match_group(reduced, ref, geom):
     )
 
 
-def _check_shrink_args(sigma, c, eps):
-    # written so that NaN, which fails every comparison, fails each check
+def _check_sigma(sigma):
+    # written so that NaN, which fails every comparison, fails the check
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    # a negative c amplifies the weak components instead of shrinking them
-    if not 0 <= c < math.inf:
-        raise ValueError(f"c must be finite and >= 0, got {c}")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
-def _shrink(b, sigma, c, eps, out=None):
+def _shrink(b, sigma, out=None):
     """Weighted singular-value shrinkage of a stack of group matrices, given
     transposed as b, shape (G, p, d), one vectorized patch per row; the
     result, in the same layout, goes to out when given (a new array
     otherwise) and is returned.  sigma = 0 returns b itself.  Each singular
     value s becomes max(s - c*sqrt(p) / (s_clean + eps*s_max), 0), with
+    threshold c = _SIGMA_WEIGHT_C * sigma^2, eps = _WEIGHT_EPS,
     s_clean = sqrt(max(s^2 - p*sigma^2, 0)) and s_max the group's largest:
-    scaling b and sigma by t and c by t^2 scales the result by t.
+    scaling b and sigma by t scales the result by t.
 
     With b = V S U^T, the p x p Gram matrix b b^T = V S^2 V^T gives V and S
     by one batched eigh, and V S_new U^T = V diag(S_new / S) V^T b.
@@ -305,29 +306,29 @@ def _shrink(b, sigma, c, eps, out=None):
     lam = np.maximum(lam, 0.0)
     s = np.sqrt(lam)
     s_clean = np.sqrt(np.maximum(lam - p * sigma * sigma, 0.0))
+    c = _SIGMA_WEIGHT_C * sigma * sigma
     # eigh sorts s ascending; a zero singular value gets weight 0 and stays 0
-    weight = c * math.sqrt(p) / np.where(s > 0.0, s_clean + eps * s[:, -1:], np.inf)
+    weight = c * math.sqrt(p) / np.where(s > 0.0, s_clean + _WEIGHT_EPS * s[:, -1:], np.inf)
     ratio = np.divide(np.maximum(s - weight, 0.0), s, out=np.zeros_like(s), where=s > 0.0)
     v *= np.sqrt(ratio)[:, None, :]
     return np.matmul(v @ v.transpose(0, 2, 1), b, out=out)
 
 
-def wnnm_shrink(g, sigma, c=DEFAULT_WNNM_C, eps=DEFAULT_WNNM_EPS):
+def wnnm_shrink(g, sigma):
     """Weighted singular-value shrinkage of one group matrix.
 
     Decompose the group, estimate the clean singular values by subtracting
     the expected noise energy, weight each inversely to that estimate, and
     soft-threshold: strong components are barely touched while weak
     (noise-dominated) ones collapse, as denoise_reduced does each group.
-    The threshold c is on the scale of g squared (WNNM's c*sigma^2 is one
-    choice), eps is relative to the largest singular value, and sigma = 0
-    returns a copy of g.
+    sigma is the noise level of g's entries and sets the threshold,
+    WNNM's 32*sqrt(2) * sigma^2; sigma = 0 returns a copy of g.
     """
     g = np.array(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
-    _check_shrink_args(sigma, c, eps)
-    return _shrink(g.T[None], sigma, c, eps)[0].T
+    _check_sigma(sigma)
+    return _shrink(g.T[None], sigma)[0].T
 
 
 def _workers():
@@ -429,7 +430,7 @@ def _add_at(buf, idx, weights=None):
     buf[lo : lo + span] += np.bincount((idx - lo).ravel(), weights, span)
 
 
-def _shrink_chunk(pixels, k, members, offsets, sigma, c, eps, stack, out):
+def _shrink_chunk(pixels, k, members, offsets, sigma, stack, out):
     """Gather, shrink and scatter one chunk of groups of a C-ordered
     (M, N, k) image viewed as pixels (M*N, k), in the caller's buffers.
 
@@ -445,7 +446,7 @@ def _shrink_chunk(pixels, k, members, offsets, sigma, c, eps, stack, out):
     by_pixel = pidx.shape + (k,)
     # mode="raise" would gather through a temporary copy of stack
     np.take(pixels[first:], pidx, axis=0, out=stack.reshape(by_pixel), mode="clip")
-    shrunk = _shrink(stack, sigma, c, eps, out)
+    shrunk = _shrink(stack, sigma, out)
     if shrunk is not out:  # sigma = 0 returns stack itself
         out[...] = shrunk
     # stack is spent: its memory takes the int64 entry indices
@@ -571,22 +572,15 @@ def _check_groups(groups, m, n, geom):
     return corners, sizes
 
 
-def denoise_reduced(
-    reduced,
-    sigma,
-    geom,
-    c=DEFAULT_WNNM_C * PEAK**2,
-    eps=DEFAULT_WNNM_EPS,
-    groups=None,
-):
+def denoise_reduced(reduced, sigma, geom, groups=None):
     """Full spatial pass over the reduced image.
 
     Matches a group for every reference of the grid (or takes groups, a
     match_groups result for an image of the same height and width), then,
     in chunks of references with equal group size, gathers the groups as
-    one (G, p, d) stack, shrinks it as wnnm_shrink does each group, and
-    scatter-adds it into the overlap average.  c is on the scale of reduced
-    squared: the default is DEFAULT_WNNM_C on the [0, 1] scale of [0, PEAK].
+    one (G, p, d) stack, shrinks it as wnnm_shrink does each group at noise
+    level sigma, and scatter-adds it into the overlap average.  Scaling
+    reduced and sigma by a power of two scales the result by the same.
     With sigma = 0 this is the identity up to overlap-averaging roundoff.
 
     One pool of one thread per core, created and closed within the call,
@@ -600,7 +594,7 @@ def denoise_reduced(
     output is the same bit for bit for any number of threads.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
-    _check_shrink_args(sigma, c, eps)
+    _check_sigma(sigma)
     m, n, k = reduced.shape
     ps = geom.patch
     if groups is not None:
@@ -631,7 +625,7 @@ def denoise_reduced(
                 members = corners[refs[lo : lo + step], :p]
                 shape = members.shape + (d,)
                 pending.append(_submit(
-                    pool, _shrink_chunk, pixels, k, members, offsets, sigma, c, eps,
+                    pool, _shrink_chunk, pixels, k, members, offsets, sigma,
                     np.empty(shape), np.empty(shape),
                 ))
                 scatter(workers)

@@ -12,7 +12,6 @@ from .tensor import _all_finite, _sum_sq, as_cube, mode3_product
 
 __all__ = [
     "SubspaceModel",
-    "NoiseModel",
     "spectral_decompose",
     "estimate_band_noise",
     "estimate_subspace_dim",
@@ -41,28 +40,6 @@ class SubspaceModel:
     def reconstruct(self):
         """Lift the reduced image back to B bands: reduced x3 basis."""
         return mode3_product(self.reduced, self.basis)
-
-
-@dataclass
-class NoiseModel:
-    """Observation noise on the nominal intensity scale.
-
-    sigma0_sq is the initial variance; gamma scales the per-iteration
-    estimate made by reestimate_noise.
-    """
-
-    sigma0_sq: float
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if not 0 <= self.sigma0_sq < np.inf:
-            raise ValueError(f"sigma0_sq must be finite and >= 0, got {self.sigma0_sq}")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-
-    @property
-    def sigma0(self):
-        return float(np.sqrt(self.sigma0_sq))
 
 
 def _fix_column_signs(basis):
@@ -128,7 +105,8 @@ def estimate_band_noise(cube):
     m = 48 (about 12B) and 29.4 at m = 96; through the command line, which
     normalizes the noisy cube, the 24x24 cube reads 12.9.  Pass sigma0 to
     denoise for such cubes, and k0 too: estimate_subspace_dim reads these
-    sigmas.
+    sigmas.  A UserWarning says so when M*N < 10*B; the estimate is the
+    same.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -138,6 +116,12 @@ def estimate_band_noise(cube):
     if mn <= b:
         raise ValueError(
             f"insufficient pixels for regression: {mn} pixels, {b} bands"
+        )
+    if mn < 10 * b:
+        warnings.warn(
+            f"{mn} pixels for {b} bands, fewer than 10 per band: the band noise "
+            "estimate reads low; pass sigma0 and k0 to denoise for this cube",
+            stacklevel=2,
         )
 
     z = cube.reshape(mn, b).T
@@ -203,16 +187,18 @@ def estimate_subspace_dim(cube, per_band_sigma):
     return min(max(k, 1), b)
 
 
-def reestimate_noise(y_i, y, noise):
+def reestimate_noise(y_i, y, sigma0, gamma):
     """Noise level for the current iteration.
 
     sigma_i = gamma * sqrt(|sigma0^2 - mean((y_i - y)^2)|), the mean taken
     over all cube entries a row block at a time, so no cube-sized
     difference is formed.  At iteration 1 (y_i = y) this is gamma*sigma0.
+    sigma0 and gamma are taken as given: denoise and DenoiseConfig check
+    them.
     """
     y_i = as_cube(y_i, "y_i")
     y = as_cube(y, "y")
     if y_i.shape != y.shape:
         raise ValueError(f"shape mismatch: {y_i.shape} vs {y.shape}")
     msd = _sum_sq(y_i, y) / y.size
-    return noise.gamma * float(np.sqrt(abs(noise.sigma0_sq - msd)))
+    return gamma * float(np.sqrt(abs(sigma0 * sigma0 - msd)))

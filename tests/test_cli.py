@@ -319,6 +319,17 @@ class TestOtherCommands:
         assert (tmp_path / "bench" / "bench.csv").exists()
         assert capsys.readouterr().out.count("bands=") == 2
 
+    def test_bench_bands_non_integer_count_is_usage_error(self, scene, tmp_path, capsys):
+        # int() of a parsed 4.7 ran 4 bands and exited 0
+        _, noisy_path = scene
+        code = main(
+            ["bench-bands", str(noisy_path), "--sigma", "15", "--bands", "4.7,6.2",
+             "--outdir", str(tmp_path / "bench"), "--no-normalize"] + FAST
+        )
+        assert code == 1
+        assert "bad band list" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
 

@@ -96,6 +96,12 @@ class TestDenoiseConfig:
         with pytest.raises(ValueError, match=name):
             DenoiseConfig(**{name: value})
 
+    @pytest.mark.parametrize("gamma", [-0.5, 1.5])
+    def test_rejects_bad_gamma(self, gamma):
+        # gamma scales the noise re-estimate, which takes it as given
+        with pytest.raises(ValueError, match="gamma"):
+            DenoiseConfig(gamma=gamma)
+
 
 class TestDenoise:
     def test_noiseless_low_rank_is_identity(self):
@@ -236,14 +242,14 @@ class TestDenoise:
 
     @pytest.mark.parametrize("sigma0", [None, 20.0])
     def test_shrink_threshold(self, sigma0, monkeypatch):
-        """Each iteration shrinks with WNNM's weight, threshold
-        32*sqrt(2) * sigma_i^2, and the spatial stage's default eps,
-        whether sigma0 is given or estimated."""
+        """Each iteration passes the spatial stage its sigma_i and no
+        threshold, whether sigma0 is given or estimated: the stage's own
+        rule, pinned by the spatial tests, sets it."""
         seen = []
 
-        def recorded(reduced, sigma, geom, c, **kwargs):
-            seen.append((sigma, c, kwargs.get("eps", spatial.DEFAULT_WNNM_EPS)))
-            return stage(reduced, sigma, geom, c, **kwargs)
+        def recorded(reduced, sigma, geom, groups=None):
+            seen.append(sigma)
+            return stage(reduced, sigma, geom, groups=groups)
 
         stage = pipeline.denoise_reduced
         monkeypatch.setattr(pipeline, "denoise_reduced", recorded)
@@ -251,11 +257,8 @@ class TestDenoise:
         noisy = add_gaussian_noise(clean, 20.0, seed=10)
         cfg = DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM)
         _, trace = denoise(noisy, sigma0, cfg)
+        assert seen == [r.sigma for r in trace]
         assert len(seen) == 3
-        assert [sigma for sigma, _, _ in seen] == [r.sigma for r in trace]
-        for sigma, c, eps in seen:
-            assert c == pytest.approx(32.0 * math.sqrt(2.0) * sigma**2, rel=1e-15)
-            assert eps == spatial.DEFAULT_WNNM_EPS
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 5])
     def test_groups_matched_at_first_two_iterations(self, iters, monkeypatch):
@@ -289,9 +292,21 @@ class TestDenoise:
         assert rel_diff(x, want * 1e150) <= 1e-10
         assert trace[0].sigma == pytest.approx(want_trace[0].sigma * 1e150, rel=1e-10)
 
-    @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
+    @pytest.mark.parametrize("sigma0", [np.nan, np.inf, -1.0])
     def test_non_finite_sigma0_rejected(self, sigma0):
-        # NaN turned the shrink off and inf zeroed the estimate
+        # NaN turned the shrink off and inf zeroed the estimate; a negative
+        # sigma0 is no noise level either
+        clean = rank_cube(16, 16, 4, 2, seed=8)
+        with pytest.raises(ValueError, match="sigma0"):
+            denoise(clean, sigma0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
+
+    @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
+    def test_non_finite_sigma0_rejected_before_reestimate(self, monkeypatch, sigma0):
+        # reestimate_noise takes sigma0 as given, so denoise must check it first
+        def never(*args, **kwargs):
+            raise AssertionError("reestimate_noise ran")
+
+        monkeypatch.setattr(pipeline, "reestimate_noise", never)
         clean = rank_cube(16, 16, 4, 2, seed=8)
         with pytest.raises(ValueError, match="sigma0"):
             denoise(clean, sigma0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))

@@ -19,7 +19,6 @@ from hsidenoise.spatial import (
     reference_grid,
     wnnm_shrink,
 )
-from hsidenoise.tensor import PEAK
 
 
 SMALL = PatchGeometry(patch=2, stride=2, window=6, group=4)
@@ -155,14 +154,14 @@ class TestMatchGroup:
 
 class TestWnnmShrink:
     def test_hand_oracle_diagonal(self):
-        """diag(10, 1), p=2, sigma=1, c=2*sqrt(2).
+        """diag(10, 1), p=2, sigma=1, so c = 32*sqrt(2).
 
-        Singular value 10: shrunk by c*sqrt(p)/sqrt(10^2 - 2) = 4/sqrt(98).
-        Singular value 1: 1^2 - 2 clips to 0, weight 4/eps kills it.
+        Singular value 10: shrunk by c*sqrt(p)/sqrt(10^2 - 2) = 64/sqrt(98).
+        Singular value 1: 1^2 - 2 clips to 0, weight 64/eps kills it.
         """
         g = np.diag([10.0, 1.0])
-        out = wnnm_shrink(g, 1.0, c=2.0 * math.sqrt(2.0))
-        expected = np.diag([10.0 - 4.0 / math.sqrt(98.0), 0.0])
+        out = wnnm_shrink(g, 1.0)
+        expected = np.diag([10.0 - 64.0 / math.sqrt(98.0), 0.0])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_non_expansive(self):
@@ -179,15 +178,15 @@ class TestWnnmShrink:
         np.testing.assert_array_equal(wnnm_shrink(g, 0.0), g)
 
     def test_scale_covariant_bit_for_bit(self):
-        """Scaling g and sigma by 2^e and c by 4^e scales the result by 2^e
-        exactly: the shrink has no scale of its own."""
+        """Scaling g and sigma by 2^e scales the result by 2^e exactly: the
+        shrink has no scale of its own."""
         rng = np.random.default_rng(6)
         g = low_rank_group(rng, 20, 7, 1.0)
-        want = wnnm_shrink(g, 1.0, c=2.0)
+        want = wnnm_shrink(g, 1.0)
         assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
         for e in range(-100, 101):
             t = 2.0**e
-            got = wnnm_shrink(t * g, t, c=2.0 * t * t)
+            got = wnnm_shrink(t * g, t)
             np.testing.assert_array_equal(got, t * want, err_msg=f"e = {e}")
 
     def test_large_sigma_flattens(self):
@@ -204,33 +203,32 @@ class TestWnnmShrink:
         out = wnnm_shrink(g, 1.0)
         assert np.linalg.norm(out - g) / np.linalg.norm(g) < 0.05
 
-    def test_zero_c_is_identity(self):
-        rng = np.random.default_rng(9)
-        g = rng.standard_normal((16, 6))
-        np.testing.assert_allclose(wnnm_shrink(g, 0.5, c=0.0), g, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("bad", [{"c": -2.0}, {"c": -1e-12}, {"eps": 0.0}, {"eps": -1.0}])
-    def test_out_of_range_constants_rejected(self, bad):
-        # a negative c would grow the top singular value instead of
-        # shrinking it
-        g = np.random.default_rng(10).standard_normal((16, 6))
-        (name,) = bad
-        with pytest.raises(ValueError, match=f"{name} must be"):
-            wnnm_shrink(g, 0.5, **bad)
-        reduced = np.random.default_rng(11).standard_normal((12, 12, 3))
-        with pytest.raises(ValueError, match=f"{name} must be"):
-            denoise_reduced(reduced, 0.5, SMALL, **bad)
-
-    @pytest.mark.parametrize("name", ["sigma", "c", "eps"])
+    @pytest.mark.parametrize("name", ["sigma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_args_rejected(self, name, value):
-        args = {"sigma": 0.5, "c": 1.0, "eps": 1e-16, name: value}
         g = np.random.default_rng(10).standard_normal((16, 6))
         with pytest.raises(ValueError, match=f"{name} must be"):
-            wnnm_shrink(g, **args)
+            wnnm_shrink(g, value)
         reduced = np.random.default_rng(11).standard_normal((12, 12, 3))
         with pytest.raises(ValueError, match=f"{name} must be"):
-            denoise_reduced(reduced, geom=SMALL, **args)
+            denoise_reduced(reduced, value, SMALL)
+
+    @pytest.mark.parametrize("sigma", [1.0, 20.0])
+    def test_threshold_is_wnnm_sigma_rule(self, sigma):
+        """The threshold is 32*sqrt(2) * sigma^2 (wnnm_c) on any scale of
+        sigma; test_denoise_matches_loop pins it for denoise_reduced."""
+        g = low_rank_group(np.random.default_rng(12), 24, 10, sigma, scale=5.0 * sigma)
+        want = assert_shrinks_agree(g, sigma)
+        assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
+
+    @pytest.mark.parametrize("j", [-30, -8, 8, 30])
+    def test_denoise_reduced_scale_covariant_bit_for_bit(self, j):
+        """denoise_reduced(t x, t sigma) = t denoise_reduced(x, sigma) for
+        t = 2^j: the stage has no scale of its own."""
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        want = denoise_reduced(reduced, sigma, geom)
+        t = 2.0**j
+        np.testing.assert_array_equal(denoise_reduced(t * reduced, t * sigma, geom), t * want)
 
 
 class TestAggregate:
@@ -310,7 +308,7 @@ class TestDenoiseReduced:
         clean = np.tile(np.linspace(0.0, 255.0, 20)[:, None, None], (1, 20, 2))
         noisy = clean + rng.standard_normal(clean.shape) * 20.0
         geom = PatchGeometry(patch=4, stride=2, window=10, group=20)
-        out = denoise_reduced(noisy, 20.0, geom, c=0.5 * PEAK**2)
+        out = denoise_reduced(noisy, 20.0, geom)
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
 
 
@@ -346,9 +344,14 @@ def match_by_window(reduced, ref, geom):
     return members, matrix
 
 
-def shrink_by_svd(g, sigma, c=2.0 * math.sqrt(2.0), eps=1e-16):
+def wnnm_c(sigma):
+    """WNNM's threshold at noise level sigma, 32*sqrt(2) * sigma^2."""
+    return 32.0 * math.sqrt(2.0) * sigma * sigma
+
+
+def shrink_by_svd(g, sigma, c, eps=1e-16):
     """Weighted singular-value shrinkage through the SVD of the group, with
-    eps relative to the largest singular value."""
+    threshold c and eps relative to the largest singular value."""
     if sigma == 0:
         return g
     u, s, vt = np.linalg.svd(g, full_matrices=False)
@@ -360,7 +363,7 @@ def shrink_by_svd(g, sigma, c=2.0 * math.sqrt(2.0), eps=1e-16):
     return (u * s_new) @ vt
 
 
-def denoise_by_loop(reduced, sigma, geom, c=2.0 * math.sqrt(2.0) * 255.0**2):
+def denoise_by_loop(reduced, sigma, geom, c):
     m, n, k = reduced.shape
     ps = geom.patch
     acc = np.zeros((m, n, k))
@@ -450,7 +453,7 @@ class TestStageEquivalence:
     @pytest.mark.parametrize("case", sorted(STAGE_CASES))
     def test_denoise_matches_loop(self, case):
         reduced, geom, sigma = STAGE_CASES[case]
-        want = denoise_by_loop(reduced, sigma, geom)
+        want = denoise_by_loop(reduced, sigma, geom, wnnm_c(sigma))
         got = denoise_reduced(reduced, sigma, geom)
         scale = max(np.abs(want).max(), 1.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=STAGE_RTOL * scale)
@@ -495,7 +498,7 @@ class TestStageEquivalence:
         """Chunk size bounds memory only: one group per chunk gives the same
         members and matches the loop as closely as the default chunks."""
         reduced, geom, sigma = STAGE_CASES["default_geometry"]
-        want = denoise_by_loop(reduced, sigma, geom)
+        want = denoise_by_loop(reduced, sigma, geom, wnnm_c(sigma))
         monkeypatch.setattr(spatial, "_CHUNK_BYTES", 1)
         got = denoise_reduced(reduced, sigma, geom)
         np.testing.assert_allclose(
@@ -510,9 +513,9 @@ class TestStageEquivalence:
 SHRINK_RTOL = 1e-11
 
 
-def assert_shrinks_agree(g, sigma, c=2.0 * math.sqrt(2.0)):
-    got = wnnm_shrink(g, sigma, c=c)
-    want = shrink_by_svd(g, sigma, c=c)
+def assert_shrinks_agree(g, sigma):
+    got = wnnm_shrink(g, sigma)
+    want = shrink_by_svd(g, sigma, c=wnnm_c(sigma))
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(
         got, want, rtol=0, atol=SHRINK_RTOL * np.abs(g).max()
@@ -530,8 +533,11 @@ class TestShrinkAgainstSvd:
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
     def test_random_groups(self, shape, sigma):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        # at sigma = 3 the threshold zeroes whole (4, 9) groups of signal
+        # scale 5 in two of the four draws
+        scale = 10.0 if shape == (4, 9) else 5.0
         for _ in range(4):
-            g = low_rank_group(rng, *shape, sigma)
+            g = low_rank_group(rng, *shape, sigma, scale=scale)
             want = assert_shrinks_agree(g, sigma)
             # partly shrunk: neither zeroed nor left alone
             assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
@@ -546,28 +552,32 @@ class TestShrinkAgainstSvd:
     def test_all_zero(self):
         g = np.zeros((20, 8))
         np.testing.assert_array_equal(wnnm_shrink(g, 1.0), g)
-        np.testing.assert_array_equal(shrink_by_svd(g, 1.0), g)
+        np.testing.assert_array_equal(shrink_by_svd(g, 1.0, wnnm_c(1.0)), g)
 
-    # scale: c is 2*sqrt(2) on the scale of g / scale
+    # the group on sigma's scale, so the threshold, 32*sqrt(2) * sigma^2,
+    # shrinks it in part
     @pytest.mark.parametrize("scale", [1.0, 255.0])
     def test_sigma_just_above_bypass(self, scale):
         rng = np.random.default_rng(31)
-        g = low_rank_group(rng, 40, 10, 1.0, scale=scale)
-        want = assert_shrinks_agree(g, 1.5e-9 * scale, 2.0 * math.sqrt(2.0) * scale**2)
+        sigma = 1.5e-9 * scale
+        g = low_rank_group(rng, 40, 10, sigma, scale=5.0 * sigma)
+        want = assert_shrinks_agree(g, sigma)
         assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
 
+    # scale: sigma, half the group's noise at scale 1, is divided by scale,
+    # and the threshold by scale^2
     @pytest.mark.parametrize("scale", [1.0, 255.0])
     def test_entries_near_1e150(self, scale):
         rng = np.random.default_rng(32)
         g = low_rank_group(rng, 36, 12, 0.1) * 1e150
-        assert_shrinks_agree(g, 0.05e150, 2.0 * math.sqrt(2.0) * scale**2)
+        assert_shrinks_agree(g, 0.05e150 / scale)
 
     def test_both_overflow_at_1e160(self):
         rng = np.random.default_rng(33)
         g = low_rank_group(rng, 36, 12, 0.1) * 1e160
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                shrink_by_svd(g, 1.0)
+                shrink_by_svd(g, 1.0, wnnm_c(1.0))
             with pytest.raises(FloatingPointError):
                 wnnm_shrink(g, 1.0)
 

@@ -1,13 +1,14 @@
 """Spectral subspace fitting and noise estimation."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from hsidenoise.subspace import (
     RIDGE_SCALE,
-    NoiseModel,
     estimate_band_noise,
     estimate_subspace_dim,
     reestimate_noise,
@@ -147,6 +148,22 @@ class TestEstimateBandNoise:
         assert sigmas.shape == (16,)
         assert 18.0 <= sigmas.mean() <= 22.0
 
+    def test_few_pixels_per_band_warn(self):
+        # 576 pixels for 191 bands: the median reads about 20 for sigma 30
+        cube = add_gaussian_noise(rank_cube(24, 24, 191, 3, seed=0), 30.0, seed=0)
+        with pytest.warns(UserWarning, match="pass sigma0 and k0"):
+            sigmas = estimate_band_noise(cube)
+        assert np.median(sigmas) < 25.0
+
+    @pytest.mark.parametrize(
+        "shape", [(48, 48, 191), (128, 128, 191), (96, 96, 64), (32, 32, 32)]
+    )
+    def test_enough_pixels_do_not_warn(self, shape):
+        cube = add_gaussian_noise(rank_cube(*shape, 3, seed=0), 30.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_band_noise(cube)
+
     @pytest.mark.parametrize("sigma", [0.0, 5.0, 40.0])
     def test_matches_per_band_regression(self, sigma):
         cube = add_gaussian_noise(rank_cube(24, 20, 12, 3, seed=21), sigma, seed=21)
@@ -256,50 +273,28 @@ class TestEstimateSubspaceDim:
                 estimate_subspace_dim(cube, sig)
 
 
-class TestNoiseModel:
-    def test_sigma0_property(self):
-        assert NoiseModel(sigma0_sq=400.0).sigma0 == 20.0
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma0_sq=-1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_variance(self, bad):
-        with pytest.raises(ValueError, match="sigma0_sq"):
-            NoiseModel(sigma0_sq=bad)
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma0_sq=1.0, gamma=-0.5)
-
-
 class TestReestimateNoise:
     def test_first_iteration_is_gamma_sigma0(self):
         """With y_i = y the radicand is exactly sigma0^2."""
         y = rank_cube(16, 16, 4, 2, seed=10)
-        noise = NoiseModel(sigma0_sq=400.0, gamma=0.5)
-        assert reestimate_noise(y, y, noise) == 0.5 * 20.0
+        assert reestimate_noise(y, y, 20.0, 0.5) == 0.5 * 20.0
 
     def test_msd_equal_to_variance_gives_zero(self):
         y = np.zeros((4, 4, 2))
         y_i = np.full((4, 4, 2), 3.0)
-        noise = NoiseModel(sigma0_sq=9.0, gamma=0.5)
-        assert reestimate_noise(y_i, y, noise) == 0.0
+        assert reestimate_noise(y_i, y, 3.0, 0.5) == 0.0
 
     def test_hand_value(self):
         y = np.zeros((2, 2, 1))
         y_i = np.array([[[2.0], [0.0]], [[0.0], [0.0]]])  # msd = 1
-        noise = NoiseModel(sigma0_sq=5.0, gamma=0.5)
-        assert reestimate_noise(y_i, y, noise) == pytest.approx(0.5 * 2.0)
+        assert reestimate_noise(y_i, y, math.sqrt(5.0), 0.5) == pytest.approx(0.5 * 2.0)
 
     def test_denoised_input_drives_sigma_down(self):
         # when y_i is the clean cube, msd approaches sigma0^2 and the
         # re-estimate collapses; Monte-Carlo within 5%
         clean = rank_cube(64, 64, 8, 3, seed=11)
         noisy = add_gaussian_noise(clean, 25.0, seed=11)
-        noise = NoiseModel(sigma0_sq=625.0, gamma=0.5)
-        sig = reestimate_noise(clean, noisy, noise)
+        sig = reestimate_noise(clean, noisy, 25.0, 0.5)
         msd = np.mean((clean - noisy) ** 2)
         assert abs(msd - 625.0) / 625.0 < 0.05
         assert sig < 0.5 * 25.0 * 0.25
@@ -314,13 +309,12 @@ class TestSpectralLayerOnViews:
         sig = estimate_band_noise(cube)
         p = np.random.default_rng(12).standard_normal((b // 2, b))
         flipped = cube[::-1]
-        noise = NoiseModel(sigma0_sq=100.0)
         return {
             "estimate_band_noise": lambda: estimate_band_noise(cube),
             "estimate_subspace_dim": lambda: estimate_subspace_dim(cube, sig),
             "spectral_decompose": lambda: spectral_decompose(cube, b // 2),
             "mode3_product": lambda: mode3_product(cube, p),
-            "reestimate_noise": lambda: reestimate_noise(cube, flipped, noise),
+            "reestimate_noise": lambda: reestimate_noise(cube, flipped, 10.0, 0.5),
         }
 
     def test_peak_memory_below_one_cube(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsidenoise import experiment, io, metrics, spatial, synthetic
+from hsidenoise import experiment, io, metrics, synthetic
 from hsidenoise.pipeline import DenoiseConfig
 from hsidenoise.tensor import PEAK, as_cube, fold3, frob_norm_sq, mode3_product, unfold3
 
@@ -129,10 +129,6 @@ class TestPeak:
     )
     def test_defaults_are_peak(self, func, name):
         assert inspect.signature(func).parameters[name].default is PEAK
-
-    def test_shrink_default_on_peak_scale(self):
-        default = inspect.signature(spatial.denoise_reduced).parameters["c"].default
-        assert default == spatial.DEFAULT_WNNM_C * PEAK**2
 
     def test_not_a_config_field(self):
         assert "value_scale" not in {f.name for f in dataclasses.fields(DenoiseConfig)}
