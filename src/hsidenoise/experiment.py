@@ -14,6 +14,7 @@ import numpy as np
 from .io import add_gaussian_noise, read_band_stack, read_cube, write_cube
 from .metrics import mssim, quality_report
 from .pipeline import DenoiseConfig, IterationRecord, denoise
+from .tensor import _int_field
 
 __all__ = [
     "ExperimentSpec",
@@ -58,7 +59,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not all(0 <= s < np.inf for s in self.sigmas):
             raise ValueError(f"sigmas must be finite and >= 0, got {self.sigmas}")
-        if self.jobs < 1:
+        if _int_field("jobs", self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
@@ -174,7 +175,7 @@ def bench_bands(spec, band_counts=None):
         if total < 32:
             raise ValueError(f"default band grid needs >= 32 bands, got {total}")
         band_counts = [32, 64, 128, total]
-    counts = sorted({int(c) for c in band_counts})
+    counts = sorted({_int_field("band count", c) for c in band_counts})
     if counts[0] < 1 or counts[-1] > total:
         raise ValueError(f"band counts must lie in [1, {total}], got {band_counts}")
 

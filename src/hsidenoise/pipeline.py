@@ -21,9 +21,10 @@ from .subspace import (
 from .tensor import (
     PEAK,
     _all_finite,
+    _int_field,
     _row_blocks,
-    _sum_sq,
     as_cube,
+    frob_norm_sq,
     mode3_product,
 )
 
@@ -82,15 +83,15 @@ class DenoiseConfig:
     early_stop: float | None = None
 
     def __post_init__(self):
-        if self.k0 is not None and self.k0 < 1:
+        if self.k0 is not None and _int_field("k0", self.k0) < 1:
             raise ValueError(f"k0 must be >= 1, got {self.k0}")
-        if self.delta < 0:
+        if _int_field("delta", self.delta) < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.iters < 1:
+        if _int_field("iters", self.iters) < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
         # written so that NaN, which fails every comparison, fails the check
         if self.early_stop is not None and not 0.0 < self.early_stop < np.inf:
@@ -240,14 +241,14 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             # last read of y_i.
             off_sq = 0.0
             for rows in _row_blocks(y_i):
-                off_sq += _sum_sq(y_i[rows], mode3_product(model.reduced[rows], basis))
+                off_sq += frob_norm_sq(y_i[rows], mode3_product(model.reduced[rows], basis))
             del y_i
             t1 = time.perf_counter()
 
             if i <= _LAST_MATCH_ITER:
                 groups = match_groups(model.reduced, cfg.geom)
             m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
-            residual = math.sqrt(off_sq + _sum_sq(model.reduced, m_i))
+            residual = math.sqrt(off_sq + frob_norm_sq(model.reduced, m_i))
             del model
             t2 = time.perf_counter()
 
@@ -262,8 +263,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
                 x_rows = mode3_product(m_i[rows], basis)
                 _check_finite(x_rows, "spatial filtering", i)
                 if check_stop:
-                    change_sq += _sum_sq(x_rows, x[rows])
-                    norm_sq += _sum_sq(x[rows])
+                    change_sq += frob_norm_sq(x_rows, x[rows])
+                    norm_sq += frob_norm_sq(x[rows])
                 if x is not None:
                     x[rows] = x_rows
                 if y_i is not None:

@@ -19,8 +19,9 @@ allocates the two buffers a chunk's worker writes (the gathered groups, whose
 memory then holds their scatter indices, and the shrunk groups) and adds the
 returned spans into the image in the order it submitted the chunks, so the
 result does not depend on the worker count.  match_group, wnnm_shrink and
-aggregate are the same passes applied to one reference, one group and a list
-of groups, on the calling thread.
+aggregate run the stage's helpers (_match and _patch_pixels, _shrink,
+_scatter and _average) on one reference, one group and a list of groups, on
+the calling thread.
 """
 
 import collections
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_cube
+from .tensor import _int_field, as_cube
 
 __all__ = [
     "PatchGeometry",
@@ -95,17 +96,17 @@ class PatchGeometry:
     group: int = 70
 
     def __post_init__(self):
-        if self.patch < 1:
+        if _int_field("patch", self.patch) < 1:
             raise ValueError(f"patch size must be >= 1, got {self.patch}")
-        if not 1 <= self.stride <= self.patch:
+        if not 1 <= _int_field("stride", self.stride) <= self.patch:
             raise ValueError(
                 f"stride must be in [1, patch={self.patch}], got {self.stride}"
             )
-        if self.window < self.patch:
+        if _int_field("window", self.window) < self.patch:
             raise ValueError(
                 f"search window ({self.window}) smaller than patch ({self.patch})"
             )
-        if self.group < 1:
+        if _int_field("group", self.group) < 1:
             raise ValueError(f"group size must be >= 1, got {self.group}")
 
 
@@ -230,18 +231,30 @@ def _match(reduced, rows, cols, geom, pool):
     return corners.reshape(-1, order.shape[2]), sizes.ravel()
 
 
-def _patch_offsets(ps, n, k):
-    """Flat offsets of a patch's entries from its corner's first entry in a
-    C-ordered (M, N, k) cube, in (row, col, band) order."""
-    i = np.arange(ps)
-    return ((i[:, None] * n + i)[:, :, None] * k + np.arange(k)).ravel()
+def _patch_offsets(ps, n):
+    """Flat offsets of a patch's pixels from its corner in an image N pixels
+    wide, in (row, col) order."""
+    return (np.arange(ps)[:, None] * n + np.arange(ps)).ravel()
 
 
-def _patch_index(corners, ps, n, k):
-    """Flat indices into a C-ordered (M, N, k) cube of the patches at the
-    given flat corners r*N + c: shape (..., p) -> (..., ps*ps*k, p), one
-    vectorized patch per column, rows in (row, col, band) order."""
-    return corners[..., None, :] * k + _patch_offsets(ps, n, k)[:, None]
+def _patch_pixels(corners, offsets):
+    """(first, pix): the smallest of the flat corners r*N + c (..., p), and
+    the pixels of their patches (..., p, ps*ps) less first, at offsets."""
+    first = int(corners.min())
+    return first, (corners - first)[..., None] + offsets
+
+
+def _scatter(first, pix, k, values, idx=None):
+    """(start, sums) of the patches values (..., p, ps*ps*k) at the pixels
+    first + pix of a C-ordered (M, N, k) cube: sums[i] adds up, in entry
+    order, the values at flat entry start + i, one bincount over the span.
+    pix is scaled by k in place; idx, an int64 buffer of values' size (new
+    when None), takes the entry indices less start."""
+    pix *= k
+    if idx is None:
+        idx = np.empty(values.shape, dtype=np.int64)
+    np.add(pix[..., None], np.arange(k), out=idx.reshape(pix.shape + (k,)))
+    return first * k, np.bincount(idx.ravel(), values.ravel(), int(pix.max()) + k)
 
 
 def match_group(reduced, ref, geom):
@@ -263,10 +276,12 @@ def match_group(reduced, ref, geom):
         raise ValueError(f"reference {ref} out of bounds for {m}x{n} image")
     corners, sizes = _match(reduced, [r0], [c0], geom, None)
     members = corners[0, : sizes[0]]
+    first, pix = _patch_pixels(members, _patch_offsets(ps, n))
+    patches = reduced.reshape(m * n, k)[first:][pix].reshape(len(members), -1)
     return PatchGroup(
         ref_pos=(r0, c0),
         members=np.stack(np.divmod(members, n), axis=1),
-        matrix=reduced.ravel()[_patch_index(members, ps, n, k)],
+        matrix=np.ascontiguousarray(patches.T),
     )
 
 
@@ -420,16 +435,6 @@ def _submit(pool, fn, *args):
     return pool.submit(contextvars.copy_context().run, fn, *args)
 
 
-def _add_at(buf, idx, weights=None):
-    """buf[idx] += weights (1 when None), repeated indices summed: one
-    bincount over the span of idx."""
-    lo = int(idx.min())
-    span = int(idx.max()) + 1 - lo
-    if weights is not None:
-        weights = weights.ravel()
-    buf[lo : lo + span] += np.bincount((idx - lo).ravel(), weights, span)
-
-
 def _shrink_chunk(pixels, k, members, offsets, sigma, stack, out):
     """Gather, shrink and scatter one chunk of groups of a C-ordered
     (M, N, k) image viewed as pixels (M*N, k), in the caller's buffers.
@@ -437,24 +442,16 @@ def _shrink_chunk(pixels, k, members, offsets, sigma, stack, out):
     members (G, p) holds each group's flat corners r*N + c, and offsets the
     ps*ps pixels of a patch from its corner.  The groups go to stack
     (G, p, d), d = ps*ps*k in (row, col, band) order, and the shrunk groups
-    to out; once shrunk, stack's memory holds their flat entry indices, less
-    start (that of the first corner's first entry).  Returns (start, sums):
-    sums[i] adds up the shrunk entries at flat[start + i], in entry order.
+    to out; _scatter's (start, sums) of out is returned, with stack's spent
+    memory taking the entry indices.
     """
-    first = int(members.min())
-    pidx = (members - first)[..., None] + offsets
-    by_pixel = pidx.shape + (k,)
+    first, pix = _patch_pixels(members, offsets)
     # mode="raise" would gather through a temporary copy of stack
-    np.take(pixels[first:], pidx, axis=0, out=stack.reshape(by_pixel), mode="clip")
+    np.take(pixels[first:], pix, axis=0, out=stack.reshape(pix.shape + (k,)), mode="clip")
     shrunk = _shrink(stack, sigma, out)
     if shrunk is not out:  # sigma = 0 returns stack itself
         out[...] = shrunk
-    # stack is spent: its memory takes the int64 entry indices
-    idx = stack.view(np.int64)
-    pidx *= k
-    np.add(pidx[..., None], np.arange(k), out=idx.reshape(by_pixel))
-    span = (int(members.max()) - first + int(offsets[-1]) + 1) * k
-    return first * k, np.bincount(idx.ravel(), out.ravel(), span)
+    return _scatter(first, pix, k, out, stack.view(np.int64))
 
 
 def _coverage(corners, sizes, m, n, ps):
@@ -496,7 +493,8 @@ def aggregate(groups_out, dims):
     produced them in.  A pixel covered by no patch raises an error.
     """
     m, n, k = (int(d) for d in dims)
-    idx, vals, pix = [], [], []
+    acc = np.zeros(m * n * k)
+    cnt = np.zeros(m * n)
     for grp, mat in sorted(groups_out, key=lambda item: item[0].ref_pos):
         mat = np.asarray(mat, dtype=np.float64)
         members = np.asarray(grp.members, dtype=np.int64).reshape(-1, 2)
@@ -508,16 +506,14 @@ def aggregate(groups_out, dims):
             )
         if np.any(members < 0) or np.any(members > [m - ps, n - ps]):
             raise ValueError(f"group members outside the {m}x{n} image")
-        corners = members[:, 0] * n + members[:, 1]
-        idx.append(_patch_index(corners, ps, n, k).ravel())
-        vals.append(mat.ravel())
-        pix.append(_patch_index(corners, ps, n, 1).ravel())
-
-    acc = np.zeros(m * n * k)
-    cnt = np.zeros(m * n)
-    if idx:
-        _add_at(acc, np.concatenate(idx), np.concatenate(vals))
-        _add_at(cnt, np.concatenate(pix))
+        if not len(members):
+            continue  # covers nothing
+        first, pix = _patch_pixels(members @ [n, 1], _patch_offsets(ps, n))
+        start, sums = _scatter(first, pix, 1, np.ones(pix.shape))
+        cnt[start : start + sums.size] += sums
+        # after the count: this scales pix by k in place
+        start, sums = _scatter(first, pix, k, mat.T)
+        acc[start : start + sums.size] += sums
     return _average(acc, cnt, m, n, k)
 
 
@@ -600,7 +596,7 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     if groups is not None:
         corners, sizes = _check_groups(groups, m, n, geom)
     pixels = reduced.reshape(m * n, k)
-    offsets = _patch_offsets(ps, n, 1)
+    offsets = _patch_offsets(ps, n)
     d = ps * ps * k
     acc = np.zeros(reduced.size)
     pending = collections.deque()

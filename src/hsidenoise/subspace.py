@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _all_finite, _sum_sq, as_cube, mode3_product
+from .tensor import _all_finite, as_cube, frob_norm_sq, mode3_product
 
 __all__ = [
     "SubspaceModel",
@@ -32,10 +32,6 @@ class SubspaceModel:
 
     basis: np.ndarray
     reduced: np.ndarray
-
-    @property
-    def k(self):
-        return self.basis.shape[1]
 
     def reconstruct(self):
         """Lift the reduced image back to B bands: reduced x3 basis."""
@@ -200,5 +196,5 @@ def reestimate_noise(y_i, y, sigma0, gamma):
     y = as_cube(y, "y")
     if y_i.shape != y.shape:
         raise ValueError(f"shape mismatch: {y_i.shape} vs {y.shape}")
-    msd = _sum_sq(y_i, y) / y.size
+    msd = frob_norm_sq(y_i, y) / y.size
     return gamma * float(np.sqrt(abs(sigma0 * sigma0 - msd)))

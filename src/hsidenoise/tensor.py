@@ -32,6 +32,14 @@ def as_cube(arr, name="cube"):
     return a
 
 
+def _int_field(name, value):
+    """value as an int, if it is a Python or numpy integer other than a bool;
+    a ValueError naming the field otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def unfold3(cube):
     """Unfold a cube along the band mode into a (B, M*N) matrix.
 
@@ -96,9 +104,13 @@ def _row_blocks(cube):
     return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
-def _sum_sq(a, b=None):
-    """Sum of the squared entries of a - b (of a when b is None), two arrays
-    of one shape, formed a row block at a time: one block of temporaries."""
+def frob_norm_sq(a, b=None):
+    """Squared Frobenius norm of a - b (of a when b is None), two arrays of
+    one shape, as a float, formed a row block at a time: one block of
+    temporaries."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    if b is not None and np.shape(b) != a.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {np.shape(b)}")
     total = 0.0
     for rows in _row_blocks(a):
         d = a[rows] if b is None else a[rows] - b[rows]
@@ -109,12 +121,6 @@ def _sum_sq(a, b=None):
 def _all_finite(cube):
     """Whether every entry of a cube is finite, checked a row block at a time."""
     return all(np.isfinite(cube[rows]).all() for rows in _row_blocks(cube))
-
-
-def frob_norm_sq(arr):
-    """Squared Frobenius norm (sum of squared entries) as a float, summed a
-    block of leading-axis slices at a time."""
-    return _sum_sq(np.atleast_1d(np.asarray(arr, dtype=np.float64)))
 
 
 def _correlate_symmetric(x, weights, axis):

@@ -120,6 +120,18 @@ class TestRunExperiment:
                 output_dir=tmp_path / "out",
             )
 
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, True, np.float64(2.0)])
+    def test_jobs_must_be_an_integer(self, cube_path, tmp_path, jobs):
+        # jobs=2.5 once failed with a TypeError from the process pool
+        with pytest.raises(ValueError, match="jobs"):
+            ExperimentSpec(input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, jobs=jobs)
+
+    def test_numpy_integer_jobs_accepted(self, cube_path, tmp_path):
+        spec = ExperimentSpec(
+            input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, jobs=np.int64(2)
+        )
+        assert spec.jobs == 2
+
     def test_label_overrides_stem(self, cube_path, tmp_path):
         spec = ExperimentSpec(
             input_path=cube_path,
@@ -252,6 +264,20 @@ class TestBenchBands:
         )
         with pytest.raises(ValueError):
             bench_bands(spec)
+
+    @pytest.mark.parametrize("counts", [[4.7, 6.2], [4, 6.0], [True, 4]])
+    def test_counts_must_be_integers(self, cube_path, tmp_path, counts):
+        # [4.7, 6.2] once ran 4 and 6 bands
+        spec = ExperimentSpec(
+            input_path=cube_path,
+            sigmas=[15.0],
+            output_dir=tmp_path / "bench",
+            config=FAST_CFG,
+            normalize=False,
+        )
+        with pytest.raises(ValueError, match="band count"):
+            bench_bands(spec, band_counts=counts)
+        assert not (tmp_path / "bench" / "bench.csv").exists()
 
     def test_counts_beyond_input_rejected(self, cube_path, tmp_path):
         spec = ExperimentSpec(

@@ -102,6 +102,19 @@ class TestDenoiseConfig:
         with pytest.raises(ValueError, match="gamma"):
             DenoiseConfig(gamma=gamma)
 
+    @pytest.mark.parametrize("name", ["k0", "delta", "iters"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "3"])
+    def test_counts_must_be_integers(self, name, value):
+        # a float k0 or delta was truncated in the run, a float iters
+        # failed inside denoise
+        with pytest.raises(ValueError, match=name):
+            DenoiseConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_counts_accepted(self, value):
+        cfg = DenoiseConfig(k0=value, delta=value, iters=value)
+        assert (cfg.k0, cfg.delta, cfg.iters) == (3, 3, 3)
+
 
 class TestDenoise:
     def test_noiseless_low_rank_is_identity(self):

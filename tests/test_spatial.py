@@ -39,6 +39,17 @@ class TestPatchGeometry:
         with pytest.raises(ValueError):
             PatchGeometry(group=0)
 
+    @pytest.mark.parametrize("name", ["patch", "stride", "window", "group"])
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, np.float64(4.0)])
+    def test_sizes_must_be_integers(self, name, value):
+        # a float size once failed with a TypeError inside denoise
+        with pytest.raises(ValueError, match=name):
+            PatchGeometry(**{name: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        geom = PatchGeometry(*np.array([4, 2, 8, 10]))
+        assert (geom.patch, geom.stride, geom.window, geom.group) == (4, 2, 8, 10)
+
     def test_frozen(self):
         geom = PatchGeometry()
         with pytest.raises(AttributeError):
@@ -458,6 +469,18 @@ class TestStageEquivalence:
         scale = max(np.abs(want).max(), 1.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=STAGE_RTOL * scale)
 
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_views_compose_to_stage(self, case):
+        """match_group at every reference, wnnm_shrink on each group and
+        aggregate over all of them give the stage's output."""
+        reduced, geom, sigma = STAGE_CASES[case]
+        m, n, _ = reduced.shape
+        groups = [match_group(reduced, ref, geom) for ref in reference_grid(m, n, geom)]
+        got = aggregate([(g, wnnm_shrink(g.matrix, sigma)) for g in groups], reduced.shape)
+        want = denoise_reduced(reduced, sigma, geom)
+        scale = max(np.abs(want).max(), 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=STAGE_RTOL * scale)
+
     def test_ragged_case_has_ragged_groups(self):
         reduced, geom, _ = STAGE_CASES["ragged"]
         sizes = {
@@ -474,15 +497,17 @@ class TestStageEquivalence:
 
     @staticmethod
     def assert_coverage_matches_scatter(reduced, geom):
-        """The count built from the corners equals a scatter of every
-        group's patches, one group at a time."""
+        """The count built from the corners equals a count of every group's
+        patches, one member at a time."""
         m, n, _ = reduced.shape
+        ps = geom.patch
         corners, sizes = match_groups(reduced, geom)
-        want = np.zeros(m * n)
+        want = np.zeros((m, n))
         for row, p in zip(corners, sizes):
-            spatial._add_at(want, spatial._patch_index(row[:p], geom.patch, n, 1))
-        got = spatial._coverage(corners, sizes, m, n, geom.patch)
-        np.testing.assert_array_equal(got, want.reshape(m, n))
+            for r, c in zip(*np.divmod(row[:p], n)):
+                want[r : r + ps, c : c + ps] += 1
+        got = spatial._coverage(corners, sizes, m, n, ps)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("case", sorted(STAGE_CASES))
     def test_coverage_matches_group_scatter(self, case):

@@ -57,7 +57,7 @@ class TestSpectralDecompose:
         model = spectral_decompose(cube, 3)
         assert model.basis.shape == (6, 3)
         assert model.reduced.shape == (10, 12, 3)
-        assert model.k == 3
+        assert model.basis.shape[1] == 3
 
     def test_rank1_exact_recovery(self):
         rng = np.random.default_rng(2)
@@ -111,7 +111,7 @@ class TestSpectralDecompose:
         m, n, b = shape
         for k in range(1, b + 1):
             model = spectral_decompose(cube, k)
-            assert model.basis.shape == (b, k) and model.k == k
+            assert model.basis.shape == (b, k)
             assert model.reduced.shape == (m, n, k)
             assert np.abs(model.basis.T @ model.basis - np.eye(k)).max() < 1e-12
             if k >= m * n:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsidenoise import experiment, io, metrics, synthetic
+from hsidenoise import experiment, io, metrics, synthetic, tensor
 from hsidenoise.pipeline import DenoiseConfig
 from hsidenoise.tensor import PEAK, as_cube, fold3, frob_norm_sq, mode3_product, unfold3
 
@@ -97,6 +97,17 @@ class TestFrobNormSq:
 
     def test_zero(self):
         assert frob_norm_sq(np.zeros((3, 3, 3))) == 0.0
+
+    def test_difference_summed_in_row_blocks(self, monkeypatch):
+        # one row per block: the same value as the difference formed whole
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 5, 4, 3))
+        assert frob_norm_sq(a, b) == pytest.approx(frob_norm_sq(a - b), rel=1e-14)
+
+    def test_difference_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            frob_norm_sq(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestAsCube:
