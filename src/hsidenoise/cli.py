@@ -61,7 +61,7 @@ _HELP = {
     "gamma": "noise re-estimation scale",
     "iters": "outer iterations",
     "patch": "patch side",
-    "stride": "reference patch spacing",
+    "stride": "reference patch spacing (default: the patch side)",
     "window": "search window side",
     "group": "patches per group",
     "early_stop": "relative-change stop threshold (default: off)",

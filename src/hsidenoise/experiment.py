@@ -61,6 +61,9 @@ class ExperimentSpec:
             raise ValueError(f"sigmas must be finite and >= 0, got {self.sigmas}")
         if _int_field("jobs", self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _int_field("seed", self.seed)
+        for band in self.keep_bands if self.keep_bands is not None else ():
+            _int_field("keep_bands entry", band)
 
     @property
     def image_name(self):

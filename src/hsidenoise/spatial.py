@@ -1,6 +1,8 @@
 """Non-local spatial step on the reduced image: reference-grid selection,
 k-NN full-band patch grouping, weighted singular-value shrinkage per group,
-and overlap-averaged reconstruction.
+and overlap-averaged reconstruction.  By default the references are spaced
+one patch side apart, so they tile the image; the stage's cost follows
+their count (256 on a 96x96 image at patch 6, against 576 at stride 4).
 
 denoise_reduced runs the step as array passes over chunks of references:
 matching one search-window offset at a time (match_groups, whose result a
@@ -8,9 +10,9 @@ caller can pass back in to reuse the groups on another image of the same
 height and width), then, per chunk of groups, gathering the groups, shrinking
 them through their Gram matrices with WNNM's weight at the image's noise
 level sigma, and adding them into a span of the image with one bincount.  A
-block of reference rows holds at most _CHUNK_BYTES of match distances, and
-each buffer of a chunk of groups at most half that, so peak memory does not
-grow with the image.
+block of reference rows holds at most _CHUNK_BYTES of match distances and
+squared differences, and each buffer of a chunk of groups at most half that,
+so peak memory does not grow with the image.
 
 Both passes run on a thread pool, one worker per core, with OpenBLAS held to
 one thread.  A worker matches one block of reference rows, or gathers,
@@ -60,15 +62,19 @@ _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
 # shrink has no scale of its own
 _WEIGHT_EPS = 1e-16
 
-# float64 bytes of the match distances of a block of reference rows; each
+# float64 bytes of the match working set of a block of reference rows (its
+# distances, and its slabs of squared differences and differences); each
 # buffer of a chunk of groups holds at most half of it.  One worker matches a
-# block; it allocates the block's distances itself and sorts them one
-# reference row at a time.  Up to workers + 1 chunks of groups are in flight,
-# each with two buffers the calling thread allocates (the gathered groups,
-# whose memory then holds their scatter indices, and the shrunk result), so
-# this bounds the stage's peak memory.  It must not depend on the worker
-# count: the chunks decide how the scatter sums are grouped.  Row blocks must
-# not be split finer to feed more workers: on a 32x32x32 scene, 2 * workers
+# block; it allocates the block's arrays itself and sorts the distances one
+# reference row at a time.  The slabs grow with the stride: counting the
+# distances alone put all 16 reference rows of a 96x96 image at stride 6 in
+# one block, so matching ran on one worker and a default denoise's RSS rose
+# about 5%.  Up to workers + 1 chunks of groups are in flight, each with two
+# buffers the calling thread allocates (the gathered groups, whose memory
+# then holds their scatter indices, and the shrunk result), so this bounds
+# the stage's peak memory.  It must not depend on the worker count: the
+# chunks decide how the scatter sums are grouped.  Row blocks must not be
+# split finer to feed more workers: on a 32x32x32 scene, 2 * workers
 # blocks per image multiplied the per-offset Python overhead and made a
 # denoise 40% slower, and 1 MiB blocks made matching the K = 7 image of a
 # 96x96x64 scene 40% slower than 2 MiB (165 against 119 ms, 2 cores).  Group
@@ -85,17 +91,25 @@ _CHUNK_BYTES = 2 << 20
 class PatchGeometry:
     """Patch matching parameters.
 
-    patch: square patch side; stride: spacing of reference patches;
-    window: search window side, centered on the reference; group: number
-    of similar patches kept per reference.
+    patch: square patch side; stride: spacing of reference patches, the
+    patch side when None, so the reference grid tiles the image; window:
+    search window side, centered on the reference; group: number of similar
+    patches kept per reference.
+
+    The stride is resolved at construction, so dataclasses.replace(geom,
+    patch=p) keeps geom's resolved stride: from PatchGeometry(), patch=4
+    carries stride 6 and raises.  Pass stride=None with the new patch to
+    have it follow.
     """
 
     patch: int = 6
-    stride: int = 4
+    stride: int | None = None
     window: int = 30
     group: int = 70
 
     def __post_init__(self):
+        if self.stride is None:
+            object.__setattr__(self, "stride", self.patch)
         if _int_field("patch", self.patch) < 1:
             raise ValueError(f"patch size must be >= 1, got {self.patch}")
         if not 1 <= _int_field("stride", self.stride) <= self.patch:
@@ -213,7 +227,10 @@ def _match(reduced, rows, cols, geom, pool):
     image = np.ascontiguousarray(reduced.transpose(2, 0, 1))
     padded = np.pad(image, ((0, 0), (h, h), (h, h)))
     order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * len(cols) * w * w))
+    # per reference row: its distances, and geom.stride image rows of the
+    # squared differences (w per pixel) and of the difference (K per pixel)
+    row_bytes = 8 * (len(cols) * w * w + (w + image.shape[0]) * geom.stride * n)
+    step = max(1, _CHUNK_BYTES // row_bytes)
     blocks = [
         (image, padded, rows[lo : lo + step], cols, ok_r[lo : lo + step], ok_c, ps,
          order[lo : lo + step])

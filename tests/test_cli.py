@@ -93,6 +93,28 @@ class TestDenoiseCommand:
         # flag wins over the file: one iteration, not three
         assert trace.read_text().count("\n") == 2
 
+    def test_stride_follows_patch_flag(self, scene, tmp_path):
+        # a stride fixed at the default patch side would exceed patch 4
+        _, noisy_path = scene
+        flags = ["--k0", "2", "--iters", "1", "--patch", "4", "--window", "10", "--group", "16"]
+        assert _denoise_config(*flags)[0].geom.stride == 4
+        code = main(
+            ["denoise", str(noisy_path), str(tmp_path / "o"), "--sigma0", "20",
+             "--no-normalize"] + flags
+        )
+        assert code == 0
+
+    def test_stride_follows_patch_in_config_file(self, scene, tmp_path):
+        _, noisy_path = scene
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k0 = 2\niters = 1\npatch = 4\nwindow = 10\ngroup = 16\n")
+        assert _denoise_config("--config", str(cfg))[0].geom.stride == 4
+        code = main(
+            ["denoise", str(noisy_path), str(tmp_path / "o"), "--sigma0", "20",
+             "--config", str(cfg), "--no-normalize"]
+        )
+        assert code == 0
+
     @pytest.mark.parametrize(
         "flags", [["--early-stop", "-1"], ["--early-stop", "inf"], ["--early-stop", "0"]]
     )

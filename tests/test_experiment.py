@@ -132,6 +132,33 @@ class TestRunExperiment:
         )
         assert spec.jobs == 2
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, np.float64(2.0)])
+    def test_seed_must_be_an_integer(self, cube_path, tmp_path, seed):
+        # seed=2.5 once failed every case with a TypeError in its status
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, seed=seed)
+
+    @pytest.mark.parametrize("keep", [[0.5, 2], [0, 2.0], [True, 1], [np.float64(1.0)]])
+    def test_keep_bands_must_be_integers(self, cube_path, tmp_path, keep):
+        # keep_bands=[0.5, 2] once raised an IndexError from load_input
+        with pytest.raises(ValueError, match="keep_bands"):
+            ExperimentSpec(
+                input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, keep_bands=keep
+            )
+
+    def test_numpy_integer_seed_and_bands_accepted(self, cube_path, tmp_path):
+        spec = ExperimentSpec(
+            input_path=cube_path,
+            sigmas=[10.0],
+            output_dir=tmp_path / "out",
+            seed=np.int64(3),
+            keep_bands=list(np.array([0, 2, 5])),
+            config=FAST_CFG,
+            normalize=False,
+        )
+        rows = run_experiment(spec)
+        assert [r["status"] for r in rows] == ["ok"]
+
     def test_label_overrides_stem(self, cube_path, tmp_path):
         spec = ExperimentSpec(
             input_path=cube_path,

@@ -1,5 +1,6 @@
 """Patch grouping, weighted shrinkage, and aggregation."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -27,7 +28,22 @@ SMALL = PatchGeometry(patch=2, stride=2, window=6, group=4)
 class TestPatchGeometry:
     def test_defaults(self):
         geom = PatchGeometry()
-        assert (geom.patch, geom.stride, geom.window, geom.group) == (6, 4, 30, 70)
+        assert (geom.patch, geom.stride, geom.window, geom.group) == (6, 6, 30, 70)
+
+    def test_stride_follows_patch(self):
+        assert PatchGeometry(patch=5).stride == 5
+        assert PatchGeometry(patch=4, stride=None).stride == 4
+
+    def test_explicit_stride_kept(self):
+        assert PatchGeometry(stride=2).stride == 2
+
+    def test_replace_keeps_resolved_stride(self):
+        # the stride is resolved at construction: replacing the patch alone
+        # carries stride 6, which exceeds patch 4
+        with pytest.raises(ValueError, match="stride"):
+            dataclasses.replace(PatchGeometry(), patch=4)
+        geom = dataclasses.replace(PatchGeometry(), patch=4, stride=None)
+        assert geom.stride == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -829,9 +845,10 @@ class TestThreadedStage:
 
 def match_block_bytes(reduced, geom, rows_per_block):
     """A _CHUNK_BYTES that gives match blocks of rows_per_block reference rows."""
+    _, n, k = reduced.shape
     cols = len(spatial._grid_axes(*reduced.shape[:2], geom)[1])
     w = 2 * (geom.window // 2) + 1
-    return rows_per_block * 8 * cols * w * w
+    return rows_per_block * 8 * (cols * w * w + (w + k) * geom.stride * n)
 
 
 class TestPooledMatch:
@@ -872,6 +889,26 @@ class TestPooledMatch:
         rows = len(spatial._grid_axes(*reduced.shape[:2], geom)[0])
         assert len(threads) == rows > 1
         assert threading.current_thread() not in threads
+
+    def test_default_geometry_on_96x96_splits_into_blocks(self, monkeypatch):
+        # blocks sized by their distances alone put all 16 reference rows in
+        # one, so matching ran on one worker
+        reduced = _scene(31, (96, 96, 5))
+        geom = PatchGeometry()
+        blocks = []
+        match_rows = spatial._match_rows
+
+        def recording(*args):
+            blocks.append(len(args[2]))
+            return match_rows(*args)
+
+        monkeypatch.setattr(spatial, "_match_rows", recording)
+        corners, sizes = match_groups(reduced, geom)
+        assert len(blocks) >= 2 and sum(blocks) == 16
+        monkeypatch.setattr(spatial, "_CHUNK_BYTES", match_block_bytes(reduced, geom, 1))
+        one_row_corners, one_row_sizes = match_groups(reduced, geom)
+        np.testing.assert_array_equal(corners, one_row_corners)
+        np.testing.assert_array_equal(sizes, one_row_sizes)
 
     def test_match_groups_makes_one_pool_and_restores_blas(self, blas_at_three, monkeypatch):
         reduced, geom, _ = STAGE_CASES["default_geometry"]
