@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import add_gaussian_noise, read_band_stack, read_cube, write_cube
+from .io import DataError, add_gaussian_noise, read_band_stack, read_cube, write_cube
 from .metrics import mssim, quality_report
 from .pipeline import DenoiseConfig, IterationRecord, denoise
-from .tensor import _int_field
+from .tensor import _all_finite, _int_field
 
 __all__ = [
     "ExperimentSpec",
@@ -71,7 +71,11 @@ class ExperimentSpec:
 
 
 def load_input(path, normalize=True, keep_bands=None):
-    """Read a clean cube from a header file or a PGM band directory."""
+    """Read a clean cube from a header file or a PGM band directory.
+
+    A NaN or infinite entry in the cube returned (the bands kept, after
+    normalization) raises DataError.
+    """
     p = Path(path)
     if p.is_dir():
         cube = read_band_stack(p, normalize=normalize)
@@ -84,6 +88,8 @@ def load_input(path, normalize=True, keep_bands=None):
                 f"band index {bad[0]} out of range for {cube.shape[2]} bands"
             )
         cube = np.ascontiguousarray(cube[:, :, list(keep_bands)])
+    if not _all_finite(cube):
+        raise DataError(f"{path}: the cube has NaN or infinite entries")
     return cube
 
 
@@ -140,9 +146,9 @@ def run_experiment(spec):
     them in separate processes.  Per-case noise seeds are spec.seed plus
     the case index, so a fixed spec reproduces every number exactly.
     """
+    clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
 
     args = [
         (clean, sigma, spec.seed + i, spec.config, spec.image_name, outdir, spec.save_cubes)
@@ -166,9 +172,9 @@ def bench_bands(spec, band_counts=None):
     with per-stage times summed over iterations.  The default grid needs
     an input with >= 32 bands; explicit counts must fit the input.
     """
+    clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
     total = clean.shape[2]
     if not spec.sigmas:
         raise ValueError("bench needs at least one sigma")

@@ -111,6 +111,8 @@ class CubeHeader:
                 raise HeaderError(f"{source}: bad scale values: {exc}") from exc
             if not all(map(math.isfinite, scale)):
                 raise HeaderError(f"{source}: scale values must be finite, got {fields['scale']!r}")
+            if not scale[0] < scale[1]:
+                raise HeaderError(f"{source}: scale needs lo < hi, got {fields['scale']!r}")
         return cls(
             rows,
             cols,
@@ -212,7 +214,10 @@ def write_cube(path, cube, dtype="f64", scale=None):
     f64 round-trips bit-exactly through read_cube.  Integer dtypes round
     and clip to the type range; passing scale=(lo, hi) instead maps that
     interval onto the full type range (read_cube undoes the mapping), so
-    data with negative or wide-ranging values survives quantization.
+    data with negative or wide-ranging values survives quantization.  A
+    float dtype stores the values as they are and records scale for
+    read_cube's normalize.  scale needs finite lo < hi for every dtype, as
+    read_cube does.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -221,15 +226,16 @@ def write_cube(path, cube, dtype="f64", scale=None):
         hdr_path = Path(str(hdr_path) + ".hdr")
     raw_path = hdr_path.with_suffix(".raw")
 
+    if scale is not None:
+        lo, hi = (float(s) for s in scale)
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"scale bounds must be finite and satisfy lo < hi, got {scale}")
     header = CubeHeader(m, n, b, dtype, scale=scale, data=raw_path.name)
     mat = unfold3(cube)
     np_dtype = DTYPES[dtype]
     if np_dtype.kind == "u":
         info = np.iinfo(np_dtype)
         if scale is not None:
-            lo, hi = (float(s) for s in scale)
-            if not hi > lo:
-                raise ValueError(f"scale bounds must satisfy lo < hi, got {scale}")
             mat = (mat - lo) / (hi - lo) * info.max
         mat = np.clip(np.rint(mat), info.min, info.max)
     raw_path.write_bytes(np.ascontiguousarray(mat.astype(np_dtype)).tobytes())

@@ -7,7 +7,9 @@ their count (256 on a 96x96 image at patch 6, against 576 at stride 4).
 denoise_reduced runs the step as array passes over chunks of references:
 matching one search-window offset at a time (match_groups, whose result a
 caller can pass back in to reuse the groups on another image of the same
-height and width), then, per chunk of groups, gathering the groups, shrinking
+height and width) in the one copy of the image it makes, padded with a NaN
+border half a window wide, so that a candidate leaving the image scores
+NaN and sorts last; then, per chunk of groups, gathering the groups, shrinking
 them through their Gram matrices with WNNM's weight at the image's noise
 level sigma, and adding them into a span of the image with one bincount.  A
 block of reference rows holds at most _CHUNK_BYTES of match distances and
@@ -171,16 +173,15 @@ def _window_sums(x, starts, size, axis):
     return out
 
 
-def _match_rows(image, padded, rows, cols, ok_r, ok_c, ps, out):
+def _match_rows(padded, h, rows, cols, ps, out):
     """Write into out the search-window offsets of the candidates of the
     references rows x cols, nearest first, the reference itself first of
-    all; ok_r and ok_c flag the offsets that stay inside the image."""
-    n = image.shape[2]
-    w = ok_c.shape[1]
-    h = w // 2
+    all, in the (K, M + 2h, N + 2h) image padded with an h-wide NaN border."""
+    n = padded.shape[2] - 2 * h
+    w = 2 * h + 1
     top, bottom = rows[0], rows[-1] + ps
-    ref = image[:, top:bottom]
-    diff = np.empty_like(ref)
+    ref = padded[:, top + h : bottom + h, h : h + n]
+    diff = np.empty(ref.shape)
     sq = np.empty((w, bottom - top, n))
     dist = np.empty((len(rows), len(cols), w, w))
     for a in range(w):
@@ -190,9 +191,9 @@ def _match_rows(image, padded, rows, cols, ok_r, ok_c, ps, out):
             np.einsum("kij,kij->ij", diff, diff, out=sq[b])
         box = _window_sums(sq, rows - top, ps, axis=1)
         dist[:, :, a, :] = _window_sums(box, cols, ps, axis=2).transpose(1, 2, 0)
-    # Out-of-image candidates get NaN, which sorts after the +inf an
-    # overflowing in-image distance can reach; the reference sorts first.
-    dist[~(ok_r[:, None, :, None] & ok_c[None, :, None, :])] = np.nan
+    # A candidate that leaves the image overlaps the border, so its distance
+    # is NaN, which sorts after the +inf an overflowing in-image distance can
+    # reach; the reference sorts first.
     dist[:, :, h, h] = -np.inf
     # one reference row at a time: sorting the block at once held a second,
     # int64 block of the distances' size, in each worker
@@ -211,29 +212,30 @@ def _match(reduced, rows, cols, geom, pool):
     squared difference between the image and its shift, summed over bands,
     then over the patch rows at the reference rows and the patch columns at
     the reference columns.  Every term is non-negative, so exact duplicates
-    score exactly 0.  Offsets are laid out row-major, so a stable sort keeps
-    ties in row-major candidate order.  Each block of reference rows is one
-    job on pool, which writes the block's slice of the candidate order; with
-    pool None the blocks run in turn on the calling thread.
+    score exactly 0.  The image is copied once, band-first and padded with
+    a NaN border half a window wide: a candidate that leaves the image
+    reads the border and scores NaN, which sorts last, while an in-image
+    candidate never reads it.  Offsets are laid out row-major, so a stable
+    sort keeps ties in row-major candidate order.  Each block of reference
+    rows is one job on pool, which writes the block's slice of the
+    candidate order; with pool None the blocks run in turn on the calling
+    thread.
     """
-    m, n, _ = reduced.shape
+    m, n, k = reduced.shape
     ps, h = geom.patch, geom.window // 2
     w = 2 * h + 1
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    shifts = np.arange(-h, h + 1)
-    ok_r = (rows[:, None] + shifts >= 0) & (rows[:, None] + shifts <= m - ps)
-    ok_c = (cols[:, None] + shifts >= 0) & (cols[:, None] + shifts <= n - ps)
-    image = np.ascontiguousarray(reduced.transpose(2, 0, 1))
-    padded = np.pad(image, ((0, 0), (h, h), (h, h)))
+    padded = np.pad(
+        reduced.transpose(2, 0, 1), ((0, 0), (h, h), (h, h)), constant_values=np.nan
+    )
     order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
     # per reference row: its distances, and geom.stride image rows of the
     # squared differences (w per pixel) and of the difference (K per pixel)
-    row_bytes = 8 * (len(cols) * w * w + (w + image.shape[0]) * geom.stride * n)
+    row_bytes = 8 * (len(cols) * w * w + (w + k) * geom.stride * n)
     step = max(1, _CHUNK_BYTES // row_bytes)
     blocks = [
-        (image, padded, rows[lo : lo + step], cols, ok_r[lo : lo + step], ok_c, ps,
-         order[lo : lo + step])
+        (padded, h, rows[lo : lo + step], cols, ps, order[lo : lo + step])
         for lo in range(0, len(rows), step)
     ]
     if pool is None:
@@ -244,7 +246,10 @@ def _match(reduced, rows, cols, geom, pool):
             job.result()
     dr, dc = np.divmod(order, w)
     corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
-    sizes = np.minimum(geom.group, ok_r.sum(axis=1)[:, None] * ok_c.sum(axis=1))
+    # in-image candidates per axis: corners max(r - h, 0) to min(r + h, M - ps)
+    in_r = np.minimum(rows + h, m - ps) - np.maximum(rows - h, 0) + 1
+    in_c = np.minimum(cols + h, n - ps) - np.maximum(cols - h, 0) + 1
+    sizes = np.minimum(geom.group, in_r[:, None] * in_c)
     return corners.reshape(-1, order.shape[2]), sizes.ravel()
 
 

@@ -79,6 +79,17 @@ def spectral_decompose(cube, k):
     return SubspaceModel(basis=basis, reduced=reduced)
 
 
+def _check_gram_underflow(tr, cube):
+    """Raise numpy.linalg.LinAlgError if the band Gram's trace tr is below
+    the smallest normal float while the cube has a nonzero entry: its
+    squares underflowed, and the estimates would read a lost signal."""
+    if tr < np.finfo(float).tiny and np.any(cube):
+        raise np.linalg.LinAlgError(
+            f"the band Gram matrix's trace underflows ({tr:.3g}, below the "
+            "smallest normal float): cube entries are too small to square and sum"
+        )
+
+
 def estimate_band_noise(cube):
     """Estimate per-band noise sigma by multiple regression.
 
@@ -92,7 +103,11 @@ def estimate_band_noise(cube):
     residual is (Q Z)_i / Q_ii, so everything follows from Q in closed
     form: sigma_i^2 = (Q_ii / (Q^2)_ii - alpha) / (M N), clipped at 0.
     The cube is read only to form R.  A non-finite R or tr(R), as from
-    entries near 1e152 or larger, raises numpy.linalg.LinAlgError.
+    entries near 1e152 or larger, raises numpy.linalg.LinAlgError, and so
+    does a tr(R) below the smallest normal float from a cube with a nonzero
+    entry, whose squares underflowed (entries of about 1e-156 in a 32x32x16
+    cube).
+    An all-zero cube gives all-zero sigmas.
 
     Each regression fits B - 1 predictors on M*N samples, so it needs M*N
     well above B; with few pixels per band it reads sigma low.  On
@@ -130,6 +145,7 @@ def estimate_band_noise(cube):
             f"the {b}x{b} band Gram matrix or its trace is not finite: cube "
             "entries are too large to square and sum, or not finite"
         )
+    _check_gram_underflow(tr, cube)
     if tr <= 0:
         # all-zero cube regresses to itself exactly
         return np.zeros(b)
@@ -148,8 +164,10 @@ def estimate_subspace_dim(cube, per_band_sigma):
     Eigenvalues of the band correlation matrix are compared against the
     noise variance projected onto each eigenvector; K counts the
     eigenvalues that clear twice their noise contribution.  Returns an
-    int in [1, B].  Degenerate input (no positive eigenvalue) returns 1
-    with a warning.
+    int in [1, B].  Degenerate input (no positive eigenvalue, as from an
+    all-zero cube) returns 1 with a warning.  A band Gram matrix whose
+    trace underflows, from a cube with a nonzero entry, raises
+    numpy.linalg.LinAlgError, as estimate_band_noise does.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -160,7 +178,10 @@ def estimate_subspace_dim(cube, per_band_sigma):
         raise ValueError("band sigmas must be finite and >= 0")
 
     z = cube.reshape(m * n, b).T
-    ry = z @ z.T / (m * n)
+    ry = z @ z.T
+    with np.errstate(over="ignore"):
+        _check_gram_underflow(np.trace(ry), cube)
+    ry /= m * n
     try:
         evals, evecs = np.linalg.eigh(ry)
     except np.linalg.LinAlgError as exc:

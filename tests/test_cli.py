@@ -158,6 +158,15 @@ class TestDenoiseCommand:
         assert "scale values must be finite" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
+    def test_inverted_header_scale_is_data_error(self, tmp_path, capsys):
+        # an inverted scale would normalize the cube to all zeros
+        path = write_cube(tmp_path / "c", rank_cube(24, 24, 8, 3, seed=0), dtype="u8")
+        path.write_text(path.read_text() + "scale = 9 3\n")
+        out = tmp_path / "o"
+        assert main(["denoise", str(path), str(out)] + FAST) == 2
+        assert "lo < hi" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
+
     @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--early-stop", "nan"]])
     def test_nan_is_usage_error(self, scene, tmp_path, flags, capsys):
         _, noisy_path = scene
@@ -354,6 +363,43 @@ class TestOtherCommands:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
+
+
+class TestNonFiniteInput:
+    """A NaN in a cube file is a data error at load: every command exits 2
+    and writes nothing, rather than fail later with another code or write
+    NaN results."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["denoise", "NAN", "OUT"],
+            ["denoise", "NAN", "OUT", "--no-normalize", "--sigma0", "20"],
+            ["add-noise", "NAN", "OUT", "--sigma", "5"],
+            ["metrics", "CLEAN", "NAN"],
+            ["estimate-k", "NAN"],
+            ["estimate-k", "NAN", "--no-normalize"],
+            ["run-exp", "NAN", "--sigmas", "10", "--outdir", "OUT"],
+            ["bench-bands", "NAN", "--bands", "4", "--outdir", "OUT"],
+        ],
+    )
+    def test_exits_2_and_writes_nothing(self, tmp_path, argv, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        clean = rank_cube(24, 24, 8, 3, seed=0)
+        noisy = add_gaussian_noise(clean, 20.0, seed=0)
+        noisy[5, 7, 2] = np.nan
+        paths = {
+            "NAN": str(write_cube(inputs / "nan", noisy)),
+            "CLEAN": str(write_cube(inputs / "clean", clean)),
+            "OUT": str(tmp_path / "out"),
+        }
+        assert main([paths.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and paths["NAN"] in captured.err
+        assert "NaN or infinite" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
 class TestConsoleScript:

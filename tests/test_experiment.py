@@ -14,7 +14,7 @@ from hsidenoise.experiment import (
     run_experiment,
     write_trace_csv,
 )
-from hsidenoise.io import read_cube, write_band_stack, write_cube
+from hsidenoise.io import DataError, add_gaussian_noise, read_cube, write_band_stack, write_cube
 from hsidenoise.pipeline import DenoiseConfig, denoise
 from hsidenoise.spatial import PatchGeometry
 from hsidenoise.synthetic import rank_cube
@@ -64,8 +64,36 @@ class TestLoadInput:
         with pytest.raises(ValueError, match=f"band index {bad} out of range"):
             load_input(cube_path, normalize=False, keep_bands=keep)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_data_error(self, tmp_path, bad):
+        cube = rank_cube(16, 16, 4, 2, seed=2)
+        cube[3, 4, 1] = bad
+        path = write_cube(tmp_path / "bad", cube)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            load_input(path, normalize=False)
+
+    def test_non_finite_entry_in_a_dropped_band_is_read(self, tmp_path):
+        cube = rank_cube(16, 16, 4, 2, seed=2)
+        cube[3, 4, 1] = np.nan
+        path = write_cube(tmp_path / "bad", cube)
+        loaded = load_input(path, normalize=False, keep_bands=[0, 2, 3])
+        np.testing.assert_array_equal(loaded, cube[:, :, [0, 2, 3]])
+
 
 class TestRunExperiment:
+    def test_nan_input_raises_before_writing(self, tmp_path):
+        cube = add_gaussian_noise(rank_cube(24, 24, 8, 3, seed=0), 20.0, seed=0)
+        cube[5, 7, 2] = np.nan
+        spec = ExperimentSpec(
+            input_path=str(write_cube(tmp_path / "nan", cube)),
+            sigmas=[10.0, 30.0],
+            output_dir=str(tmp_path / "exp"),
+            config=FAST_CFG,
+        )
+        with pytest.raises(DataError, match="NaN or infinite"):
+            run_experiment(spec)
+        assert not (tmp_path / "exp").exists()
+
     def test_sweep_writes_report_and_artifacts(self, cube_path, tmp_path):
         spec = ExperimentSpec(
             input_path=cube_path,

@@ -68,6 +68,12 @@ class TestCubeHeader:
         with pytest.raises(HeaderError, match="scale values must be finite"):
             CubeHeader.parse(f"rows = 2\ncols = 2\nbands = 1\ndtype = f64\nscale = {scale}\n")
 
+    @pytest.mark.parametrize("scale", ["9 3", "3 3", "-1 -2"])
+    @pytest.mark.parametrize("dtype", ["u8", "f64"])
+    def test_inverted_scale(self, scale, dtype):
+        with pytest.raises(HeaderError, match="lo < hi"):
+            CubeHeader.parse(f"rows = 2\ncols = 2\nbands = 1\ndtype = {dtype}\nscale = {scale}\n")
+
 
 class TestCubeRoundTrip:
     def test_f64_bit_exact(self, tmp_path):
@@ -97,6 +103,15 @@ class TestCubeRoundTrip:
     def test_degenerate_scale_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="lo < hi"):
             write_cube(tmp_path / "c", np.ones((2, 2, 1)), dtype="u8", scale=(1.0, 1.0))
+
+    @pytest.mark.parametrize("scale", [(5.0, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    @pytest.mark.parametrize("dtype", ["f32", "f64", "u8", "u16"])
+    def test_bad_scale_rejected_for_every_dtype(self, tmp_path, dtype, scale):
+        # a float dtype writes the scale into its header, where
+        # CubeHeader.parse would reject it
+        with pytest.raises(ValueError, match="lo < hi"):
+            write_cube(tmp_path / "c", np.ones((2, 2, 1)), dtype=dtype, scale=scale)
+        assert list(tmp_path.iterdir()) == []
 
     def test_normalize_on_read(self, tmp_path):
         cube = random_cube((8, 8, 2), seed=5, lo=10.0, hi=90.0)

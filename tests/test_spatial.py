@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -946,3 +947,37 @@ class TestPooledMatch:
             corners, _ = match_groups(reduced, SMALL)
         refs = [r * 14 + c for r, c in reference_grid(14, 14, SMALL)]
         np.testing.assert_array_equal(corners[:, 0], refs)
+        # a group as large as the window: candidates off by an odd row score
+        # +inf, and those that leave the image must still sort after them
+        geom = dataclasses.replace(SMALL, group=49)
+        h, last = geom.window // 2, 14 - geom.patch
+        with np.errstate(over="ignore"):
+            corners, sizes = match_groups(reduced, geom)
+        for (r, c), row, size in zip(reference_grid(14, 14, geom), corners, sizes):
+            inside = sum(
+                0 <= r + dr <= last and 0 <= c + dc <= last
+                for dr in range(-h, h + 1)
+                for dc in range(-h, h + 1)
+            )
+            assert size == inside
+            used = np.stack(np.divmod(row[:size], 14), axis=1)
+            assert np.all((used >= 0) & (used <= last))
+            assert len(np.unique(row[:size])) == size
+
+    def test_match_copies_the_image_once(self, monkeypatch):
+        # the padding is the one image-sized array matching makes; the
+        # block's working set is bounded by _CHUNK_BYTES
+        reduced = _scene(31, (96, 96, 25))
+        assert reduced.flags.c_contiguous
+        geom = PatchGeometry()
+        use_workers(monkeypatch, 1)
+        match_groups(reduced, geom)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            match_groups(reduced, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        h = geom.window // 2
+        padded = 8 * 25 * (96 + 2 * h) ** 2
+        assert peak < padded + spatial._CHUNK_BYTES + reduced.nbytes // 2, f"peak {peak} bytes"

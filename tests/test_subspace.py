@@ -216,6 +216,12 @@ class TestEstimateBandNoise:
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             estimate_band_noise(x * 1e150)
 
+    def test_underflowing_gram_raises(self):
+        # every square underflows to zero, so the sigmas would read zero
+        x = add_gaussian_noise(rank_cube(32, 32, 16, 3), 10.0)
+        with pytest.raises(np.linalg.LinAlgError, match="underflows"):
+            estimate_band_noise(x * 1e-170)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_entry_raises(self, bad):
         x = add_gaussian_noise(rank_cube(32, 32, 8, 3, seed=0), 10.0, seed=0)
@@ -264,6 +270,13 @@ class TestEstimateSubspaceDim:
         with pytest.warns(UserWarning):
             k = estimate_subspace_dim(np.zeros((8, 8, 4)), np.zeros(4))
         assert k == 1
+
+    def test_underflowing_gram_raises(self):
+        # the correlation would read as degenerate, and K as 1 for this
+        # rank-3 cube
+        x = add_gaussian_noise(rank_cube(32, 32, 16, 3), 10.0)
+        with pytest.raises(np.linalg.LinAlgError, match="underflows"):
+            estimate_subspace_dim(x * 1e-170, np.zeros(16))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_band_sigma_rejected(self, bad):
