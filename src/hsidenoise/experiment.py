@@ -11,7 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import DataError, add_gaussian_noise, read_band_stack, read_cube, write_cube
+from .io import (
+    DataError,
+    _read_cube,
+    add_gaussian_noise,
+    read_band_stack,
+    rescale,
+    write_cube,
+)
 from .metrics import mssim, quality_report
 from .pipeline import DenoiseConfig, IterationRecord, denoise
 from .tensor import _all_finite, _int_field
@@ -73,14 +80,18 @@ class ExperimentSpec:
 def load_input(path, normalize=True, keep_bands=None):
     """Read a clean cube from a header file or a PGM band directory.
 
-    A NaN or infinite entry in the cube returned (the bands kept, after
-    normalization) raises DataError.
+    The bands in keep_bands are selected first; normalize then maps them
+    onto [0, PEAK] by the header scale when there is one, else by their own
+    data range, so a dropped band sets neither.  A NaN or infinite entry in
+    the cube returned (the bands kept, after normalization) raises
+    DataError.
     """
     p = Path(path)
+    scale = None
     if p.is_dir():
-        cube = read_band_stack(p, normalize=normalize)
+        cube = read_band_stack(p)
     else:
-        cube = read_cube(p, normalize=normalize)
+        cube, scale = _read_cube(p)
     if keep_bands is not None:
         bad = [i for i in keep_bands if not 0 <= i < cube.shape[2]]
         if bad:
@@ -88,6 +99,8 @@ def load_input(path, normalize=True, keep_bands=None):
                 f"band index {bad[0]} out of range for {cube.shape[2]} bands"
             )
         cube = np.ascontiguousarray(cube[:, :, list(keep_bands)])
+    if normalize:
+        cube = rescale(cube, scale)
     if not _all_finite(cube):
         raise DataError(f"{path}: the cube has NaN or infinite entries")
     return cube

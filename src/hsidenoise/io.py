@@ -172,6 +172,13 @@ def read_cube(path, normalize=False):
     values onto [0, PEAK] using the header scale when present, else the
     data range.
     """
+    cube, scale = _read_cube(path)
+    return rescale(cube, scale) if normalize else cube
+
+
+def _read_cube(path):
+    """(cube, scale): read_cube's cube before normalization, and the
+    header's scale, None when it has none."""
     hdr_path = _resolve_header_path(path)
     try:
         text = hdr_path.read_text()
@@ -202,10 +209,7 @@ def read_cube(path, normalize=False):
     if header.scale is not None and np_dtype.kind == "u":
         lo, hi = header.scale
         mat = lo + mat / np.iinfo(np_dtype).max * (hi - lo)
-    cube = fold3(mat, (header.rows, header.cols))
-    if normalize:
-        cube = rescale(cube, header.scale)
-    return cube
+    return fold3(mat, (header.rows, header.cols)), header.scale
 
 
 def write_cube(path, cube, dtype="f64", scale=None):

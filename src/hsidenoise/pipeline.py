@@ -147,11 +147,10 @@ def _check_finite(arr, stage, iteration):
         )
 
 
-def _scale_exponent(y, sigma0):
-    """e such that the loop runs on y * 2^-e and sigma0 * 2^-e: 0 when the
-    larger of max|y| and sigma0 (None counts as 0) lies within the band
-    around PEAK or is 0, otherwise the e that puts it in [128, 256)."""
-    top = max(float(y.max()), -float(y.min()), sigma0 or 0.0)
+def _scale_exponent(top):
+    """e such that a cube of largest magnitude top is scaled by 2^-e: 0
+    when top lies within the band around PEAK or is 0, otherwise the e
+    that puts it in [128, 256)."""
     if top == 0.0 or PEAK * 2.0**-_SCALE_BAND <= top <= PEAK * 2.0**_SCALE_BAND:
         return 0
     return math.frexp(top)[1] - math.frexp(PEAK)[1]
@@ -167,7 +166,9 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     PEAK * 2^+-16), the loop runs on the cube and sigma0 scaled by a power
     of two and its estimate, sigmas and residuals are scaled back, so a
     cube of entries near 1e152, whose band Gram matrix overflows, still
-    gives a finite estimate.
+    gives a finite estimate.  The band-noise and K estimates run on the cube
+    scaled the same way by its own magnitude alone, so a cube of entries
+    near 1e-200 under a sigma0 of 10 is estimated too.
 
     Each iteration projects the current input onto a k-dimensional
     spectral subspace, denoises the reduced image patch-wise, lifts back,
@@ -202,19 +203,28 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         cfg = config if config is not None else DenoiseConfig()
         m, n, b = y.shape
 
-        e = _scale_exponent(y, sigma0)
+        top = max(float(y.max()), -float(y.min()))
+        e = _scale_exponent(max(top, sigma0 or 0.0))
         if e:
             y = np.ldexp(y, -e)
             if sigma0 is not None:
                 sigma0 = math.ldexp(sigma0, -e)
 
-        band_sigma = None
-        if cfg.k0 is None or sigma0 is None:
-            band_sigma = estimate_band_noise(y)
-        k0 = int(cfg.k0) if cfg.k0 is not None else estimate_subspace_dim(y, band_sigma)
-        k0 = min(k0, b)
-        if sigma0 is None:
-            sigma0 = float(np.median(band_sigma))
+        k0 = cfg.k0
+        if k0 is None or sigma0 is None:
+            # on the cube scaled from its own magnitude, which may lie far
+            # below a large sigma0's: the band Gram's trace of entries near
+            # 1e-160 underflows.  Scaling the cube and the sigmas together
+            # leaves K as it is.
+            f = _scale_exponent(math.ldexp(top, -e))
+            y_est = np.ldexp(y, -f) if f else y
+            band_sigma = estimate_band_noise(y_est)
+            if k0 is None:
+                k0 = estimate_subspace_dim(y_est, band_sigma)
+            if sigma0 is None:
+                sigma0 = math.ldexp(float(np.median(band_sigma)), f)
+            del y_est
+        k0 = min(int(k0), b)
 
         trace = []
         k = k0

@@ -9,23 +9,22 @@ matching one search-window offset at a time (match_groups, whose result a
 caller can pass back in to reuse the groups on another image of the same
 height and width) in the one copy of the image it makes, padded with a NaN
 border half a window wide, so that a candidate leaving the image scores
-NaN and sorts last; then, per chunk of groups, gathering the groups, shrinking
-them through their Gram matrices with WNNM's weight at the image's noise
-level sigma, and adding them into a span of the image with one bincount.  A
-block of reference rows holds at most _CHUNK_BYTES of match distances and
-squared differences, and each buffer of a chunk of groups at most half that,
-so peak memory does not grow with the image.
+NaN and sorts last; then, per chunk of groups, gathering the groups into one
+buffer, shrinking them there through their Gram matrices with WNNM's weight
+at the image's noise level sigma, and adding them into a span of the image
+with one bincount per band.  A block of reference rows holds at most
+_CHUNK_BYTES of match distances and squared differences, and a chunk's
+buffer at most half that, so peak memory does not grow with the image.
 
 Both passes run on a thread pool, one worker per core, with OpenBLAS held to
 one thread.  A worker matches one block of reference rows, or gathers,
 shrinks and scatters one chunk of groups end to end; the calling thread
-allocates the two buffers a chunk's worker writes (the gathered groups, whose
-memory then holds their scatter indices, and the shrunk groups) and adds the
-returned spans into the image in the order it submitted the chunks, so the
-result does not depend on the worker count.  match_group, wnnm_shrink and
-aggregate run the stage's helpers (_match and _patch_pixels, _shrink,
-_scatter and _average) on one reference, one group and a list of groups, on
-the calling thread.
+allocates the one buffer a chunk's worker writes, the gathered groups, which
+are shrunk in place, and adds the returned spans into the image in the order
+it submitted the chunks, so the result does not depend on the worker count.
+match_group, wnnm_shrink and aggregate run the stage's helpers (_match and
+_patch_pixels, _shrink, _scatter and _average) on one reference, one group
+and a list of groups, on the calling thread.
 """
 
 import collections
@@ -65,21 +64,21 @@ _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
 _WEIGHT_EPS = 1e-16
 
 # float64 bytes of the match working set of a block of reference rows (its
-# distances, and its slabs of squared differences and differences); each
+# distances, and its slabs of squared differences and differences); the
 # buffer of a chunk of groups holds at most half of it.  One worker matches a
 # block; it allocates the block's arrays itself and sorts the distances one
 # reference row at a time.  The slabs grow with the stride: counting the
 # distances alone put all 16 reference rows of a 96x96 image at stride 6 in
 # one block, so matching ran on one worker and a default denoise's RSS rose
-# about 5%.  Up to workers + 1 chunks of groups are in flight, each with two
-# buffers the calling thread allocates (the gathered groups, whose memory
-# then holds their scatter indices, and the shrunk result), so this bounds
-# the stage's peak memory.  It must not depend on the worker count: the
-# chunks decide how the scatter sums are grouped.  Row blocks must not be
-# split finer to feed more workers: on a 32x32x32 scene, 2 * workers
-# blocks per image multiplied the per-offset Python overhead and made a
-# denoise 40% slower, and 1 MiB blocks made matching the K = 7 image of a
-# 96x96x64 scene 40% slower than 2 MiB (165 against 119 ms, 2 cores).  Group
+# about 5%.  Up to workers + 1 chunks of groups are in flight, each with one
+# buffer the calling thread allocates (the gathered groups, shrunk in
+# place), so this bounds the stage's peak memory.  It must not depend on
+# the worker count: the chunks decide how the scatter sums are grouped.
+# Row blocks must not be split finer to feed more workers: on a 32x32x32
+# scene, 2 * workers blocks per image multiplied the per-offset Python
+# overhead and made a denoise 40% slower, and 1 MiB blocks made matching the
+# K = 7 image of a 96x96x64 scene 40% slower than 2 MiB (165 against 119 ms,
+# 2 cores).  Group
 # buffers of 1 MiB halved the in-flight memory of that scene's default
 # denoise at level time (medians 2.09 s, 2.11 s with 2 MiB); 512 KiB made it
 # 22% slower (2.57 s), from the overhead per chunk: one K = 25 group fills
@@ -87,6 +86,18 @@ _WEIGHT_EPS = 1e-16
 # or 8 MiB chunks (2 cores), so the page faults that 4 MiB chunks once caused
 # in the caller's next arrays do not show at this size.
 _CHUNK_BYTES = 2 << 20
+
+# columns of one group that _shrink multiplies by W W^T at a time: whole
+# groups up to K = 28 at patch 6, and a temporary of at most 573 KB at
+# p = 70 beyond, where one group fills a chunk's buffer.  On the spatial
+# stage of a 96x96 image at K = 5, 7, 11, 17 and 25 (two workers, 2 cores),
+# whole groups took the time of an out-of-place product into a second
+# buffer, and slabs of 128 or 512 columns 4% more, for the same traced
+# peak; slabs of the whole chunk peaked higher at K = 5, where a 128-column
+# slab of a 10-group chunk is 0.7 MB against the chunk's 1 MB buffer.  At
+# K = 64 (48x48, one worker) whole groups peaked 0.43 MiB above slabs of
+# this width.
+_SHRINK_SLAB = 1024
 
 
 @dataclass(frozen=True)
@@ -266,17 +277,20 @@ def _patch_pixels(corners, offsets):
     return first, (corners - first)[..., None] + offsets
 
 
-def _scatter(first, pix, k, values, idx=None):
-    """(start, sums) of the patches values (..., p, ps*ps*k) at the pixels
-    first + pix of a C-ordered (M, N, k) cube: sums[i] adds up, in entry
-    order, the values at flat entry start + i, one bincount over the span.
-    pix is scaled by k in place; idx, an int64 buffer of values' size (new
-    when None), takes the entry indices less start."""
-    pix *= k
-    if idx is None:
-        idx = np.empty(values.shape, dtype=np.int64)
-    np.add(pix[..., None], np.arange(k), out=idx.reshape(pix.shape + (k,)))
-    return first * k, np.bincount(idx.ravel(), values.ravel(), int(pix.max()) + k)
+def _scatter(first, pix, values):
+    """(first, sums) of the patches values (..., p, ps*ps, k) at the pixels
+    first + pix (..., p, ps*ps) of a C-ordered (M, N, k) cube: sums[i, j]
+    adds up, in entry order, the band-j values at pixel first + i, by one
+    bincount per band over the span's pixels.  sums is a (span, k) view of
+    band-major sums, which each band's bincount writes in one piece."""
+    k = values.shape[-1]
+    pix = pix.ravel()
+    values = values.reshape(-1, k)
+    span = int(pix.max()) + 1
+    sums = np.empty((k, span))
+    for j in range(k):
+        sums[j] = np.bincount(pix, values[:, j], span)
+    return first, sums.T
 
 
 def match_group(reduced, ref, geom):
@@ -313,23 +327,25 @@ def _check_sigma(sigma):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
-def _shrink(b, sigma, out=None):
-    """Weighted singular-value shrinkage of a stack of group matrices, given
-    transposed as b, shape (G, p, d), one vectorized patch per row; the
-    result, in the same layout, goes to out when given (a new array
-    otherwise) and is returned.  sigma = 0 returns b itself.  Each singular
-    value s becomes max(s - c*sqrt(p) / (s_clean + eps*s_max), 0), with
-    threshold c = _SIGMA_WEIGHT_C * sigma^2, eps = _WEIGHT_EPS,
+def _shrink(b, sigma):
+    """Weighted singular-value shrinkage, in place, of a stack of group
+    matrices given transposed as b, shape (G, p, d), one vectorized patch
+    per row; sigma = 0 leaves b as it is.  Each singular value s becomes
+    max(s - c*sqrt(p) / (s_clean + eps*s_max), 0), with threshold
+    c = _SIGMA_WEIGHT_C * sigma^2, eps = _WEIGHT_EPS,
     s_clean = sqrt(max(s^2 - p*sigma^2, 0)) and s_max the group's largest:
     scaling b and sigma by t scales the result by t.
 
     With b = V S U^T, the p x p Gram matrix b b^T = V S^2 V^T gives V and S
-    by one batched eigh, and V S_new U^T = V diag(S_new / S) V^T b.
-    Squaring loses accuracy only in singular values far below the
-    threshold (s^2 under about c*sqrt(p)), which are zeroed either way.
+    by one batched eigh, and V S_new U^T = W W^T b with
+    W = V diag(sqrt(S_new / S)).  Squaring loses accuracy only in singular
+    values far below the threshold (s^2 under about c*sqrt(p)), which are
+    zeroed either way.  W W^T b is written back into b one group, and at
+    most _SHRINK_SLAB columns, at a time, so the product's temporary is at
+    most one group, not a second stack.
     """
     if sigma == 0:
-        return b
+        return
     p, d = b.shape[1:]
     gram = b @ b.transpose(0, 2, 1)
     if not np.all(np.isfinite(gram)):
@@ -348,7 +364,12 @@ def _shrink(b, sigma, out=None):
     weight = c * math.sqrt(p) / np.where(s > 0.0, s_clean + _WEIGHT_EPS * s[:, -1:], np.inf)
     ratio = np.divide(np.maximum(s - weight, 0.0), s, out=np.zeros_like(s), where=s > 0.0)
     v *= np.sqrt(ratio)[:, None, :]
-    return np.matmul(v @ v.transpose(0, 2, 1), b, out=out)
+    w = v @ v.transpose(0, 2, 1)
+    del v
+    for wg, bg in zip(w, b):
+        for lo in range(0, d, _SHRINK_SLAB):
+            slab = bg[:, lo : lo + _SHRINK_SLAB]
+            slab[...] = wg @ slab
 
 
 def wnnm_shrink(g, sigma):
@@ -365,7 +386,8 @@ def wnnm_shrink(g, sigma):
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
     _check_sigma(sigma)
-    return _shrink(g.T[None], sigma)[0].T
+    _shrink(g.T[None], sigma)
+    return g
 
 
 def _workers():
@@ -457,23 +479,21 @@ def _submit(pool, fn, *args):
     return pool.submit(contextvars.copy_context().run, fn, *args)
 
 
-def _shrink_chunk(pixels, k, members, offsets, sigma, stack, out):
+def _shrink_chunk(pixels, k, members, offsets, sigma, stack):
     """Gather, shrink and scatter one chunk of groups of a C-ordered
-    (M, N, k) image viewed as pixels (M*N, k), in the caller's buffers.
+    (M, N, k) image viewed as pixels (M*N, k), in the caller's buffer.
 
     members (G, p) holds each group's flat corners r*N + c, and offsets the
     ps*ps pixels of a patch from its corner.  The groups go to stack
-    (G, p, d), d = ps*ps*k in (row, col, band) order, and the shrunk groups
-    to out; _scatter's (start, sums) of out is returned, with stack's spent
-    memory taking the entry indices.
+    (G, p, d), d = ps*ps*k in (row, col, band) order, are shrunk there, and
+    _scatter's (first, sums) of them is returned.
     """
     first, pix = _patch_pixels(members, offsets)
+    groups = stack.reshape(pix.shape + (k,))
     # mode="raise" would gather through a temporary copy of stack
-    np.take(pixels[first:], pix, axis=0, out=stack.reshape(pix.shape + (k,)), mode="clip")
-    shrunk = _shrink(stack, sigma, out)
-    if shrunk is not out:  # sigma = 0 returns stack itself
-        out[...] = shrunk
-    return _scatter(first, pix, k, out, stack.view(np.int64))
+    np.take(pixels[first:], pix, axis=0, out=groups, mode="clip")
+    _shrink(stack, sigma)
+    return _scatter(first, pix, groups)
 
 
 def _coverage(corners, sizes, m, n, ps):
@@ -515,8 +535,8 @@ def aggregate(groups_out, dims):
     produced them in.  A pixel covered by no patch raises an error.
     """
     m, n, k = (int(d) for d in dims)
-    acc = np.zeros(m * n * k)
-    cnt = np.zeros(m * n)
+    acc = np.zeros((m * n, k))
+    cnt = np.zeros((m * n, 1))
     for grp, mat in sorted(groups_out, key=lambda item: item[0].ref_pos):
         mat = np.asarray(mat, dtype=np.float64)
         members = np.asarray(grp.members, dtype=np.int64).reshape(-1, 2)
@@ -531,11 +551,10 @@ def aggregate(groups_out, dims):
         if not len(members):
             continue  # covers nothing
         first, pix = _patch_pixels(members @ [n, 1], _patch_offsets(ps, n))
-        start, sums = _scatter(first, pix, 1, np.ones(pix.shape))
-        cnt[start : start + sums.size] += sums
-        # after the count: this scales pix by k in place
-        start, sums = _scatter(first, pix, k, mat.T)
-        acc[start : start + sums.size] += sums
+        start, sums = _scatter(first, pix, np.ones(pix.shape + (1,)))
+        cnt[start : start + len(sums)] += sums
+        start, sums = _scatter(first, pix, mat.T.reshape(pix.shape + (k,)))
+        acc[start : start + len(sums)] += sums
     return _average(acc, cnt, m, n, k)
 
 
@@ -596,20 +615,21 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     Matches a group for every reference of the grid (or takes groups, a
     match_groups result for an image of the same height and width), then,
     in chunks of references with equal group size, gathers the groups as
-    one (G, p, d) stack, shrinks it as wnnm_shrink does each group at noise
-    level sigma, and scatter-adds it into the overlap average.  Scaling
-    reduced and sigma by a power of two scales the result by the same.
-    With sigma = 0 this is the identity up to overlap-averaging roundoff.
+    one (G, p, d) stack, shrinks it in place as wnnm_shrink does each group
+    at noise level sigma, and scatter-adds it into the overlap average.
+    Scaling reduced and sigma by a power of two scales the result by the
+    same.  With sigma = 0 this is the identity up to overlap-averaging
+    roundoff.
 
     One pool of one thread per core, created and closed within the call,
     runs both passes while OpenBLAS is held to one thread; with no OpenBLAS
     found the pool has one thread.  A worker matches one block of reference
     rows into its slice of the candidate order, or gathers, shrinks and
-    scatters one chunk into a span of the image, in two buffers the calling
-    thread allocated for it: the gathered stack, which holds the scatter
-    indices once shrunk, and the shrunk result.  The calling thread adds
-    the spans into the image in the order it submitted the chunks, so the
-    output is the same bit for bit for any number of threads.
+    scatters one chunk into a span of the image, in the one buffer, the
+    gathered stack, that the calling thread allocated for it; at most
+    workers + 1 chunks are in flight.  The calling thread adds the spans
+    into the image in the order it submitted the chunks, so the output is
+    the same bit for bit for any number of threads.
     """
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     _check_sigma(sigma)
@@ -620,17 +640,18 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     pixels = reduced.reshape(m * n, k)
     offsets = _patch_offsets(ps, n)
     d = ps * ps * k
-    acc = np.zeros(reduced.size)
     pending = collections.deque()
 
     def scatter(limit):
         while len(pending) > limit:
             start, sums = pending.popleft().result()
-            acc[start : start + sums.size] += sums
+            acc[start : start + len(sums)] += sums
 
     with _stage_pool() as (pool, workers):
         if groups is None:
             corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom, pool)
+        # after the match, whose padded image and row blocks it would add to
+        acc = np.zeros((m * n, k))
         # Groups clipped by the image edge can be smaller than geom.group;
         # each size is its own batch, so no group is cut or padded.  The
         # buffers are allocated here, not in the workers: there they came
@@ -641,10 +662,9 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
             step = max(1, _CHUNK_BYTES // 2 // (d * p * 8))
             for lo in range(0, len(refs), step):
                 members = corners[refs[lo : lo + step], :p]
-                shape = members.shape + (d,)
                 pending.append(_submit(
                     pool, _shrink_chunk, pixels, k, members, offsets, sigma,
-                    np.empty(shape), np.empty(shape),
+                    np.empty(members.shape + (d,)),
                 ))
                 scatter(workers)
         scatter(0)

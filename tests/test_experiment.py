@@ -14,7 +14,14 @@ from hsidenoise.experiment import (
     run_experiment,
     write_trace_csv,
 )
-from hsidenoise.io import DataError, add_gaussian_noise, read_cube, write_band_stack, write_cube
+from hsidenoise.io import (
+    DataError,
+    add_gaussian_noise,
+    read_cube,
+    rescale,
+    write_band_stack,
+    write_cube,
+)
 from hsidenoise.pipeline import DenoiseConfig, denoise
 from hsidenoise.spatial import PatchGeometry
 from hsidenoise.synthetic import rank_cube
@@ -78,6 +85,42 @@ class TestLoadInput:
         path = write_cube(tmp_path / "bad", cube)
         loaded = load_input(path, normalize=False, keep_bands=[0, 2, 3])
         np.testing.assert_array_equal(loaded, cube[:, :, [0, 2, 3]])
+
+    @staticmethod
+    def bright_band_zero(tmp_path, **write):
+        """A 16x16x8 cube whose band 0 is 1e4 everywhere, and its path."""
+        cube = rank_cube(16, 16, 8, 3, seed=4)
+        cube[:, :, 0] = 1e4
+        return cube, write_cube(tmp_path / "bright", cube, **write)
+
+    def test_kept_bands_normalized_by_their_own_range(self, tmp_path):
+        # normalizing before the selection left bands 1-7 on [0, 6.50]
+        cube, path = self.bright_band_zero(tmp_path)
+        loaded = load_input(path, keep_bands=range(1, 8))
+        np.testing.assert_array_equal(loaded, rescale(cube[:, :, 1:]))
+        assert (loaded.min(), loaded.max()) == (0.0, 255.0)
+
+    def test_kept_band_stack_normalized_by_its_own_range(self, tmp_path):
+        cube = rank_cube(16, 16, 4, 2, seed=5, peak=100.0)
+        cube[:, :, 0] = 255.0
+        write_band_stack(tmp_path / "stack", cube)
+        loaded = load_input(tmp_path / "stack", keep_bands=[1, 2, 3])
+        raw = load_input(tmp_path / "stack", normalize=False, keep_bands=[1, 2, 3])
+        np.testing.assert_array_equal(loaded, rescale(raw))
+        assert raw.max() < 255.0 and loaded.max() == 255.0
+
+    def test_kept_bands_normalized_by_the_header_scale(self, tmp_path):
+        cube, path = self.bright_band_zero(tmp_path, scale=(0.0, 2e4))
+        loaded = load_input(path, keep_bands=range(1, 8))
+        np.testing.assert_array_equal(loaded, rescale(cube[:, :, 1:], (0.0, 2e4)))
+
+    def test_nan_in_a_dropped_band_loads_normalized(self, tmp_path):
+        # it raised DataError, though the same file loaded unnormalized
+        cube = rank_cube(16, 16, 4, 2, seed=2)
+        cube[3, 4, 1] = np.nan
+        path = write_cube(tmp_path / "bad", cube)
+        loaded = load_input(path, keep_bands=[0, 2, 3])
+        np.testing.assert_array_equal(loaded, rescale(cube[:, :, [0, 2, 3]]))
 
 
 class TestRunExperiment:

@@ -18,6 +18,7 @@ from hsidenoise.pipeline import (
     update_k,
 )
 from hsidenoise.spatial import PatchGeometry
+from hsidenoise.subspace import estimate_band_noise, estimate_subspace_dim
 from hsidenoise.synthetic import rank_cube
 from hsidenoise.tensor import frob_norm_sq
 from hsidenoise.io import add_gaussian_noise
@@ -191,9 +192,11 @@ class TestDenoise:
         assert [r.residual for r in full_trace] == [r.residual for r in trace]
 
     def test_traced_peak(self, monkeypatch):
-        """A default denoise holds two work buffers per chunk in flight and
-        no cube it does not read again: 11.8 MB traced here, where three
-        buffers per chunk and two stale cubes took 18.3 MB."""
+        """A default denoise holds one work buffer per chunk in flight and
+        no cube it does not read again: 5.6 MB traced here as a process's
+        first call, 7.5 MB with a second buffer per chunk for the shrunk
+        groups, where three buffers per chunk and two stale cubes took
+        18.3 MB at a reference stride of 4."""
         monkeypatch.setattr(spatial, "_workers", lambda: 1)  # two chunks in flight
         clean = rank_cube(64, 64, 32, 5)
         noisy = add_gaussian_noise(clean, 30.0, seed=0)
@@ -486,6 +489,22 @@ class TestDegenerateCubes:
            value=st.floats(-1e150, 1e150))
     def test_constant(self, m, n, b, sigma0, value):
         denoised_or_value_error(np.full((m, n, b), value), sigma0)
+
+    def test_tiny_constant_under_large_sigma0(self):
+        """sigma0 = 10 keeps the loop's cube unscaled, and the estimates
+        scale it by its own magnitude: the band Gram's trace of entries
+        near 1e-203 underflowed and raised LinAlgError."""
+        with pytest.warns(UserWarning, match="fewer than 10 per band"):
+            x = denoised_or_value_error(np.full((4, 4, 2), 4.31569717e-203), 10.0)
+        assert not x.any()
+
+    def test_tiny_cube_keeps_its_estimated_k(self):
+        noisy = add_gaussian_noise(rank_cube(16, 16, 8, 3, seed=8), 10.0, seed=8)
+        k = estimate_subspace_dim(noisy, estimate_band_noise(noisy))
+        _, trace = denoise(
+            np.ldexp(noisy, -700), 10.0, DenoiseConfig(iters=1, geom=TINY_GEOM)
+        )
+        assert trace[0].k == k
 
     @settings(max_examples=8, deadline=None)
     @given(m=SIDES, n=SIDES, b=st.integers(2, 5), sigma0=SIGMA0)

@@ -630,6 +630,50 @@ class TestShrinkAgainstSvd:
                 wnnm_shrink(g, 1.0)
 
 
+class TestChunkInPlace:
+    """A chunk's groups are shrunk in their buffer and scattered band by
+    band."""
+
+    def test_in_place_shrink_matches_out_of_place_product(self, monkeypatch):
+        # slabs of 128 columns split d = 300 in three; a slab as wide as a
+        # group forms each group's whole product before writing it back
+        rng = np.random.default_rng(34)
+        sigma = 1.0
+        stack = np.stack([low_rank_group(rng, 300, 12, sigma).T for _ in range(3)])
+        monkeypatch.setattr(spatial, "_SHRINK_SLAB", 300)
+        want = stack.copy()
+        spatial._shrink(want, sigma)
+        monkeypatch.setattr(spatial, "_SHRINK_SLAB", 128)
+        got = stack.copy()
+        buffer = got.ctypes.data
+        spatial._shrink(got, sigma)
+        assert got.ctypes.data == buffer
+        atol = SHRINK_RTOL * np.abs(stack).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        for g, shrunk in zip(stack, got):
+            np.testing.assert_allclose(
+                shrunk, shrink_by_svd(g.T, sigma, wnnm_c(sigma)).T, rtol=0, atol=atol
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scatter_matches_entry_bincount(self, seed):
+        """One bincount per band adds every entry in the order one bincount
+        over the entry indices does, so the sums agree bit for bit."""
+        rng = np.random.default_rng(seed)
+        m, n, k = 20, 17, int(rng.integers(1, 6))
+        ps = int(rng.integers(1, 5))
+        rows, cols = rng.integers(0, m - ps + 1, (3, 9)), rng.integers(0, n - ps + 1, (3, 9))
+        first, pix = spatial._patch_pixels(rows * n + cols, spatial._patch_offsets(ps, n))
+        shape = pix.shape + (k,)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        start, sums = spatial._scatter(first, pix, values)
+        idx = pix[..., None] * k + np.arange(k)
+        assert start == first
+        np.testing.assert_array_equal(
+            sums.ravel(), np.bincount(idx.ravel(), values.ravel())
+        )
+
+
 class TestGroupReuse:
     """denoise_reduced with groups from match_groups is the stage itself."""
 
@@ -842,6 +886,48 @@ class TestThreadedStage:
         monkeypatch.setattr(spatial, "_openblas", lambda: ())
         np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
         assert pools == [1]
+
+
+class TestChunkMemory:
+    """Each chunk of groups in flight holds one buffer, its gathered groups,
+    of at most half _CHUNK_BYTES, and the calling thread allocates it."""
+
+    @staticmethod
+    def traced_peak(*args, **kwargs):
+        denoise_reduced(*args, **kwargs)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            denoise_reduced(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peak_per_worker(self, monkeypatch):
+        """Given its groups, as the pipeline passes them, one worker peaks
+        at 4.44 MiB here, 6.30 MiB with a chunk's gathered and shrunk groups
+        in two buffers; each added worker costs 1.71 MiB, 2.61 MiB then."""
+        reduced = _scene(31, (96, 96, 25))
+        geom = PatchGeometry()
+        groups = match_groups(reduced, geom)
+        peaks = []
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            peaks.append(self.traced_peak(reduced, 10.0, geom, groups=groups))
+        chunk, image = spatial._CHUNK_BYTES, reduced.nbytes
+        assert peaks[0] < image + 2 * chunk, f"peaks {peaks} bytes"
+        assert all(b - a < chunk for a, b in zip(peaks, peaks[1:])), f"peaks {peaks} bytes"
+
+    def test_match_peak_is_not_added_to(self, monkeypatch):
+        """The overlap sums are allocated after the match, so a call that
+        matches peaks within match_groups' bound: 5.35 MiB here, 7.10 MiB
+        with the sums held through the match."""
+        reduced = _scene(31, (96, 96, 25))
+        geom = PatchGeometry()
+        use_workers(monkeypatch, 1)
+        peak = self.traced_peak(reduced, 10.0, geom)
+        padded = 8 * 25 * (96 + 2 * (geom.window // 2)) ** 2
+        bound = padded + spatial._CHUNK_BYTES + reduced.nbytes // 2
+        assert peak < bound, f"peak {peak} bytes"
 
 
 def match_block_bytes(reduced, geom, rows_per_block):
