@@ -47,8 +47,9 @@ class NumericalError(RuntimeError):
 # Members are pixel positions, independent of the spectral basis, while the
 # cost of matching grows with K.  On the 32x32x32 rank-5 sweep scene over
 # sigma 10-70 (four noise seeds, default config), matching at every iteration
-# gained 0.04 dB MPSNR and lowered SAM by 1.0% against this, for 30% more time
-# per case; matching at iteration 1 only lost 0.06 dB and raised SAM by 1.8%.
+# gained 0.04 dB MPSNR and lowered SAM by 1.0% against this, for 17-30% more
+# time per case over two runs on 2 cores (69-76% with the offset-by-offset
+# match); matching at iteration 1 only lost 0.06 dB and raised SAM by 1.8%.
 _LAST_MATCH_ITER = 2
 
 # denoise runs its loop on an input whose largest magnitude, or sigma0 if

@@ -4,24 +4,26 @@ and overlap-averaged reconstruction.  By default the references are spaced
 one patch side apart, so they tile the image; the stage's cost follows
 their count (256 on a 96x96 image at patch 6, against 576 at stride 4).
 
-denoise_reduced runs the step as array passes over chunks of references:
-matching one search-window offset at a time (match_groups, whose result a
-caller can pass back in to reuse the groups on another image of the same
-height and width) in the one copy of the image it makes, padded with a NaN
-border half a window wide, so that a candidate leaving the image scores
-NaN and sorts last; then, per chunk of groups, gathering the groups into one
-buffer, shrinking them there through their Gram matrices with WNNM's weight
-at the image's noise level sigma, and adding them into a span of the image
-with one bincount per band.  A block of reference rows holds at most
-_CHUNK_BYTES of match distances and squared differences, and a chunk's
-buffer at most half that, so peak memory does not grow with the image.
+denoise_reduced runs the step as array passes: matching (match_groups, whose
+result a caller can pass back in to reuse the groups on another image of the
+same height and width) one row of references at a time, in the image itself:
+every candidate in a reference's search window gets an estimated distance,
+|r|^2 + |c|^2 - 2<r, c>, from one product of the row's reference patches
+with the candidate patches and from the patches' squared norms, and only the
+candidates within a proven rounding margin of the group's cut get the exact
+distance, summed as the offset-by-offset match summed it, and a stable sort;
+then, per chunk of groups, gathering the groups into one buffer, shrinking
+them there through their Gram matrices with WNNM's weight at the image's
+noise level sigma, and adding them into a span of the image with one
+bincount per band.  A row's match holds at most half of _CHUNK_BYTES, and
+so does a chunk's buffer, so peak memory does not grow with the image.
 
 Both passes run on a thread pool, one worker per core, with OpenBLAS held to
-one thread.  A worker matches one block of reference rows, or gathers,
-shrinks and scatters one chunk of groups end to end; the calling thread
-allocates the one buffer a chunk's worker writes, the gathered groups, which
-are shrunk in place, and adds the returned spans into the image in the order
-it submitted the chunks, so the result does not depend on the worker count.
+one thread.  A worker matches one row of references, or gathers, shrinks and
+scatters one chunk of groups end to end; the calling thread allocates the
+one buffer a chunk's worker writes, the gathered groups, which are shrunk in
+place, and adds the returned spans into the image in the order it submitted
+the chunks, so the result does not depend on the worker count.
 match_group, wnnm_shrink and aggregate run the stage's helpers (_match and
 _patch_pixels, _shrink, _scatter and _average) on one reference, one group
 and a list of groups, on the calling thread.
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _int_field, as_cube
+from .tensor import _all_finite, _int_field, as_cube
 
 __all__ = [
     "PatchGeometry",
@@ -63,27 +65,23 @@ _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
 # shrink has no scale of its own
 _WEIGHT_EPS = 1e-16
 
-# float64 bytes of the match working set of a block of reference rows (its
-# distances, and its slabs of squared differences and differences); the
-# buffer of a chunk of groups holds at most half of it.  One worker matches a
-# block; it allocates the block's arrays itself and sorts the distances one
-# reference row at a time.  The slabs grow with the stride: counting the
-# distances alone put all 16 reference rows of a 96x96 image at stride 6 in
-# one block, so matching ran on one worker and a default denoise's RSS rose
-# about 5%.  Up to workers + 1 chunks of groups are in flight, each with one
-# buffer the calling thread allocates (the gathered groups, shrunk in
-# place), so this bounds the stage's peak memory.  It must not depend on
-# the worker count: the chunks decide how the scatter sums are grouped.
-# Row blocks must not be split finer to feed more workers: on a 32x32x32
-# scene, 2 * workers blocks per image multiplied the per-offset Python
-# overhead and made a denoise 40% slower, and 1 MiB blocks made matching the
-# K = 7 image of a 96x96x64 scene 40% slower than 2 MiB (165 against 119 ms,
-# 2 cores).  Group
-# buffers of 1 MiB halved the in-flight memory of that scene's default
-# denoise at level time (medians 2.09 s, 2.11 s with 2 MiB); 512 KiB made it
-# 22% slower (2.57 s), from the overhead per chunk: one K = 25 group fills
-# one.  Building a 96x96x64 scene after a denoise takes about 0.02 s with 2
-# or 8 MiB chunks (2 cores), so the page faults that 4 MiB chunks once caused
+# float64 bytes of the match working set of a row of references and of the
+# buffer of a chunk of groups, each at most half of it.  One worker matches a
+# row, a run of references at a time: their estimates and patches, then the
+# candidate patches of their search windows a piece at a time, then the
+# exact distances of their shortlist a piece at a time.  On a default denoise of a
+# 96x96x64 scene (2 cores), giving a row's match half of _CHUNK_BYTES, not
+# all of it, kept the peak RSS at 64.5 MB against 66.5 MB at no cost in
+# time; a quarter was no faster.  Up to
+# workers + 1 chunks of groups are in flight, each with one buffer the
+# calling thread allocates (the gathered groups, shrunk in place), so this
+# bounds the stage's peak memory.  It must not depend on the worker count:
+# the chunks decide how the scatter sums are grouped.  Group buffers of
+# 1 MiB halved the in-flight memory of that scene's default denoise at level
+# time (medians 2.09 s, 2.11 s with 2 MiB); 512 KiB made it 22% slower
+# (2.57 s), from the overhead per chunk: one K = 25 group fills one.
+# Building a 96x96x64 scene after a denoise takes about 0.02 s with 2 or
+# 8 MiB chunks (2 cores), so the page faults that 4 MiB chunks once caused
 # in the caller's next arrays do not show at this size.
 _CHUNK_BYTES = 2 << 20
 
@@ -176,84 +174,245 @@ def reference_grid(m, n, geom):
     return [(r, c) for r in rows for c in cols]
 
 
-def _window_sums(x, starts, size, axis):
-    """Sums of size consecutive entries of x along axis, from each start."""
-    out = np.take(x, starts, axis=axis)
-    for i in range(1, size):
-        out += np.take(x, starts + i, axis=axis)
-    return out
+# Margin of the match's shortlist.  A candidate's distance to a reference is
+# first estimated as |r|^2 + |c|^2 - 2<r, c>.  With u = 2^-53, d entries per
+# patch and N = |r|^2 + |c|^2: a sum of d products in any order, BLAS's
+# included, errs by at most gamma_d = d*u / (1 - d*u) times the sum of their
+# magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+# plus t = 2^-1022 per term where a product or a partial sum falls below the
+# normal range, even if it is flushed to 0.  So each squared norm errs by at
+# most gamma_d |r|^2 + d*t, and the cross term by gamma_d <|r|, |c|> + d*t,
+# at most gamma_d N/2 + d*t; the sum and the difference that form the
+# estimate add 3u N.  The exact distance adds d non-negative terms, each a
+# rounded square of a rounded difference, so it errs by at most
+# gamma_{d+2} |r - c|^2 + d*t <= 2 gamma_{d+2} N + d*t.  An estimate and its
+# exact distance thus differ by at most (4d + 7)u N + 4d*t to first order.
+# Half the margin exceeds that by 9u N and twice over in the absolute term,
+# which covers the rounding of N and of the threshold.
+def _shortlist_margin(d, energy):
+    """Twice the largest gap between the estimated and the exact distance of
+    two patches of d entries whose squared norms add up to at most energy."""
+    return (d + 4) * 2.0**-50 * energy + d * 2.0**-1018
 
 
-def _match_rows(padded, h, rows, cols, ps, out):
-    """Write into out the search-window offsets of the candidates of the
-    references rows x cols, nearest first, the reference itself first of
-    all, in the (K, M + 2h, N + 2h) image padded with an h-wide NaN border."""
-    n = padded.shape[2] - 2 * h
+def _patch_view(image, ps):
+    """(M - ps + 1, N - ps + 1, ps, ps*K) view of the patches of a C-ordered
+    (M, N, K) image: row i of patch (y, x) is image[y + i, x : x + ps], one
+    run of ps*K entries."""
+    m, n, k = image.shape
+    windows = np.lib.stride_tricks.sliding_window_view(image.reshape(m, n * k), (ps, ps * k))
+    return windows[:, ::k]
+
+
+def _patch_norms(image, ps):
+    """Squared norms of the patches of an (M, N, K) image, shape
+    (M - ps + 1, N - ps + 1): per-pixel band energies summed over the patch
+    rows, then over its columns."""
+    m, n, _ = image.shape
+    energy = np.einsum("ijk,ijk->ij", image, image)
+    rows = energy[: m - ps + 1].copy()
+    for i in range(1, ps):
+        rows += energy[i : i + m - ps + 1]
+    norms = rows[:, : n - ps + 1].copy()
+    for j in range(1, ps):
+        norms += rows[:, j : j + n - ps + 1]
+    return norms
+
+
+def _estimate(patches, norms, refs, ref_norms, top, bottom, lo, hi, budget):
+    """Estimated distances from the references, one patch vector per row of
+    refs, to the candidates of their search windows: est[j, y - top, x - lo[j]]
+    for rows top <= y < bottom and columns lo[j] <= x < hi[j].
+
+    The candidate columns are cut into strips at most a window wide, and
+    each strip into pieces of as many window rows as budget bytes allow, or
+    into pieces of one row when a row alone exceeds it.  The cross terms of
+    a piece come from one product of its candidate patches with the
+    references whose windows meet it.  On a 96-pixel-wide image, strips a
+    window wide form 46% fewer products than one strip as wide as the image
+    and took a third less time to match at K = 5 and 25 (one thread)."""
+    nref, d = refs.shape
+    est = np.empty((nref, bottom - top, int((hi - lo).max())))
+    span = int(min(hi[-1] - lo[0], est.shape[2]))
+    per_piece = max(1, budget // (8 * (d + 2 * nref)))
+    step_y, step_x = (per_piece // span, span) if per_piece >= span else (1, per_piece)
+    for y0 in range(top, bottom, step_y):
+        y1 = min(y0 + step_y, bottom)
+        for x0 in range(lo[0], hi[-1], step_x):
+            x1 = min(x0 + step_x, hi[-1])
+            j0, j1 = np.searchsorted(hi, x0, "right"), np.searchsorted(lo, x1, "left")
+            cand = np.ascontiguousarray(patches[y0:y1, x0:x1]).reshape(-1, d)
+            cross = refs[j0:j1] @ cand.T
+            del cand
+            cross *= 2.0
+            piece = np.add.outer(ref_norms[j0:j1], norms[y0:y1, x0:x1].ravel())
+            piece -= cross
+            piece = piece.reshape(j1 - j0, y1 - y0, x1 - x0)
+            for j in range(j0, j1):
+                a, b = max(x0, lo[j]), min(x1, hi[j])
+                est[j, y0 - top : y1 - top, a - lo[j] : b - lo[j]] = piece[j - j0, :, a - x0 : b - x0]
+    return est
+
+
+def _shortlist(est, widths, sizes, margins, ref_flat):
+    """(owner, flat) of the shortlisted candidates, row-major: reference
+    owner's candidate at flat index flat of est[owner] (_estimate), whose
+    first widths[owner] columns are its window.  A reference shortlists
+    itself, at ref_flat, every candidate whose estimate is not finite, and
+    every one whose estimate is at most its sizes-th smallest finite one
+    plus its margin; all of them when fewer than sizes are finite."""
+    nref, ny, wmax = est.shape
+    inside = np.broadcast_to((np.arange(wmax) < widths[:, None])[:, None], est.shape)
+    inside = inside.reshape(nref, -1)
+    est = est.reshape(nref, -1)
+    finite = np.isfinite(est)
+    clean = np.where(finite & inside, est, np.inf)
+    kth = sizes - 1
+    least = np.partition(clean, np.unique(kth), axis=1)
+    threshold = np.take_along_axis(least, kth[:, None], axis=1)[:, 0] + margins
+    keep = ((clean <= threshold[:, None]) | ~finite) & inside
+    keep[np.arange(nref), ref_flat] = True
+    return np.nonzero(keep)
+
+
+def _exact_distances(patches, refs, owner, ys, xs, step):
+    """Squared distances from the patches at (ys, xs) of a _patch_view to
+    the references refs[owner], one patch vector in its order per row of
+    refs, added up as the offset-by-offset match did: per pixel over the
+    bands in order, by the same einsum on band-first differences, then over
+    the patch rows, then over its columns, each in order.  step candidates
+    at a time."""
+    ps = patches.shape[2]
+    k = patches.shape[3] // ps
+    dist = np.empty(len(ys))
+    for lo in range(0, len(ys), step):
+        hi = min(lo + step, len(ys))
+        cand = patches[ys[lo:hi], xs[lo:hi]].reshape(hi - lo, -1)
+        # one subtraction per run of one reference's candidates
+        cuts = [lo, *(lo + 1 + np.flatnonzero(np.diff(owner[lo:hi]))), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            cand[a - lo : b - lo] -= refs[owner[a]]
+        diff = np.empty((k, hi - lo, ps, ps))
+        np.copyto(diff, cand.reshape(hi - lo, ps, ps, k).transpose(3, 0, 1, 2))
+        del cand
+        diff = diff.reshape(k, -1, ps)
+        sq = np.einsum("kij,kij->ij", diff, diff).reshape(hi - lo, ps, ps)
+        del diff
+        box = sq[:, 0].copy()
+        for i in range(1, ps):
+            box += sq[:, i]
+        out = dist[lo:hi]
+        out[:] = box[:, 0]
+        for j in range(1, ps):
+            out += box[:, j]
+    return dist
+
+
+def _match_refs(patches, norms, r, cols, geom, out):
+    """Write into out the search-window offsets a*w + b of the candidates of
+    the references at row r and columns cols of the image whose _patch_view
+    is patches, nearest first, the reference itself first of all; norms are
+    the patches' squared norms.
+
+    The distance of every in-window candidate is estimated (_estimate) and
+    a shortlist drawn from the estimates (_shortlist), both under
+    np.errstate(all="ignore").  An estimate lies within half the margin
+    (_shortlist_margin) of its exact distance, so a reference's shortlist
+    holds every candidate that can rank among the sizes nearest, ties
+    included.  Only the shortlist gets its exact distance (_exact_distances)
+    and a stable sort, in row-major candidate order, so ties keep that
+    order.  When a window holds fewer in-image candidates than out is wide,
+    its offsets that leave the image follow them in row-major order.
+    """
+    h = geom.window // 2
     w = 2 * h + 1
-    top, bottom = rows[0], rows[-1] + ps
-    ref = padded[:, top + h : bottom + h, h : h + n]
-    diff = np.empty(ref.shape)
-    sq = np.empty((w, bottom - top, n))
-    dist = np.empty((len(rows), len(cols), w, w))
-    for a in range(w):
-        band = padded[:, top + a : bottom + a]
-        for b in range(w):
-            np.subtract(band[:, :, b : b + n], ref, out=diff)
-            np.einsum("kij,kij->ij", diff, diff, out=sq[b])
-        box = _window_sums(sq, rows - top, ps, axis=1)
-        dist[:, :, a, :] = _window_sums(box, cols, ps, axis=2).transpose(1, 2, 0)
-    # A candidate that leaves the image overlaps the border, so its distance
-    # is NaN, which sorts after the +inf an overflowing in-image distance can
-    # reach; the reference sorts first.
-    dist[:, :, h, h] = -np.inf
-    # one reference row at a time: sorting the block at once held a second,
-    # int64 block of the distances' size, in each worker
-    for i, row in enumerate(dist.reshape(len(rows), len(cols), w * w)):
-        out[i] = np.argsort(row, axis=1, kind="stable")[:, : out.shape[2]]
+    ps, d = patches.shape[2], patches.shape[2] * patches.shape[3]
+    width = out.shape[1]
+    top, bottom = max(r - h, 0), min(r + h + 1, patches.shape[0])
+    lo = np.maximum(cols - h, 0)
+    hi = np.minimum(cols + h + 1, patches.shape[1])
+    widths = hi - lo
+    sizes = np.minimum(geom.group, (bottom - top) * widths)
+    refs = patches[r, cols].reshape(len(cols), d)
+    # the pieces' share of half of _CHUNK_BYTES; the shortlist's bookkeeping,
+    # five numbers per candidate, later takes the estimates' place
+    room = _CHUNK_BYTES // 2 - 8 * len(cols) * (d + (bottom - top) * w)
+    with np.errstate(all="ignore"):
+        ref_norms = norms[r, cols]
+        est = _estimate(patches, norms, refs, ref_norms, top, bottom, lo, hi, room)
+        margins = _shortlist_margin(d, ref_norms + norms[top:bottom].max())
+        wmax = est.shape[2]
+        ref_flat = (r - top) * wmax + cols - lo
+        owner, flat = _shortlist(est, widths, sizes, margins, ref_flat)
+        del est
+    ys, xs = top + flat // wmax, lo[owner] + flat % wmax
+    step = max(1, room // (8 * (2 * d + 2 * ps * ps)))
+    dist = _exact_distances(patches, refs, owner, ys, xs, step)
+    # the reference sorts first of all
+    dist[flat == ref_flat[owner]] = -np.inf
+    order = np.lexsort((dist, owner))
+    ranks = np.arange(width) < sizes[:, None]
+    best = order[(np.searchsorted(owner, np.arange(len(cols)))[:, None] + np.arange(width))[ranks]]
+    out[ranks] = (ys[best] - r + h) * w + xs[best] - cols[owner[best]] + h
+    for j in np.flatnonzero(sizes < width):
+        a, b = np.divmod(np.arange(w * w), w)
+        inside = (top <= r + a - h) & (r + a - h < bottom)
+        inside &= (lo[j] <= cols[j] + b - h) & (cols[j] + b - h < hi[j])
+        out[j, sizes[j] :] = np.flatnonzero(~inside)[: width - sizes[j]]
+
+
+def _match_rows(image, norms, rows, cols, geom, out):
+    """Write into out the search-window offsets of the candidates of the
+    references rows x cols of a C-ordered (M, N, K) image, nearest first,
+    the reference itself first of all (_match_refs); norms are its patches'
+    squared norms.
+
+    The references of a row are matched a run of columns at a time, so
+    that their estimates and patches take at most a quarter of _CHUNK_BYTES
+    however wide the image, and the pieces of candidate patches and of
+    shortlist differences the rest of half of it.
+    """
+    patches = _patch_view(image, geom.patch)
+    h = geom.window // 2
+    d = patches.shape[2] * patches.shape[3]
+    for i, r in enumerate(rows):
+        window_rows = min(r + h + 1, patches.shape[0]) - max(r - h, 0)
+        step = max(1, _CHUNK_BYTES // 4 // (8 * (d + window_rows * (2 * h + 1))))
+        for j in range(0, len(cols), step):
+            _match_refs(patches, norms, r, cols[j : j + step], geom, out[i, j : j + step])
 
 
 def _match(reduced, rows, cols, geom, pool):
-    """Group members of the references rows x cols, row-major.
+    """Group members of the references rows x cols of a C-ordered image,
+    row-major.
 
     Returns (corners, sizes): corners[i] lists flat corners r*N + c of
     reference i's candidates, nearest first, and its first sizes[i] entries
     are the group.
 
-    Distances are formed one search-window offset (dr, dc) at a time: the
-    squared difference between the image and its shift, summed over bands,
-    then over the patch rows at the reference rows and the patch columns at
-    the reference columns.  Every term is non-negative, so exact duplicates
-    score exactly 0.  The image is copied once, band-first and padded with
-    a NaN border half a window wide: a candidate that leaves the image
-    reads the border and scores NaN, which sorts last, while an in-image
-    candidate never reads it.  Offsets are laid out row-major, so a stable
-    sort keeps ties in row-major candidate order.  Each block of reference
-    rows is one job on pool, which writes the block's slice of the
-    candidate order; with pool None the blocks run in turn on the calling
-    thread.
+    A candidate's exact distance is its squared difference from the
+    reference, summed over the bands, then over the patch rows and columns.
+    Every term is non-negative, so exact duplicates score exactly 0, and an
+    overflowing distance reads +inf.  Candidates tie in row-major order.
+    Each reference row is one job on pool (_match_rows), which writes the
+    row's slice of the candidate order; with pool None the rows run in turn
+    on the calling thread.  The jobs read the image in place, and the
+    patches' squared norms, formed once here.
     """
-    m, n, k = reduced.shape
+    m, n, _ = reduced.shape
     ps, h = geom.patch, geom.window // 2
     w = 2 * h + 1
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    padded = np.pad(
-        reduced.transpose(2, 0, 1), ((0, 0), (h, h), (h, h)), constant_values=np.nan
-    )
+    with np.errstate(all="ignore"):
+        norms = _patch_norms(reduced, ps)
     order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
-    # per reference row: its distances, and geom.stride image rows of the
-    # squared differences (w per pixel) and of the difference (K per pixel)
-    row_bytes = 8 * (len(cols) * w * w + (w + k) * geom.stride * n)
-    step = max(1, _CHUNK_BYTES // row_bytes)
-    blocks = [
-        (padded, h, rows[lo : lo + step], cols, ps, order[lo : lo + step])
-        for lo in range(0, len(rows), step)
-    ]
+    jobs = [(reduced, norms, rows[i : i + 1], cols, geom, order[i : i + 1]) for i in range(len(rows))]
     if pool is None:
-        for block in blocks:
-            _match_rows(*block)
+        for job in jobs:
+            _match_rows(*job)
     else:
-        for job in [_submit(pool, _match_rows, *block) for block in blocks]:
+        for job in [_submit(pool, _match_rows, *job) for job in jobs]:
             job.result()
     dr, dc = np.divmod(order, w)
     corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
@@ -304,7 +463,7 @@ def match_group(reduced, ref, geom):
     candidates, all of them are taken.  The one reference is matched on the
     calling thread: no pool is made and BLAS's thread count is not touched.
     """
-    reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
+    reduced = _finite_cube(reduced)
     m, n, k = reduced.shape
     ps = geom.patch
     r0, c0 = int(ref[0]), int(ref[1])
@@ -319,6 +478,16 @@ def match_group(reduced, ref, geom):
         members=np.stack(np.divmod(members, n), axis=1),
         matrix=np.ascontiguousarray(patches.T),
     )
+
+
+def _finite_cube(reduced):
+    """reduced as a C-ordered float64 cube; a ValueError naming it if an
+    entry is not finite, which would sort among the distances and overflow
+    the shrink's Gram matrices."""
+    reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
+    if not _all_finite(reduced):
+        raise ValueError("reduced has non-finite entries")
+    return reduced
 
 
 def _check_sigma(sigma):
@@ -570,7 +739,7 @@ def match_groups(reduced, geom):
     of the same height and width.  The blocks of reference rows are matched
     on a thread pool made for the call, as denoise_reduced makes one.
     """
-    reduced = as_cube(reduced, "reduced")
+    reduced = _finite_cube(reduced)
     m, n, _ = reduced.shape
     axes = _grid_axes(m, n, geom)
     with _stage_pool() as (pool, _):
@@ -631,7 +800,7 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     into the image in the order it submitted the chunks, so the output is
     the same bit for bit for any number of threads.
     """
-    reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
+    reduced = _finite_cube(reduced)
     _check_sigma(sigma)
     m, n, k = reduced.shape
     ps = geom.patch

@@ -339,6 +339,21 @@ class TestDenoiseReduced:
         out = denoise_reduced(noisy, 20.0, geom)
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["match_groups", "match_group", "denoise_reduced"])
+    def test_non_finite_reduced_rejected(self, entry, value):
+        """A NaN once sorted silently among the match distances, and the
+        shrink then reported an overflowed Gram matrix."""
+        reduced = np.random.default_rng(16).standard_normal((12, 12, 3))
+        reduced[5, 7, 1] = value
+        call = {
+            "match_groups": lambda: match_groups(reduced, SMALL),
+            "match_group": lambda: match_group(reduced, (4, 4), SMALL),
+            "denoise_reduced": lambda: denoise_reduced(reduced, 1.0, SMALL),
+        }[entry]
+        with pytest.raises(ValueError, match="reduced has non-finite entries"):
+            call()
+
 
 # --- Per-reference reference implementations -------------------------------
 # The spatial stage as one Python loop over references, with a sliding-window
@@ -929,13 +944,33 @@ class TestChunkMemory:
         bound = padded + spatial._CHUNK_BYTES + reduced.nbytes // 2
         assert peak < bound, f"peak {peak} bytes"
 
+    @pytest.mark.parametrize("shape", [(48, 48, 64), (24, 24, 95)])
+    def test_match_peak_at_large_k(self, shape, monkeypatch):
+        """A reference row's job forms its candidate patches in pieces: with
+        d = 2304 entries per patch, the 31 window rows of a 48x48 image hold
+        24.6 MB of them, and the 19 of a 24x24 image 9.9 MB at d = 3420."""
+        reduced = _scene(32, shape)
+        geom = PatchGeometry()
+        use_workers(monkeypatch, 1)
+        match_groups(reduced, geom)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            match_groups(reduced, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reduced.nbytes + spatial._CHUNK_BYTES, f"peak {peak} bytes"
+
 
 def match_block_bytes(reduced, geom, rows_per_block):
-    """A _CHUNK_BYTES that gives match blocks of rows_per_block reference rows."""
-    _, n, k = reduced.shape
-    cols = len(spatial._grid_axes(*reduced.shape[:2], geom)[1])
+    """A small _CHUNK_BYTES, under which each reference row is matched a few
+    references at a time and their candidate patches are formed in pieces
+    of about rows_per_block window rows."""
     w = 2 * (geom.window // 2) + 1
-    return rows_per_block * 8 * (cols * w * w + (w + k) * geom.stride * n)
+    d = geom.patch * geom.patch * reduced.shape[2]
+    # a reference's estimates and patch, and rows_per_block rows of a strip
+    # a window wide of candidate patches, with the product's two numbers
+    return 4 * 8 * ((d + w * w) + rows_per_block * w * (d + 2))
 
 
 class TestPooledMatch:
@@ -1067,3 +1102,182 @@ class TestPooledMatch:
         h = geom.window // 2
         padded = 8 * 25 * (96 + 2 * h) ** 2
         assert peak < padded + spatial._CHUNK_BYTES + reduced.nbytes // 2, f"peak {peak} bytes"
+
+
+# --- The offset-by-offset match ---------------------------------------------
+# The matcher before the shortlist: one subtract-and-einsum pass over the
+# image per search-window offset, in a copy padded with a NaN border, so that
+# a candidate leaving the image scores NaN and sorts last.  match_groups must
+# return its arrays bit for bit.
+
+
+def window_sums(x, starts, size, axis):
+    """Sums of size consecutive entries of x along axis, from each start."""
+    out = np.take(x, starts, axis=axis)
+    for i in range(1, size):
+        out += np.take(x, starts + i, axis=axis)
+    return out
+
+
+def offset_distances(reduced, geom):
+    """(R, C, w*w) distances of the candidates of the R x C references,
+    row-major over the search-window offsets (dr, dc), each formed one
+    offset at a time: the squared difference between the image and its
+    shift, summed over the bands, then over the patch rows at the reference
+    rows and the patch columns at the reference columns.  A candidate that
+    leaves the image reads a NaN border and scores NaN."""
+    reduced = np.asarray(reduced, dtype=np.float64)
+    m, n, _ = reduced.shape
+    ps, h = geom.patch, geom.window // 2
+    w = 2 * h + 1
+    rows, cols = (np.asarray(a) for a in spatial._grid_axes(m, n, geom))
+    padded = np.pad(
+        reduced.transpose(2, 0, 1), ((0, 0), (h, h), (h, h)), constant_values=np.nan
+    )
+    top, bottom = rows[0], rows[-1] + ps
+    ref = padded[:, top + h : bottom + h, h : h + n]
+    diff = np.empty(ref.shape)
+    sq = np.empty((w, bottom - top, n))
+    dist = np.empty((len(rows), len(cols), w, w))
+    for a in range(w):
+        band = padded[:, top + a : bottom + a]
+        for b in range(w):
+            np.subtract(band[:, :, b : b + n], ref, out=diff)
+            np.einsum("kij,kij->ij", diff, diff, out=sq[b])
+        box = window_sums(sq, rows - top, ps, axis=1)
+        dist[:, :, a, :] = window_sums(box, cols, ps, axis=2).transpose(1, 2, 0)
+    return dist.reshape(len(rows), len(cols), w * w)
+
+
+def match_by_offsets(reduced, geom):
+    """match_groups' (corners, sizes), from offset_distances.  Offsets are
+    row-major, so a stable sort keeps ties in row-major candidate order."""
+    m, n, _ = np.shape(reduced)
+    ps, h = geom.patch, geom.window // 2
+    w = 2 * h + 1
+    rows, cols = (np.asarray(a) for a in spatial._grid_axes(m, n, geom))
+    dist = offset_distances(reduced, geom)
+    # NaN, for a candidate that leaves the image, sorts after the +inf an
+    # overflowing in-image distance can reach; the reference sorts first
+    dist[:, :, h * w + h] = -np.inf
+    order = np.argsort(dist, axis=2, kind="stable")[:, :, : min(geom.group, w * w)]
+    dr, dc = np.divmod(order, w)
+    corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
+    in_r = np.minimum(rows + h, m - ps) - np.maximum(rows - h, 0) + 1
+    in_c = np.minimum(cols + h, n - ps) - np.maximum(cols - h, 0) + 1
+    sizes = np.minimum(geom.group, in_r[:, None] * in_c)
+    return corners.reshape(-1, order.shape[2]), sizes.ravel()
+
+
+def near_ties(offset, seed, m=16, n=16, k=4):
+    """An image on which the candidates of the reference at (6, 6) that do not
+    overlap it all lie at one distance from it in exact arithmetic, while
+    their rounded distances differ by an ulp or two, in an order that
+    depends on how the terms are added.
+
+    The reference patch holds offset alone.  Elsewhere pixel (y, x) holds
+    offset plus the k values V[y % 3, x % 3], rotated across the bands by
+    y // 3 + 2 * (x // 3): every 3 x 3 patch holds each pixel of V once, in
+    another place and band order.  On offset, the values keep at least 27
+    significant bits, so their squares round, while the estimate
+    |r|^2 + |c|^2 - 2<r, c> rounds on the scale of offset^2, far above the
+    gaps."""
+    V = np.random.default_rng(seed).uniform(1.0, 4.0, (3, 3, k))
+    y, x, b = np.ogrid[:m, :n, :k]
+    reduced = offset + V[y % 3, x % 3, (b + y // 3 + 2 * (x // 3)) % k]
+    reduced[6:9, 6:9] = offset
+    return reduced
+
+
+# group 30: the reference and the 24 candidates that overlap it lead, and 5
+# of the 56 near ties follow them
+NEAR_TIE_GEOM = PatchGeometry(patch=3, stride=3, window=8, group=30)
+
+# (offset, seed) of near_ties whose near ties take more than one value
+NEAR_TIE_CASES = [(2.0**12, 0), (2.0**12, 2), (2.0**26, 0), (2.0**26, 2)]
+
+
+def tiled_duplicates(seed, shape, period=(3, 4)):
+    """A random period[0] x period[1] tile repeated over the image, so that
+    each reference has many exact duplicates in its window."""
+    rng = np.random.default_rng(seed)
+    m, n, k = shape
+    tile = rng.uniform(0.0, 255.0, period + (k,))
+    reps = (-(-m // period[0]), -(-n // period[1]), 1)
+    return np.ascontiguousarray(np.tile(tile, reps)[:m, :n])
+
+
+class TestShortlistMatch:
+    """match_groups shortlists candidates by an estimated distance and sorts
+    the shortlist by its exact one: its arrays, candidates past each group
+    included, are those of the offset-by-offset match bit for bit."""
+
+    @staticmethod
+    def assert_matches_offsets(reduced, geom):
+        corners, sizes = match_groups(reduced, geom)
+        want_corners, want_sizes = match_by_offsets(reduced, geom)
+        np.testing.assert_array_equal(corners, want_corners)
+        np.testing.assert_array_equal(sizes, want_sizes)
+
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_stage_cases(self, case):
+        reduced, geom, _ = STAGE_CASES[case]
+        self.assert_matches_offsets(reduced, geom)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=reduced_and_geometry())
+    def test_random_images(self, case):
+        self.assert_matches_offsets(*case)
+
+    @pytest.mark.parametrize("shape", [(96, 96, 5), (96, 96, 25), (32, 32, 5)])
+    def test_default_geometry(self, shape):
+        self.assert_matches_offsets(_scene(33, shape), PatchGeometry())
+
+    @pytest.mark.parametrize("geom", [PatchGeometry(), PatchGeometry(4, 2, 12, 40)])
+    def test_exact_duplicates(self, geom):
+        """Duplicates score exactly 0 and tie in row-major order; a default
+        window holds about 60 of each reference."""
+        self.assert_matches_offsets(tiled_duplicates(34, (40, 40, 3)), geom)
+
+    @pytest.mark.parametrize("offset, seed", NEAR_TIE_CASES)
+    def test_near_ties(self, offset, seed):
+        reduced = near_ties(offset, seed)
+        # the case is what it claims: the reference's group ends among the
+        # candidates that do not overlap it, at distances a few ulps apart
+        rows, cols = spatial._grid_axes(16, 16, NEAR_TIE_GEOM)
+        dist = offset_distances(reduced, NEAR_TIE_GEOM)[rows.index(6), cols.index(6)]
+        dr, dc = np.divmod(np.arange(81), 9)
+        far = dist[(np.abs(dr - 4) > 2) | (np.abs(dc - 4) > 2)]
+        assert far.size == 56 and far.min() > dist[(dr >= 2) & (dr <= 6) & (dc >= 2) & (dc <= 6)].max()
+        assert len(np.unique(far)) > 1
+        assert far.max() - far.min() <= 16 * np.spacing(far.max())
+        self.assert_matches_offsets(reduced, NEAR_TIE_GEOM)
+
+    def test_near_ties_need_the_margin(self, monkeypatch):
+        """Without the margin, the shortlist is the group of smallest
+        estimates, and on near ties it loses candidates that the exact
+        distances rank in the group."""
+        monkeypatch.setattr(spatial, "_shortlist_margin", lambda d, energy: 0.0 * energy)
+        missed = 0
+        for offset, seed in NEAR_TIE_CASES:
+            reduced = near_ties(offset, seed)
+            got, _ = match_groups(reduced, NEAR_TIE_GEOM)
+            want, _ = match_by_offsets(reduced, NEAR_TIE_GEOM)
+            missed += not np.array_equal(got, want)
+        assert missed > 0
+
+    def test_entries_near_1e154(self):
+        """Squared norms near d * 1e308 overflow in the estimate, which does
+        not see the caller's errstate; no exact distance overflows."""
+        rng = np.random.default_rng(35)
+        reduced = 1e154 * (1.0 + rng.uniform(-1e-3, 1e-3, (20, 20, 3)))
+        geom = PatchGeometry(patch=3, stride=3, window=8, group=10)
+        with np.errstate(over="raise", invalid="raise"):
+            self.assert_matches_offsets(reduced, geom)
+
+    def test_entries_near_1e_minus_160(self):
+        """Squared differences near 1e-316 are subnormal: exact distances
+        keep few bits and tie often."""
+        rng = np.random.default_rng(36)
+        reduced = 1e-160 * rng.uniform(0.0, 255.0, (20, 20, 3))
+        self.assert_matches_offsets(reduced, PatchGeometry(patch=3, stride=3, window=8, group=10))
