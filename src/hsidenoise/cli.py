@@ -21,7 +21,7 @@ from .experiment import (
     write_trace_csv,
 )
 from .io import DTYPES, DataError, add_gaussian_noise, parse_band_list, parse_key_values, write_cube
-from .metrics import quality_report
+from .metrics import _check_window, quality_report
 from .pipeline import DenoiseConfig, NumericalError, denoise
 from .spatial import PatchGeometry
 from .subspace import estimate_band_noise, estimate_subspace_dim
@@ -160,6 +160,8 @@ def _cmd_denoise(args):
     cfg, run = _build_config(args)
     cube = load_input(args.input, run.normalize, run.keep_bands)
     clean = load_input(args.clean, run.normalize, run.keep_bands) if args.clean else None
+    if clean is not None:
+        _check_window(*clean.shape[:2])
     t0 = time.perf_counter()
     x, trace = denoise(cube, run.sigma0, cfg, clean=clean)
     elapsed = time.perf_counter() - t0

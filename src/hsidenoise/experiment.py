@@ -19,7 +19,7 @@ from .io import (
     rescale,
     write_cube,
 )
-from .metrics import mssim, quality_report
+from .metrics import _check_window, mssim, quality_report
 from .pipeline import DenoiseConfig, IterationRecord, denoise
 from .tensor import _all_finite, _int_field
 
@@ -157,9 +157,11 @@ def run_experiment(spec):
 
     Returns the report rows.  Cases are independent; spec.jobs > 1 runs
     them in separate processes.  Per-case noise seeds are spec.seed plus
-    the case index, so a fixed spec reproduces every number exactly.
+    the case index, so a fixed spec reproduces every number exactly.  A
+    cube too small for the SSIM window raises before anything is written.
     """
     clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
+    _check_window(*clean.shape[:2])
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -183,11 +185,11 @@ def bench_bands(spec, band_counts=None):
     Truncates the input to each requested band count (default 32, 64,
     128, B), runs the pipeline at spec.sigmas[0], and writes bench.csv
     with per-stage times summed over iterations.  The default grid needs
-    an input with >= 32 bands; explicit counts must fit the input.
+    an input with >= 32 bands; explicit counts must fit the input.  Bad
+    counts, no sigma or a cube too small for the SSIM window raise before
+    anything is written.
     """
     clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
-    outdir = Path(spec.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     total = clean.shape[2]
     if not spec.sigmas:
         raise ValueError("bench needs at least one sigma")
@@ -200,6 +202,9 @@ def bench_bands(spec, band_counts=None):
     counts = sorted({_int_field("band count", c) for c in band_counts})
     if counts[0] < 1 or counts[-1] > total:
         raise ValueError(f"band counts must lie in [1, {total}], got {band_counts}")
+    _check_window(*clean.shape[:2])
+    outdir = Path(spec.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for nb in counts:

@@ -46,6 +46,14 @@ def _check_peak(peak):
         raise ValueError(f"peak must be finite and > 0, got {peak}")
 
 
+def _check_window(m, n):
+    """A ValueError unless an m x n image holds SSIM's window."""
+    if min(m, n) < SSIM_WINDOW:
+        raise ValueError(
+            f"image {(m, n)} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
+        )
+
+
 def psnr(ref, test, peak=PEAK):
     """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
     _check_peak(peak)
@@ -86,10 +94,7 @@ def _band_ssims(ref, test, peak):
     the textbook formula.
     """
     bands, m, n = ref.shape
-    if min(m, n) < SSIM_WINDOW:
-        raise ValueError(
-            f"image {(m, n)} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
-        )
+    _check_window(m, n)
     half = SSIM_WINDOW // 2
     kernel = _gaussian_kernel()
     c1 = (0.01 * peak) ** 2

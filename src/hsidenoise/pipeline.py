@@ -185,11 +185,11 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     at the last iteration, and at each one when early_stop or clean is
     given; the estimate is the same either way.
 
-    OpenBLAS is held to one thread for the whole call, as match_groups and
-    denoise_reduced hold it for their thread pools: after a threaded BLAS
-    call OpenBLAS's idle threads spin for a while, against the pools'
-    threads for the cores.  Other threads' BLAS calls run on one thread
-    meanwhile.
+    OpenBLAS is held to one thread for the whole call, as denoise_reduced
+    holds it for its shrinkage pool: after a threaded BLAS call OpenBLAS's
+    idle threads spin for a while, against the pool's threads for the
+    cores.  match_groups, which makes no pool, runs inside the hold too.
+    Other threads' BLAS calls run on one thread meanwhile.
     """
     with _one_blas_thread():
         y = as_cube(noisy, "noisy")

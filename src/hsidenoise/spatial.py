@@ -18,8 +18,8 @@ noise level sigma, and adding them into a span of the image with one
 bincount per band.  A row's match holds at most half of _CHUNK_BYTES, and
 so does a chunk's buffer, so peak memory does not grow with the image.
 
-Both passes run on a thread pool, one worker per core, with OpenBLAS held to
-one thread.  A worker matches one row of references, or gathers, shrinks and
+The calling thread matches.  The shrinkage runs on a thread pool, one worker
+per core, with OpenBLAS held to one thread: a worker gathers, shrinks and
 scatters one chunk of groups end to end; the calling thread allocates the
 one buffer a chunk's worker writes, the gathered groups, which are shrunk in
 place, and adds the returned spans into the image in the order it submitted
@@ -66,13 +66,13 @@ _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
 _WEIGHT_EPS = 1e-16
 
 # float64 bytes of the match working set of a row of references and of the
-# buffer of a chunk of groups, each at most half of it.  One worker matches a
-# row, a run of references at a time: their estimates and patches, then the
-# candidate patches of their search windows a piece at a time, then the
-# exact distances of their shortlist a piece at a time.  On a default denoise of a
-# 96x96x64 scene (2 cores), giving a row's match half of _CHUNK_BYTES, not
-# all of it, kept the peak RSS at 64.5 MB against 66.5 MB at no cost in
-# time; a quarter was no faster.  Up to
+# buffer of a chunk of groups, each at most half of it.  The calling thread
+# matches a row a run of references at a time: their estimates and patches,
+# then the candidate patches of their search windows a piece at a time, then
+# the exact distances of their shortlist a piece at a time.  On a default
+# denoise of a 96x96x64 scene (2 cores), giving a row's match half of
+# _CHUNK_BYTES, not all of it, kept the peak RSS at 64.5 MB against 66.5 MB
+# at no cost in time; a quarter was no faster.  Up to
 # workers + 1 chunks of groups are in flight, each with one buffer the
 # calling thread allocates (the gathered groups, shrunk in place), so this
 # bounds the stage's peak memory.  It must not depend on the worker count:
@@ -361,28 +361,7 @@ def _match_refs(patches, norms, r, cols, geom, out):
         out[j, sizes[j] :] = np.flatnonzero(~inside)[: width - sizes[j]]
 
 
-def _match_rows(image, norms, rows, cols, geom, out):
-    """Write into out the search-window offsets of the candidates of the
-    references rows x cols of a C-ordered (M, N, K) image, nearest first,
-    the reference itself first of all (_match_refs); norms are its patches'
-    squared norms.
-
-    The references of a row are matched a run of columns at a time, so
-    that their estimates and patches take at most a quarter of _CHUNK_BYTES
-    however wide the image, and the pieces of candidate patches and of
-    shortlist differences the rest of half of it.
-    """
-    patches = _patch_view(image, geom.patch)
-    h = geom.window // 2
-    d = patches.shape[2] * patches.shape[3]
-    for i, r in enumerate(rows):
-        window_rows = min(r + h + 1, patches.shape[0]) - max(r - h, 0)
-        step = max(1, _CHUNK_BYTES // 4 // (8 * (d + window_rows * (2 * h + 1))))
-        for j in range(0, len(cols), step):
-            _match_refs(patches, norms, r, cols[j : j + step], geom, out[i, j : j + step])
-
-
-def _match(reduced, rows, cols, geom, pool):
+def _match(reduced, rows, cols, geom):
     """Group members of the references rows x cols of a C-ordered image,
     row-major.
 
@@ -394,26 +373,28 @@ def _match(reduced, rows, cols, geom, pool):
     reference, summed over the bands, then over the patch rows and columns.
     Every term is non-negative, so exact duplicates score exactly 0, and an
     overflowing distance reads +inf.  Candidates tie in row-major order.
-    Each reference row is one job on pool (_match_rows), which writes the
-    row's slice of the candidate order; with pool None the rows run in turn
-    on the calling thread.  The jobs read the image in place, and the
-    patches' squared norms, formed once here.
+    The calling thread matches the references row by row, a run of columns
+    at a time (_match_refs), so that their estimates and patches take at
+    most a quarter of _CHUNK_BYTES however wide the image, and the pieces
+    of candidate patches and of shortlist differences the rest of half of
+    it.  Each run reads the image in place, and the patches' squared norms,
+    formed once here.
     """
-    m, n, _ = reduced.shape
+    m, n, k = reduced.shape
     ps, h = geom.patch, geom.window // 2
     w = 2 * h + 1
+    d = ps * ps * k
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
+    patches = _patch_view(reduced, ps)
     with np.errstate(all="ignore"):
         norms = _patch_norms(reduced, ps)
     order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
-    jobs = [(reduced, norms, rows[i : i + 1], cols, geom, order[i : i + 1]) for i in range(len(rows))]
-    if pool is None:
-        for job in jobs:
-            _match_rows(*job)
-    else:
-        for job in [_submit(pool, _match_rows, *job) for job in jobs]:
-            job.result()
+    for i, r in enumerate(rows):
+        window_rows = min(r + h + 1, patches.shape[0]) - max(r - h, 0)
+        step = max(1, _CHUNK_BYTES // 4 // (8 * (d + window_rows * w)))
+        for j in range(0, len(cols), step):
+            _match_refs(patches, norms, r, cols[j : j + step], geom, order[i, j : j + step])
     dr, dc = np.divmod(order, w)
     corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
     # in-image candidates per axis: corners max(r - h, 0) to min(r + h, M - ps)
@@ -469,7 +450,7 @@ def match_group(reduced, ref, geom):
     r0, c0 = int(ref[0]), int(ref[1])
     if not (0 <= r0 <= m - ps and 0 <= c0 <= n - ps):
         raise ValueError(f"reference {ref} out of bounds for {m}x{n} image")
-    corners, sizes = _match(reduced, [r0], [c0], geom, None)
+    corners, sizes = _match(reduced, [r0], [c0], geom)
     members = corners[0, : sizes[0]]
     first, pix = _patch_pixels(members, _patch_offsets(ps, n))
     patches = reduced.reshape(m * n, k)[first:][pix].reshape(len(members), -1)
@@ -736,14 +717,12 @@ def match_groups(reduced, geom):
     candidates, nearest first and the reference itself first of all, and
     its first sizes[i] entries are the group.  Members are pixel positions,
     so the pair can be passed as denoise_reduced's groups for another image
-    of the same height and width.  The blocks of reference rows are matched
-    on a thread pool made for the call, as denoise_reduced makes one.
+    of the same height and width.  The references are matched on the
+    calling thread: no pool is made and BLAS's thread count is not touched.
     """
     reduced = _finite_cube(reduced)
     m, n, _ = reduced.shape
-    axes = _grid_axes(m, n, geom)
-    with _stage_pool() as (pool, _):
-        return _match(reduced, *axes, geom, pool)
+    return _match(reduced, *_grid_axes(m, n, geom), geom)
 
 
 def _check_groups(groups, m, n, geom):
@@ -790,22 +769,25 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     same.  With sigma = 0 this is the identity up to overlap-averaging
     roundoff.
 
-    One pool of one thread per core, created and closed within the call,
-    runs both passes while OpenBLAS is held to one thread; with no OpenBLAS
-    found the pool has one thread.  A worker matches one block of reference
-    rows into its slice of the candidate order, or gathers, shrinks and
-    scatters one chunk into a span of the image, in the one buffer, the
-    gathered stack, that the calling thread allocated for it; at most
-    workers + 1 chunks are in flight.  The calling thread adds the spans
-    into the image in the order it submitted the chunks, so the output is
-    the same bit for bit for any number of threads.
+    The calling thread matches.  Then one pool of one thread per core,
+    created and closed within the call, shrinks while OpenBLAS is held to
+    one thread; with no OpenBLAS found the pool has one thread.  A worker
+    gathers, shrinks and scatters one chunk into a span of the image, in
+    the one buffer, the gathered stack, that the calling thread allocated
+    for it; at most workers + 1 chunks are in flight.  The calling thread
+    adds the spans into the image in the order it submitted the chunks, so
+    the output is the same bit for bit for any number of threads.
     """
     reduced = _finite_cube(reduced)
     _check_sigma(sigma)
     m, n, k = reduced.shape
     ps = geom.patch
-    if groups is not None:
+    if groups is None:
+        corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom)
+    else:
         corners, sizes = _check_groups(groups, m, n, geom)
+    # after the match, whose peak it would add to
+    acc = np.zeros((m * n, k))
     pixels = reduced.reshape(m * n, k)
     offsets = _patch_offsets(ps, n)
     d = ps * ps * k
@@ -817,10 +799,6 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
             acc[start : start + len(sums)] += sums
 
     with _stage_pool() as (pool, workers):
-        if groups is None:
-            corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom, pool)
-        # after the match, whose padded image and row blocks it would add to
-        acc = np.zeros((m * n, k))
         # Groups clipped by the image edge can be smaller than geom.group;
         # each size is its own batch, so no group is cut or padded.  The
         # buffers are allocated here, not in the workers: there they came

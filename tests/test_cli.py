@@ -402,6 +402,41 @@ class TestNonFiniteInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
+class TestRejectedBeforeWriting:
+    """Band counts that do not fit the cube, and a cube smaller than SSIM's
+    11x11 window where quality is reported, exit 1 before any output is
+    written, not after the work is done."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench-bands", "CUBE", "--bands", "500", "--outdir", "OUT"], "band counts"),
+            (["bench-bands", "CUBE", "--outdir", "OUT"], "needs >= 32 bands"),
+            (["denoise", "SMALL", "OUT", "--clean", "SMALL_CLEAN", "--sigma0", "20"],
+             "smaller than the 11x11 window"),
+            (["run-exp", "SMALL_CLEAN", "--sigmas", "10,20", "--outdir", "OUT"],
+             "smaller than the 11x11 window"),
+        ],
+        ids=["bench-bands-count", "bench-bands-default-grid", "denoise-clean", "run-exp"],
+    )
+    def test_exits_1_and_writes_nothing(self, tmp_path, argv, message, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        small = rank_cube(8, 8, 6, 2, seed=2)
+        paths = {
+            "CUBE": str(write_cube(inputs / "cube", rank_cube(16, 16, 8, 2, seed=2))),
+            "SMALL": str(write_cube(inputs / "small", add_gaussian_noise(small, 20.0, seed=2))),
+            "SMALL_CLEAN": str(write_cube(inputs / "small_clean", small)),
+            "OUT": str(tmp_path / "out"),
+        }
+        argv = [paths.get(a, a) for a in argv] + ["--no-normalize"] + FAST
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
 class TestConsoleScript:
     def test_help_runs(self):
         proc = subprocess.run(

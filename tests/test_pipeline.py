@@ -441,8 +441,9 @@ class TestBlasHold:
         assert blas_counts() == blas_at_three
 
     def test_shrinkage_pool_keeps_its_workers(self, blas_at_three, monkeypatch):
-        """The nested holds in match_groups and denoise_reduced still find
-        OpenBLAS, so each call's pool gets one thread per core, not one."""
+        """denoise_reduced's hold, nested in denoise's, still finds
+        OpenBLAS, so each call's pool gets one thread per core, not one;
+        match_groups makes no pool."""
         pools = []
 
         def pool(workers):
@@ -453,8 +454,8 @@ class TestBlasHold:
         monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
         noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=11), 20.0, seed=11)
         denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM))
-        # match_groups at iterations 1 and 2, denoise_reduced at all three
-        assert pools == [3] * 5
+        # denoise_reduced at each of the three iterations
+        assert pools == [3] * 3
 
 
 TINY_GEOM = PatchGeometry(patch=2, stride=2, window=4, group=4)

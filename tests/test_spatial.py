@@ -164,15 +164,15 @@ class TestMatchGroup:
             raise AssertionError("match_group made a pool or a BLAS hold")
 
         threads = []
-        match_rows = spatial._match_rows
+        match_refs = spatial._match_refs
 
         def recording(*args):
             threads.append(threading.current_thread())
-            return match_rows(*args)
+            return match_refs(*args)
 
         monkeypatch.setattr(spatial, "ThreadPoolExecutor", refused)
         monkeypatch.setattr(spatial, "_one_blas_thread", refused)
-        monkeypatch.setattr(spatial, "_match_rows", recording)
+        monkeypatch.setattr(spatial, "_match_refs", recording)
         refs = reference_grid(m, n, geom)
         for (r, c), row, p in zip(refs, corners, sizes):
             grp = match_group(reduced, (r, c), geom)
@@ -934,8 +934,10 @@ class TestChunkMemory:
 
     def test_match_peak_is_not_added_to(self, monkeypatch):
         """The overlap sums are allocated after the match, so a call that
-        matches peaks within match_groups' bound: 5.35 MiB here, 7.10 MiB
-        with the sums held through the match."""
+        matches peaks within match_groups' bound: 4.58 MiB here, on one
+        worker.  The bound's first term, the size of the image with a NaN
+        border a window half wide (3.03 MiB), is slack: the match makes no
+        such copy."""
         reduced = _scene(31, (96, 96, 25))
         geom = PatchGeometry()
         use_workers(monkeypatch, 1)
@@ -974,9 +976,9 @@ def match_block_bytes(reduced, geom, rows_per_block):
 
 
 class TestPooledMatch:
-    """The blocks of reference rows are matched on the same kind of pool as
-    the shrinkage: the groups do not depend on the worker count or on how
-    the rows are split into blocks."""
+    """The references are matched on the calling thread, before the
+    shrinkage pool opens: the groups do not depend on the worker count or
+    on how the references are split into runs."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 2])
     @pytest.mark.parametrize("case", sorted(STAGE_CASES))
@@ -995,65 +997,26 @@ class TestPooledMatch:
             np.testing.assert_array_equal(got_sizes, sizes)
             np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
 
-    def test_blocks_run_on_pool_threads(self, monkeypatch):
-        reduced, geom, _ = STAGE_CASES["default_geometry"]
-        monkeypatch.setattr(spatial, "_CHUNK_BYTES", match_block_bytes(reduced, geom, 1))
-        use_workers(monkeypatch, 2)
-        threads = []
-        match_rows = spatial._match_rows
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return match_rows(*args)
-
-        monkeypatch.setattr(spatial, "_match_rows", recording)
-        match_groups(reduced, geom)
-        rows = len(spatial._grid_axes(*reduced.shape[:2], geom)[0])
-        assert len(threads) == rows > 1
-        assert threading.current_thread() not in threads
-
-    def test_default_geometry_on_96x96_splits_into_blocks(self, monkeypatch):
-        # blocks sized by their distances alone put all 16 reference rows in
-        # one, so matching ran on one worker
+    def test_default_geometry_on_96x96_equals_one_row_budget(self, monkeypatch):
         reduced = _scene(31, (96, 96, 5))
         geom = PatchGeometry()
-        blocks = []
-        match_rows = spatial._match_rows
-
-        def recording(*args):
-            blocks.append(len(args[2]))
-            return match_rows(*args)
-
-        monkeypatch.setattr(spatial, "_match_rows", recording)
         corners, sizes = match_groups(reduced, geom)
-        assert len(blocks) >= 2 and sum(blocks) == 16
         monkeypatch.setattr(spatial, "_CHUNK_BYTES", match_block_bytes(reduced, geom, 1))
         one_row_corners, one_row_sizes = match_groups(reduced, geom)
         np.testing.assert_array_equal(corners, one_row_corners)
         np.testing.assert_array_equal(sizes, one_row_sizes)
 
-    def test_match_groups_makes_one_pool_and_restores_blas(self, blas_at_three, monkeypatch):
+    def test_match_groups_makes_no_pool_and_no_blas_hold(self, monkeypatch):
         reduced, geom, _ = STAGE_CASES["default_geometry"]
-        use_workers(monkeypatch, 2)
-        pools = []
+        want = match_groups(reduced, geom)
 
-        def pool(workers):
-            pools.append(workers)
-            return ThreadPoolExecutor(workers)
+        def refused(*args):
+            raise AssertionError("match_groups made a pool or a BLAS hold")
 
-        monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
-        seen = []
-        match_rows = spatial._match_rows
-
-        def recording(*args):
-            seen.append(blas_counts())
-            return match_rows(*args)
-
-        monkeypatch.setattr(spatial, "_match_rows", recording)
-        match_groups(reduced, geom)
-        assert pools == [2]
-        assert seen and all(counts == [1] * len(blas_at_three) for counts in seen)
-        assert blas_counts() == blas_at_three
+        monkeypatch.setattr(spatial, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(spatial, "_one_blas_thread", refused)
+        for got, expected in zip(match_groups(reduced, geom), want):
+            np.testing.assert_array_equal(got, expected)
 
     def test_caller_errstate_reaches_match_workers(self, monkeypatch):
         # each squared difference, 1e308, is finite; their sum over a patch
@@ -1086,8 +1049,10 @@ class TestPooledMatch:
             assert len(np.unique(row[:size])) == size
 
     def test_match_copies_the_image_once(self, monkeypatch):
-        # the padding is the one image-sized array matching makes; the
-        # block's working set is bounded by _CHUNK_BYTES
+        # matching reads the image in place and its working set is bounded
+        # by _CHUNK_BYTES: the traced peak is 1.17 MiB here.  The bound's
+        # first term, the size of the image with a NaN border a window half
+        # wide, is slack: the match makes no such copy
         reduced = _scene(31, (96, 96, 25))
         assert reduced.flags.c_contiguous
         geom = PatchGeometry()
