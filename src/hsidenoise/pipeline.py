@@ -157,33 +157,94 @@ def _scale_exponent(top):
     return math.frexp(top)[1] - math.frexp(PEAK)[1]
 
 
+def _iterations(y, k0, sigma0, cfg, keep):
+    """Run the outer iterations on the observation y from K = k0; yield
+    (record, x, change_sq, norm_sq) after each one.
+
+    The generator owns the iteration's input y_i, K, the groups and the
+    estimate x.  y_i is dropped once projected, so the spatial stage holds
+    no full-band cube besides y, which may be the caller's array.  x is
+    written only where it is read again: at the last iteration, at each
+    one when keep is set, and for the early stop, which alone keeps it
+    through the next iteration and overwrites it in place, each block's
+    change summed first into change_sq = ||x_i - x_(i-1)||^2 and norm_sq =
+    ||x_(i-1)||^2; change_sq is None when the change is not summed.  A
+    caller that holds x while the next iteration runs holds one more
+    cube.  The record's sigma and residual are on y's scale, its psnr None.
+    """
+    k = k0
+    y_i = y
+    x = None
+    for i in range(1, cfg.iters + 1):
+        last = i == cfg.iters
+        sigma_i = reestimate_noise(y_i, y, sigma0, cfg.gamma)
+
+        t0 = time.perf_counter()
+        model = spectral_decompose(y_i, k)
+        _check_finite(model.reduced, "spectral projection", i)
+        basis = model.basis
+        # ||y_i - x_i||^2 = ||(I - P P^T) y_i||^2 + ||reduced - m_i||^2,
+        # for x_i = P m_i and reduced = P^T y_i with P = basis: the parts
+        # lie in orthogonal subspaces.  The first is summed here, the
+        # last read of y_i.
+        off_sq = 0.0
+        for rows in _row_blocks(y_i):
+            off_sq += frob_norm_sq(y_i[rows], mode3_product(model.reduced[rows], basis))
+        del y_i
+        t1 = time.perf_counter()
+
+        if i <= _LAST_MATCH_ITER:
+            groups = match_groups(model.reduced, cfg.geom)
+        m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
+        residual = math.sqrt(off_sq + frob_norm_sq(model.reduced, m_i))
+        del model
+        t2 = time.perf_counter()
+
+        # the lift-back, its finiteness check, the early-stop sums and
+        # the blend with the observation, one row block at a time
+        if x is None and (last or keep or cfg.early_stop is not None):
+            x = np.empty(y.shape)
+        y_i = None if last else np.empty(y.shape)
+        check_stop = cfg.early_stop is not None and i > 1
+        change_sq = norm_sq = 0.0
+        for rows in _row_blocks(y):
+            x_rows = mode3_product(m_i[rows], basis)
+            _check_finite(x_rows, "spatial filtering", i)
+            if check_stop:
+                change_sq += frob_norm_sq(x_rows, x[rows])
+                norm_sq += frob_norm_sq(x[rows])
+            if x is not None:
+                x[rows] = x_rows
+            if y_i is not None:
+                y_i[rows] = iterate_regularize(x_rows, y[rows], cfg.lam)
+        del m_i
+        t3 = time.perf_counter()
+
+        record = IterationRecord(iteration=i, k=k, sigma=sigma_i, residual=residual, psnr=None,
+                                 stage_a_seconds=(t1 - t0) + (t3 - t2), stage_b_seconds=t2 - t1)
+        yield record, x, change_sq if check_stop else None, norm_sq
+        if cfg.early_stop is None:
+            x = None
+        k = update_k(k0, cfg.delta, i, y.shape[2])
+
+
 def denoise(noisy, sigma0=None, config=None, clean=None):
     """Denoise a cube; returns (estimate, trace).
 
     sigma0 is the observation noise sigma on the cube's value scale; when
     None it is taken as the median of the per-band regression estimates.
-    clean, if given, adds a mean-over-bands PSNR to each trace record.
-    When the larger of max|noisy| and sigma0 lies far from PEAK (outside
-    PEAK * 2^+-16), the loop runs on the cube and sigma0 scaled by a power
-    of two and its estimate, sigmas and residuals are scaled back, so a
-    cube of entries near 1e152, whose band Gram matrix overflows, still
-    gives a finite estimate.  The band-noise and K estimates run on the cube
-    scaled the same way by its own magnitude alone, so a cube of entries
-    near 1e-200 under a sigma0 of 10 is estimated too.
-
-    Each iteration projects the current input onto a k-dimensional
-    spectral subspace, denoises the reduced image patch-wise, lifts back,
-    then blends with the observation and enlarges k for the next round.
-    Patch groups are matched at iterations 1 and 2; later iterations reuse
-    iteration 2's groups.
-
-    No full-band cube besides the observation is alive while the spatial
-    stage runs: the input's part off the subspace, all the residual needs
-    of it, is summed right after the projection and the input dropped.
-    One row-block pass then lifts the filtered image back, checks it and
-    blends it into the next input.  The full-band estimate is written only
-    at the last iteration, and at each one when early_stop or clean is
-    given; the estimate is the same either way.
+    The regression needs 2 bands, so a one-band cube, whose K can only be
+    1, raises ValueError without sigma0.  clean, if given, adds a
+    mean-over-bands PSNR to each trace record.  When the larger of
+    max|noisy| and sigma0 lies far from PEAK (outside PEAK * 2^+-16), the
+    iterations run on the cube and sigma0 scaled by a power of two and the
+    estimate, sigmas and residuals are scaled back, so a cube of entries
+    near 1e152, whose band Gram matrix overflows, still gives a finite
+    estimate.  The band-noise and K estimates run on the cube scaled the
+    same way by its own magnitude alone, so a cube of entries near 1e-200
+    under a sigma0 of 10 is estimated too.  _iterations runs the
+    iterations; early_stop ends them once one changes the estimate by
+    less than that fraction of its norm.
 
     OpenBLAS is held to one thread for the whole call, as denoise_reduced
     holds it for its shrinkage pool: after a threaded BLAS call OpenBLAS's
@@ -202,7 +263,7 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             if not 0 <= sigma0 < np.inf:
                 raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
         cfg = config if config is not None else DenoiseConfig()
-        m, n, b = y.shape
+        b = y.shape[2]
 
         top = max(float(y.max()), -float(y.min()))
         e = _scale_exponent(max(top, sigma0 or 0.0))
@@ -211,7 +272,7 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             if sigma0 is not None:
                 sigma0 = math.ldexp(sigma0, -e)
 
-        k0 = cfg.k0
+        k0 = 1 if b == 1 else cfg.k0
         if k0 is None or sigma0 is None:
             # on the cube scaled from its own magnitude, which may lie far
             # below a large sigma0's: the band Gram's trace of entries near
@@ -225,83 +286,21 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             if sigma0 is None:
                 sigma0 = math.ldexp(float(np.median(band_sigma)), f)
             del y_est
-        k0 = min(int(k0), b)
 
         trace = []
-        k = k0
-        y_i = y
-        # y_i is dropped once projected, so the spatial stage holds no
-        # full-band cube besides y, the observation, which may be the
-        # caller's array.  The estimate x is written only where it is read
-        # again: at the last iteration, for the PSNR against clean, and for
-        # the early-stop test, which alone keeps it through the next
-        # iteration and overwrites it in place, each block's change summed
-        # first.
-        x = None
-        for i in range(1, cfg.iters + 1):
-            last = i == cfg.iters
-            sigma_i = reestimate_noise(y_i, y, sigma0, cfg.gamma)
-
-            t0 = time.perf_counter()
-            model = spectral_decompose(y_i, k)
-            _check_finite(model.reduced, "spectral projection", i)
-            basis = model.basis
-            # ||y_i - x_i||^2 = ||(I - P P^T) y_i||^2 + ||reduced - m_i||^2,
-            # for x_i = P m_i and reduced = P^T y_i with P = basis: the parts
-            # lie in orthogonal subspaces.  The first is summed here, the
-            # last read of y_i.
-            off_sq = 0.0
-            for rows in _row_blocks(y_i):
-                off_sq += frob_norm_sq(y_i[rows], mode3_product(model.reduced[rows], basis))
-            del y_i
-            t1 = time.perf_counter()
-
-            if i <= _LAST_MATCH_ITER:
-                groups = match_groups(model.reduced, cfg.geom)
-            m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
-            residual = math.sqrt(off_sq + frob_norm_sq(model.reduced, m_i))
-            del model
-            t2 = time.perf_counter()
-
-            # the lift-back, its finiteness check, the early-stop sums and
-            # the blend with the observation, one row block at a time
-            if x is None and (last or clean is not None or cfg.early_stop is not None):
-                x = np.empty(y.shape)
-            y_i = None if last else np.empty(y.shape)
-            check_stop = cfg.early_stop is not None and i > 1
-            change_sq = norm_sq = 0.0
-            for rows in _row_blocks(y):
-                x_rows = mode3_product(m_i[rows], basis)
-                _check_finite(x_rows, "spatial filtering", i)
-                if check_stop:
-                    change_sq += frob_norm_sq(x_rows, x[rows])
-                    norm_sq += frob_norm_sq(x[rows])
-                if x is not None:
-                    x[rows] = x_rows
-                if y_i is not None:
-                    y_i[rows] = iterate_regularize(x_rows, y[rows], cfg.lam)
-            del m_i
-            t3 = time.perf_counter()
-
-            psnr = None
+        for record, x, change_sq, norm_sq in _iterations(
+            y, min(int(k0), b), sigma0, cfg, clean is not None
+        ):
             if clean is not None:
-                psnr = metrics.mpsnr(clean, np.ldexp(x, e) if e else x)
-            trace.append(
-                IterationRecord(
-                    iteration=i,
-                    k=k,
-                    sigma=math.ldexp(sigma_i, e),
-                    residual=math.ldexp(residual, e),
-                    psnr=psnr,
-                    stage_a_seconds=(t1 - t0) + (t3 - t2),
-                    stage_b_seconds=t2 - t1,
-                )
-            )
-            if last or (check_stop and math.sqrt(change_sq) < cfg.early_stop * math.sqrt(norm_sq)):
+                record.psnr = metrics.mpsnr(clean, np.ldexp(x, e) if e else x)
+            record.sigma = math.ldexp(record.sigma, e)
+            record.residual = math.ldexp(record.residual, e)
+            trace.append(record)
+            if record.iteration == cfg.iters or (
+                change_sq is not None and math.sqrt(change_sq) < cfg.early_stop * math.sqrt(norm_sq)
+            ):
                 break
-            if cfg.early_stop is None:
-                x = None
-            k = update_k(k0, cfg.delta, i, b)
+            del x  # not held through the next iteration unless early_stop keeps it
 
         if e:
             np.ldexp(x, e, out=x)
