@@ -162,12 +162,16 @@ def _cmd_denoise(args):
     clean = load_input(args.clean, run.normalize, run.keep_bands) if args.clean else None
     if clean is not None:
         _check_window(*clean.shape[:2])
+    for path in (args.output, args.trace):
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
     t0 = time.perf_counter()
     x, trace = denoise(cube, run.sigma0, cfg, clean=clean)
     elapsed = time.perf_counter() - t0
-    write_cube(args.output, x, dtype=args.dtype)
+    # the trace first: a trace path that cannot be written leaves no cube
     if args.trace:
         write_trace_csv(args.trace, trace)
+    write_cube(args.output, x, dtype=args.dtype)
     m, n, b = x.shape
     last = trace[-1]
     print(

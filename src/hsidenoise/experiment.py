@@ -64,8 +64,8 @@ class ExperimentSpec:
     save_cubes: bool = True
 
     def __post_init__(self):
-        if not all(0 <= s < np.inf for s in self.sigmas):
-            raise ValueError(f"sigmas must be finite and >= 0, got {self.sigmas}")
+        if not self.sigmas or not all(0 <= s < np.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be one or more finite values >= 0, got {self.sigmas}")
         if _int_field("jobs", self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         _int_field("seed", self.seed)
@@ -186,13 +186,11 @@ def bench_bands(spec, band_counts=None):
     128, B), runs the pipeline at spec.sigmas[0], and writes bench.csv
     with per-stage times summed over iterations.  The default grid needs
     an input with >= 32 bands; explicit counts must fit the input.  Bad
-    counts, no sigma or a cube too small for the SSIM window raise before
+    or no counts, or a cube too small for the SSIM window, raise before
     anything is written.
     """
     clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
     total = clean.shape[2]
-    if not spec.sigmas:
-        raise ValueError("bench needs at least one sigma")
     sigma = spec.sigmas[0]
 
     if band_counts is None:
@@ -200,8 +198,8 @@ def bench_bands(spec, band_counts=None):
             raise ValueError(f"default band grid needs >= 32 bands, got {total}")
         band_counts = [32, 64, 128, total]
     counts = sorted({_int_field("band count", c) for c in band_counts})
-    if counts[0] < 1 or counts[-1] > total:
-        raise ValueError(f"band counts must lie in [1, {total}], got {band_counts}")
+    if not counts or counts[0] < 1 or counts[-1] > total:
+        raise ValueError(f"band counts must be one or more in [1, {total}], got {band_counts}")
     _check_window(*clean.shape[:2])
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,8 @@ The native format is a plain-text header (key = value lines) next to a raw
 band-sequential payload: the payload holds the bands one after another,
 each scanned column-major, matching unfold3's row layout byte for byte.
 Per-band grayscale PGM stacks are supported for datasets distributed as
-one image per band.
+one image per band.  The readers return the stored values; the one place
+that maps a loaded cube onto [0, PEAK] is experiment.load_input.
 """
 
 import math
@@ -165,20 +166,19 @@ def rescale(cube, bounds=None):
     return (np.clip(cube, lo, hi) - lo) * (PEAK / (hi - lo))
 
 
-def read_cube(path, normalize=False):
-    """Read a native header + raw payload pair into a float64 cube.
+def read_cube(path):
+    """Read a native header + raw payload pair into a float64 cube of the
+    stored values; an integer payload with a header scale is mapped back
+    onto that scale.
 
-    path may point at the .hdr file or at its stem.  normalize=True maps
-    values onto [0, PEAK] using the header scale when present, else the
-    data range.
+    path may point at the .hdr file or at its stem.
     """
-    cube, scale = _read_cube(path)
-    return rescale(cube, scale) if normalize else cube
+    return _read_cube(path)[0]
 
 
 def _read_cube(path):
-    """(cube, scale): read_cube's cube before normalization, and the
-    header's scale, None when it has none."""
+    """(cube, scale): read_cube's cube and the header's scale, None when
+    it has none."""
     hdr_path = _resolve_header_path(path)
     try:
         text = hdr_path.read_text()
@@ -219,9 +219,9 @@ def write_cube(path, cube, dtype="f64", scale=None):
     and clip to the type range; passing scale=(lo, hi) instead maps that
     interval onto the full type range (read_cube undoes the mapping), so
     data with negative or wide-ranging values survives quantization.  A
-    float dtype stores the values as they are and records scale for
-    read_cube's normalize.  scale needs finite lo < hi for every dtype, as
-    read_cube does.
+    float dtype stores the values as they are and records scale as the
+    range experiment.load_input maps onto [0, PEAK].  scale needs finite
+    lo < hi for every dtype, as read_cube does.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -317,9 +317,9 @@ def write_pgm(path, band, maxval=255):
     Path(path).write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval) + samples.tobytes())
 
 
-def read_band_stack(dir_path, normalize=False):
+def read_band_stack(dir_path):
     """Stack a directory of PGM band files (lexicographic order) into a
-    cube; normalize=True maps its data range onto [0, PEAK]."""
+    cube of the stored sample values."""
     d = Path(dir_path)
     if not d.is_dir():
         raise UnreadableFileError(f"not a directory: {d}")
@@ -335,10 +335,7 @@ def read_band_stack(dir_path, normalize=False):
                 f"{files[0].name} shape {bands[0].shape}"
             )
         bands.append(band)
-    cube = np.stack(bands, axis=2)
-    if normalize:
-        cube = rescale(cube)
-    return cube
+    return np.stack(bands, axis=2)
 
 
 def write_band_stack(dir_path, cube, maxval=255, prefix="band"):

@@ -234,9 +234,9 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     sigma0 is the observation noise sigma on the cube's value scale; when
     None it is taken as the median of the per-band regression estimates.
     The regression needs 2 bands, so a one-band cube, whose K can only be
-    1, raises ValueError without sigma0.  clean, if given, adds a
-    mean-over-bands PSNR to each trace record.  When the larger of
-    max|noisy| and sigma0 lies far from PEAK (outside PEAK * 2^+-16), the
+    1, raises ValueError without sigma0.  clean, if given, must be finite
+    and adds a mean-over-bands PSNR to each trace record.  When the larger
+    of max|noisy| and sigma0 lies far from PEAK (outside PEAK * 2^+-16), the
     iterations run on the cube and sigma0 scaled by a power of two and the
     estimate, sigmas and residuals are scaled back, so a cube of entries
     near 1e152, whose band Gram matrix overflows, still gives a finite
@@ -256,8 +256,11 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
         y = as_cube(noisy, "noisy")
         if not _all_finite(y):
             raise ValueError("input cube has non-finite entries")
-        if clean is not None and np.shape(clean) != y.shape:
-            raise ValueError(f"clean has shape {np.shape(clean)}, noisy has {y.shape}")
+        if clean is not None:
+            if np.shape(clean) != y.shape:
+                raise ValueError(f"clean has shape {np.shape(clean)}, noisy has {y.shape}")
+            if not _all_finite(np.asarray(clean)):
+                raise ValueError("clean cube has non-finite entries")
         if sigma0 is not None:
             sigma0 = float(sigma0)
             if not 0 <= sigma0 < np.inf:

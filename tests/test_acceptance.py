@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from hsidenoise import spatial
-from hsidenoise.experiment import ExperimentSpec, bench_bands
-from hsidenoise.io import add_gaussian_noise, read_cube, write_cube
+from hsidenoise.experiment import ExperimentSpec, bench_bands, load_input
+from hsidenoise.io import add_gaussian_noise, write_cube
 from hsidenoise.metrics import mpsnr, mssim, psnr, quality_report, sam, ssim
 from hsidenoise.pipeline import DenoiseConfig, denoise
 from hsidenoise.spatial import wnnm_shrink, aggregate, match_group, reference_grid, PatchGeometry
@@ -35,7 +35,7 @@ def test_wdc_reference_quality():
     path = os.environ.get("HSIDENOISE_WDC", "")
     if not path or not os.path.exists(path):
         pytest.skip("WDC cube not available; the synthetic ground-truth test stands in")
-    clean = read_cube(path, normalize=True)
+    clean = load_input(path)
     assert clean.shape == (256, 256, 191)
     noisy = add_gaussian_noise(clean, 50.0, seed=0)
     t0 = time.perf_counter()

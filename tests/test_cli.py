@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from hsidenoise import cli
 from hsidenoise.cli import _build_config, build_parser, main
 from hsidenoise.io import add_gaussian_noise, read_cube, write_cube
 from hsidenoise.pipeline import DenoiseConfig
@@ -60,6 +61,41 @@ class TestDenoiseCommand:
         )
         assert code == 0
         assert trace.read_text().startswith("iteration,")
+
+    @pytest.mark.parametrize(
+        "output, trace", [("out", "nodir/t.csv"), ("nodir/out", "t.csv")], ids=["trace", "output"]
+    )
+    def test_missing_directory_fails_before_the_denoise(
+        self, scene, tmp_path, monkeypatch, capsys, output, trace
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("denoise ran")
+
+        monkeypatch.setattr(cli, "denoise", never)
+        _, noisy_path = scene
+        code = main(
+            ["denoise", str(noisy_path), str(tmp_path / output), "--sigma0", "20",
+             "--trace", str(tmp_path / trace), "--no-normalize"] + FAST
+        )
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clean.hdr", "clean.raw", "noisy.hdr", "noisy.raw"
+        ]
+
+    def test_unwritable_trace_leaves_no_cube(self, scene, tmp_path, capsys):
+        # the cube was written before the trace failed
+        _, noisy_path = scene
+        (tmp_path / "trace_dir").mkdir()
+        code = main(
+            ["denoise", str(noisy_path), str(tmp_path / "out"), "--sigma0", "20",
+             "--trace", str(tmp_path / "trace_dir"), "--no-normalize"] + FAST
+        )
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clean.hdr", "clean.raw", "noisy.hdr", "noisy.raw", "trace_dir"
+        ]
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["denoise", str(tmp_path / "nope.hdr"), str(tmp_path / "o")])
@@ -403,9 +439,10 @@ class TestNonFiniteInput:
 
 
 class TestRejectedBeforeWriting:
-    """Band counts that do not fit the cube, and a cube smaller than SSIM's
-    11x11 window where quality is reported, exit 1 before any output is
-    written, not after the work is done."""
+    """Band counts that do not fit the cube, an empty band-count or sigma
+    list, and a cube smaller than SSIM's 11x11 window where quality is
+    reported, exit 1 before any output is written, not after the work is
+    done."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -416,8 +453,11 @@ class TestRejectedBeforeWriting:
              "smaller than the 11x11 window"),
             (["run-exp", "SMALL_CLEAN", "--sigmas", "10,20", "--outdir", "OUT"],
              "smaller than the 11x11 window"),
+            (["bench-bands", "CUBE", "--bands", ",", "--outdir", "OUT"], "band counts"),
+            (["run-exp", "CUBE", "--sigmas", ",", "--outdir", "OUT"], "sigmas"),
         ],
-        ids=["bench-bands-count", "bench-bands-default-grid", "denoise-clean", "run-exp"],
+        ids=["bench-bands-count", "bench-bands-default-grid", "denoise-clean", "run-exp",
+             "bench-bands-no-counts", "run-exp-no-sigmas"],
     )
     def test_exits_1_and_writes_nothing(self, tmp_path, argv, message, capsys):
         inputs = tmp_path / "in"

@@ -86,6 +86,20 @@ class TestLoadInput:
         loaded = load_input(path, normalize=False, keep_bands=[0, 2, 3])
         np.testing.assert_array_equal(loaded, cube[:, :, [0, 2, 3]])
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("keep", [None, [1, 3]])
+    def test_one_nan_is_read_raw_and_rejected_at_load(self, tmp_path, keep, normalize):
+        # read_cube(path, normalize=True) once turned this one NaN into 24
+        cube = np.arange(24, dtype=float).reshape(2, 3, 4)
+        cube[1, 2, 1] = np.nan
+        path = write_cube(tmp_path / "one_nan", cube)
+        read = read_cube(path)
+        np.testing.assert_array_equal(np.argwhere(np.isnan(read)), [[1, 2, 1]])
+        np.testing.assert_array_equal(read, cube)
+        with pytest.raises(DataError, match="NaN or infinite") as info:
+            load_input(path, normalize=normalize, keep_bands=keep)
+        assert str(path) in str(info.value)
+
     @staticmethod
     def bright_band_zero(tmp_path, **write):
         """A 16x16x8 cube whose band 0 is 1e4 everywhere, and its path."""

@@ -1,8 +1,11 @@
 """File formats: native header + raw cube pairs, PGM band stacks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from hsidenoise.experiment import load_input
 from hsidenoise.io import (
     CubeHeader,
     DataError,
@@ -116,13 +119,18 @@ class TestCubeRoundTrip:
     def test_normalize_on_read(self, tmp_path):
         cube = random_cube((8, 8, 2), seed=5, lo=10.0, hi=90.0)
         write_cube(tmp_path / "c", cube)
-        norm = read_cube(tmp_path / "c", normalize=True)
+        norm = load_input(tmp_path / "c")
         assert norm.min() == pytest.approx(0.0, abs=1e-9)
         assert norm.max() == pytest.approx(255.0, rel=1e-9)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(UnreadableFileError):
             read_cube(tmp_path / "nope.hdr")
+
+    @pytest.mark.parametrize("reader", [read_cube, read_band_stack])
+    def test_readers_do_not_normalize(self, reader):
+        # experiment.load_input is the one loader that rescales
+        assert "normalize" not in inspect.signature(reader).parameters
 
     def test_truncated_payload(self, tmp_path):
         cube = random_cube((4, 4, 2), seed=6)

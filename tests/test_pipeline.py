@@ -352,6 +352,19 @@ class TestDenoise:
             denoise(clean, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM),
                     clean=clean[:, :, :3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_clean_rejected_up_front(self, monkeypatch, bad):
+        # every trace psnr read NaN
+        def never(*args, **kwargs):
+            raise AssertionError("spectral_decompose ran")
+
+        monkeypatch.setattr(pipeline, "spectral_decompose", never)
+        noisy = rank_cube(16, 16, 4, 2, seed=8)
+        clean = noisy.copy()
+        clean[2, 3, 1] = bad
+        with pytest.raises(ValueError, match="clean cube has non-finite entries"):
+            denoise(noisy, 10.0, DenoiseConfig(k0=2, iters=2, geom=SMALL_GEOM), clean=clean)
+
     def test_non_finite_input_rejected(self):
         bad = rank_cube(16, 16, 4, 2, seed=8)
         bad[0, 0, 0] = np.nan

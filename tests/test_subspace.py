@@ -133,6 +133,26 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError):
             spectral_decompose(cube, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        cube = rank_cube(8, 8, 4, 2)
+        cube[2, 5, 3] = bad
+        with pytest.raises(ValueError, match="cube has non-finite entries"):
+            spectral_decompose(cube, 2)
+
+    @pytest.mark.parametrize(
+        "cube",
+        [np.full((4, 4, 2), 4.31569717e-203), rank_cube(16, 16, 8, 3, seed=0) * 1e-170],
+        ids=["tiny-constant", "tiny-rank3"],
+    )
+    def test_underflowing_gram_still_fits(self, cube):
+        # the band estimators raise on this Gram; denoise's tiny cubes
+        # reach spectral_decompose unscaled and rely on it running
+        assert not (unfold3(cube) @ unfold3(cube).T).any()
+        model = spectral_decompose(cube, 2)
+        assert np.abs(model.basis.T @ model.basis - np.eye(2)).max() < 1e-12
+        assert np.isfinite(model.reduced).all()
+
 
 class TestEstimateBandNoise:
     def test_noiseless_low_rank_near_zero(self):

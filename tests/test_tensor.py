@@ -154,10 +154,11 @@ class TestPeak:
         cube = np.random.default_rng(0).integers(3, 40, (6, 5, 3)).astype(float)
         header = io.write_cube(tmp_path / "cube", cube)
         io.write_band_stack(tmp_path / "bands", cube)
+        scaled = io.write_cube(tmp_path / "scaled", cube, scale=(cube.min(), cube.max()))
         for loaded in (
             experiment.load_input(header),
             experiment.load_input(tmp_path / "bands"),
-            io.read_band_stack(tmp_path / "bands", normalize=True),
+            experiment.load_input(scaled),
         ):
             assert loaded.min() == 0.0
             assert loaded.max() == pytest.approx(PEAK, rel=1e-15)
