@@ -14,16 +14,19 @@ candidates within a proven rounding margin of the group's cut get the exact
 distance, summed as the offset-by-offset match summed it, and a stable sort;
 then, per chunk of groups, gathering the groups into one buffer, shrinking
 them there through their Gram matrices with WNNM's weight at the image's
-noise level sigma, and adding them into a span of the image with one
-bincount per band.  A row's match holds at most half of _CHUNK_BYTES, and
-so does a chunk's buffer, so peak memory does not grow with the image.
+noise level sigma, and adding them into the bounding box of the chunk's
+patches with one bincount per band.  A row's match holds at most half of
+_CHUNK_BYTES, and so does a chunk's buffer.  Beyond the output, peak memory
+still grows with the image in two places: a chunk whose references straddle
+two grid rows gets a box as wide as the image, and the group corners grow
+with the reference count.
 
 The calling thread matches.  The shrinkage runs on a thread pool, one worker
 per core, with OpenBLAS held to one thread: a worker gathers, shrinks and
-scatters one chunk of groups end to end; the calling thread allocates the
-one buffer a chunk's worker writes, the gathered groups, which are shrunk in
-place, and adds the returned spans into the image in the order it submitted
-the chunks, so the result does not depend on the worker count.
+scatters one chunk of groups end to end, in one of the buffers, one per
+worker, that the calling thread allocates; the calling thread adds the
+returned boxes into the image in the order it submitted the chunks, so the
+result does not depend on the worker count.
 match_group, wnnm_shrink and aggregate run the stage's helpers (_match and
 _patch_pixels, _shrink, _scatter and _average) on one reference, one group
 and a list of groups, on the calling thread.
@@ -36,6 +39,7 @@ import ctypes
 import functools
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,14 +76,15 @@ _WEIGHT_EPS = 1e-16
 # the exact distances of their shortlist a piece at a time.  On a default
 # denoise of a 96x96x64 scene (2 cores), giving a row's match half of
 # _CHUNK_BYTES, not all of it, kept the peak RSS at 64.5 MB against 66.5 MB
-# at no cost in time; a quarter was no faster.  Up to
-# workers + 1 chunks of groups are in flight, each with one buffer the
-# calling thread allocates (the gathered groups, shrunk in place), so this
-# bounds the stage's peak memory.  It must not depend on the worker count:
-# the chunks decide how the scatter sums are grouped.  Group buffers of
-# 1 MiB halved the in-flight memory of that scene's default denoise at level
-# time (medians 2.09 s, 2.11 s with 2 MiB); 512 KiB made it 22% slower
-# (2.57 s), from the overhead per chunk: one K = 25 group fills one.
+# at no cost in time; a quarter was no faster.  Up to workers + 1 chunks of
+# groups are in flight, but only a running one holds a buffer (its gathered
+# groups, shrunk in place), so this bounds the stage's peak memory, with the
+# box sums that running and finished chunks return.  It must not depend on
+# the worker count: the chunks decide how the scatter sums are grouped.
+# Group buffers of 1 MiB halved the in-flight memory of that scene's default
+# denoise at level time (medians 2.09 s, 2.11 s with 2 MiB); 512 KiB made it
+# 22% slower (2.57 s), from the overhead per chunk: one K = 25 group fills
+# one.
 # Building a 96x96x64 scene after a denoise takes about 0.02 s with 2 or
 # 8 MiB chunks (2 cores), so the page faults that 4 MiB chunks once caused
 # in the caller's next arrays do not show at this size.
@@ -417,20 +422,25 @@ def _patch_pixels(corners, offsets):
     return first, (corners - first)[..., None] + offsets
 
 
-def _scatter(first, pix, values):
-    """(first, sums) of the patches values (..., p, ps*ps, k) at the pixels
-    first + pix (..., p, ps*ps) of a C-ordered (M, N, k) cube: sums[i, j]
-    adds up, in entry order, the band-j values at pixel first + i, by one
-    bincount per band over the span's pixels.  sums is a (span, k) view of
-    band-major sums, which each band's bincount writes in one piece."""
+def _scatter(corners, n, ps, values):
+    """(box, sums) of the patches values (..., p, ps*ps, k) at the flat
+    corners r*N + c (..., p) of a C-ordered (M, N, k) cube, N = n: box is
+    the (rows, cols) pair of slices of the patches' bounding box, and
+    sums[y, x, j] adds up, in entry order, the band-j values at pixel
+    (box rows start + y, box cols start + x), by one bincount per band over
+    the box's pixels.  sums is a (rows, cols, k) view of band-major sums,
+    which each band's bincount writes in one piece."""
     k = values.shape[-1]
-    pix = pix.ravel()
+    r, c = np.divmod(corners, n)
+    top, left = int(r.min()), int(c.min())
+    height, width = int(r.max()) + ps - top, int(c.max()) + ps - left
+    pix = (((r - top) * width + c - left)[..., None] + _patch_offsets(ps, width)).ravel()
     values = values.reshape(-1, k)
-    span = int(pix.max()) + 1
-    sums = np.empty((k, span))
+    sums = np.empty((k, height * width))
     for j in range(k):
-        sums[j] = np.bincount(pix, values[:, j], span)
-    return first, sums.T
+        sums[j] = np.bincount(pix, values[:, j], height * width)
+    box = slice(top, top + height), slice(left, left + width)
+    return box, sums.reshape(k, height, width).transpose(1, 2, 0)
 
 
 def match_group(reduced, ref, geom):
@@ -629,21 +639,29 @@ def _submit(pool, fn, *args):
     return pool.submit(contextvars.copy_context().run, fn, *args)
 
 
-def _shrink_chunk(pixels, k, members, offsets, sigma, stack):
+def _shrink_chunk(image, members, ps, sigma, free):
     """Gather, shrink and scatter one chunk of groups of a C-ordered
-    (M, N, k) image viewed as pixels (M*N, k), in the caller's buffer.
+    (M, N, k) image, in a buffer taken from the queue free.
 
-    members (G, p) holds each group's flat corners r*N + c, and offsets the
-    ps*ps pixels of a patch from its corner.  The groups go to stack
-    (G, p, d), d = ps*ps*k in (row, col, band) order, are shrunk there, and
-    _scatter's (first, sums) of them is returned.
+    members (G, p) holds each group's flat corners r*N + c of patches ps
+    pixels on a side.  The groups go to the front of the buffer as a
+    (G, p, d) stack, d = ps*ps*k in (row, col, band) order, are shrunk
+    there, and _scatter's (box, sums) of them is returned.  The buffer goes
+    back to free when the job ends, also when it raises: a job that kept it
+    would leave a later job waiting for it.
     """
-    first, pix = _patch_pixels(members, offsets)
-    groups = stack.reshape(pix.shape + (k,))
-    # mode="raise" would gather through a temporary copy of stack
-    np.take(pixels[first:], pix, axis=0, out=groups, mode="clip")
-    _shrink(stack, sigma)
-    return _scatter(first, pix, groups)
+    m, n, k = image.shape
+    buffer = free.get()
+    try:
+        first, pix = _patch_pixels(members, _patch_offsets(ps, n))
+        groups = buffer[: pix.size * k].reshape(pix.shape + (k,))
+        # mode="raise" would gather through a temporary copy of the buffer
+        np.take(image.reshape(m * n, k)[first:], pix, axis=0, out=groups, mode="clip")
+        del pix
+        _shrink(groups.reshape(members.shape + (-1,)), sigma)
+        return _scatter(members, n, ps, groups)
+    finally:
+        free.put(buffer)
 
 
 def _coverage(corners, sizes, m, n, ps):
@@ -685,8 +703,8 @@ def aggregate(groups_out, dims):
     produced them in.  A pixel covered by no patch raises an error.
     """
     m, n, k = (int(d) for d in dims)
-    acc = np.zeros((m * n, k))
-    cnt = np.zeros((m * n, 1))
+    acc = np.zeros((m, n, k))
+    cnt = np.zeros((m, n, 1))
     for grp, mat in sorted(groups_out, key=lambda item: item[0].ref_pos):
         mat = np.asarray(mat, dtype=np.float64)
         members = np.asarray(grp.members, dtype=np.int64).reshape(-1, 2)
@@ -700,11 +718,11 @@ def aggregate(groups_out, dims):
             raise ValueError(f"group members outside the {m}x{n} image")
         if not len(members):
             continue  # covers nothing
-        first, pix = _patch_pixels(members @ [n, 1], _patch_offsets(ps, n))
-        start, sums = _scatter(first, pix, np.ones(pix.shape + (1,)))
-        cnt[start : start + len(sums)] += sums
-        start, sums = _scatter(first, pix, mat.T.reshape(pix.shape + (k,)))
-        acc[start : start + len(sums)] += sums
+        corners = members @ [n, 1]
+        box, sums = _scatter(corners, n, ps, np.ones((len(corners), ps * ps, 1)))
+        cnt[box] += sums
+        box, sums = _scatter(corners, n, ps, mat.T.reshape(len(corners), ps * ps, k))
+        acc[box] += sums
     return _average(acc, cnt, m, n, k)
 
 
@@ -771,12 +789,14 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
 
     The calling thread matches.  Then one pool of one thread per core,
     created and closed within the call, shrinks while OpenBLAS is held to
-    one thread; with no OpenBLAS found the pool has one thread.  A worker
-    gathers, shrinks and scatters one chunk into a span of the image, in
-    the one buffer, the gathered stack, that the calling thread allocated
-    for it; at most workers + 1 chunks are in flight.  The calling thread
-    adds the spans into the image in the order it submitted the chunks, so
-    the output is the same bit for bit for any number of threads.
+    one thread; with no OpenBLAS found the pool has one thread.  The calling
+    thread allocates one buffer per worker, as large as the largest chunk's
+    stack.  A worker gathers, shrinks and scatters one chunk into the
+    bounding box of its patches, in a buffer it takes for the job; at most
+    workers + 1 chunks are in flight, and a queued one holds only its
+    members.  The calling thread adds the boxes into the image in the order
+    it submitted the chunks, so the output is the same bit for bit for any
+    number of threads.
     """
     reduced = _finite_cube(reduced)
     _check_sigma(sigma)
@@ -786,33 +806,37 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
         corners, sizes = _match(reduced, *_grid_axes(m, n, geom), geom)
     else:
         corners, sizes = _check_groups(groups, m, n, geom)
-    # after the match, whose peak it would add to
-    acc = np.zeros((m * n, k))
-    pixels = reduced.reshape(m * n, k)
-    offsets = _patch_offsets(ps, n)
     d = ps * ps * k
+    # Groups clipped by the image edge can be smaller than geom.group; each
+    # size is its own batch, so no group is cut or padded.
+    chunks = []
+    for p in np.unique(sizes):
+        refs = np.flatnonzero(sizes == p)
+        step = max(1, _CHUNK_BYTES // 2 // (d * p * 8))
+        chunks += [(p, refs[lo : lo + step]) for lo in range(0, len(refs), step)]
+    # after the match, whose peak it would add to
+    acc = np.zeros((m, n, k))
     pending = collections.deque()
 
     def scatter(limit):
         while len(pending) > limit:
-            start, sums = pending.popleft().result()
-            acc[start : start + len(sums)] += sums
+            box, sums = pending.popleft().result()
+            acc[box] += sums
 
     with _stage_pool() as (pool, workers):
-        # Groups clipped by the image edge can be smaller than geom.group;
-        # each size is its own batch, so no group is cut or padded.  The
-        # buffers are allocated here, not in the workers: there they came
-        # from glibc's per-thread heaps, and a 96x96x64 denoise's peak RSS
-        # rose 8%.
-        for p in np.unique(sizes):
-            refs = np.flatnonzero(sizes == p)
-            step = max(1, _CHUNK_BYTES // 2 // (d * p * 8))
-            for lo in range(0, len(refs), step):
-                members = corners[refs[lo : lo + step], :p]
-                pending.append(_submit(
-                    pool, _shrink_chunk, pixels, k, members, offsets, sigma,
-                    np.empty(members.shape + (d,)),
-                ))
-                scatter(workers)
+        # One buffer per worker that can have a chunk, each as large as the
+        # largest chunk's groups: at most workers jobs run at once, and each
+        # holds one buffer from its start to the end of its scatter, so no
+        # job waits for one.  The buffers are allocated here, not in the
+        # workers: there they came from glibc's per-thread heaps, and a
+        # 96x96x64 denoise's peak RSS rose 8%.
+        free = queue.SimpleQueue()
+        largest = max(len(refs) * p for p, refs in chunks) * d
+        for _ in range(min(workers, len(chunks))):
+            free.put(np.empty(largest))
+        for p, refs in chunks:
+            members = corners[refs, :p]
+            pending.append(_submit(pool, _shrink_chunk, reduced, members, ps, sigma, free))
+            scatter(workers)
         scatter(0)
     return _average(acc, _coverage(corners, sizes, m, n, ps), m, n, k)
