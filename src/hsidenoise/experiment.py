@@ -208,7 +208,7 @@ def bench_bands(spec, band_counts=None):
     for nb in counts:
         sub = np.ascontiguousarray(clean[:, :, :nb])
         noisy = add_gaussian_noise(sub, sigma, seed=spec.seed)
-        x, trace = denoise(noisy, sigma, spec.config, clean=sub)
+        x, trace = denoise(noisy, sigma, spec.config)
         rows.append(
             {
                 "bands": nb,

@@ -250,7 +250,12 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     holds it for its shrinkage pool: after a threaded BLAS call OpenBLAS's
     idle threads spin for a while, against the pool's threads for the
     cores.  match_groups, which makes no pool, runs inside the hold too.
-    Other threads' BLAS calls run on one thread meanwhile.
+    Other threads' BLAS calls run on one thread meanwhile.  The shrinkage
+    pool is kept for the process: the first stage creates it and every
+    later stage, of this call and of later ones, reuses its threads.  A
+    process forked after a denoise creates a pool of its own, and a stage
+    that raises waits for its running chunks first, so when denoise
+    returns or raises no job of it is left on the pool.
     """
     with _one_blas_thread():
         y = as_cube(noisy, "noisy")

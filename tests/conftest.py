@@ -1,8 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from hsidenoise import spatial
+from hsidenoise import pipeline, spatial
 
 
 @pytest.fixture
@@ -20,3 +24,49 @@ def blas_at_three():
     finally:
         for (_, set_), count in zip(libs, before):
             set_(count)
+
+
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    """An empty shrink-pool cache for the test's duration, so the test sees
+    which pools its stages create; those pools are shut down after it, and
+    the process's cache is put back."""
+    pools = {}
+    monkeypatch.setattr(spatial, "_pools", pools)
+    yield pools
+    for pool in pools.values():
+        pool.shutdown()
+
+
+@pytest.fixture
+def pool_log(fresh_pools, monkeypatch):
+    """From an empty pool cache, the (workers, pool) of each shrink pool
+    created, in created, and of the pool each stage ran on, in stages."""
+    log = SimpleNamespace(created=[], stages=[])
+    make, stage_pool = spatial.ThreadPoolExecutor, spatial._stage_pool
+
+    def pool(workers):
+        log.created.append((workers, make(workers)))
+        return log.created[-1][1]
+
+    @contextlib.contextmanager
+    def recording_stage_pool():
+        with stage_pool() as (pool, workers):
+            log.stages.append((workers, pool))
+            yield pool, workers
+
+    monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(spatial, "_stage_pool", recording_stage_pool)
+    return log
+
+
+@pytest.fixture
+def nan_stage(monkeypatch):
+    """pipeline's spatial stage replaced by one whose output holds a NaN."""
+
+    def stage(reduced, sigma, geom, groups=None):
+        out = np.array(reduced)
+        out[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline, "denoise_reduced", stage)

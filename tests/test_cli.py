@@ -203,6 +203,41 @@ class TestDenoiseCommand:
         assert "lo < hi" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
+    def test_non_finite_stage_output_is_numerical_error(self, scene, tmp_path, nan_stage, capsys):
+        _, noisy_path = scene
+        out = tmp_path / "o"
+        code = main(["denoise", str(noisy_path), str(out), "--sigma0", "20", "--no-normalize"] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite values after spatial filtering at iteration 1" in err
+        assert not out.with_suffix(".hdr").exists()
+
+    def test_config_normalize_true(self, tmp_path):
+        """A file's normalize = true rescales on load as the default does,
+        and --no-normalize overrides it."""
+        path = write_cube(tmp_path / "c", rank_cube(24, 24, 8, 2, seed=3) * 4.0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("normalize = true\n")
+        assert _denoise_config("--config", str(cfg))[1].normalize is True
+        assert _denoise_config("--config", str(cfg), "--no-normalize")[1].normalize is False
+        runs = {"file": ["--config", str(cfg)], "default": [], "raw": ["--no-normalize"]}
+        outs = {}
+        for name, extra in runs.items():
+            argv = ["denoise", str(path), str(tmp_path / name), "--sigma0", "20"]
+            assert main(argv + extra + FAST) == 0
+            outs[name] = read_cube(tmp_path / name)
+        np.testing.assert_array_equal(outs["file"], outs["default"])
+        assert not np.array_equal(outs["file"], outs["raw"])
+
+    @pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_is_data_error(self, scene, tmp_path, capsys, config):
+        _, noisy_path = scene
+        out = tmp_path / "o"
+        code = main(["denoise", str(noisy_path), str(out), "--config", str(tmp_path / config)])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
+
     @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--early-stop", "nan"]])
     def test_nan_is_usage_error(self, scene, tmp_path, flags, capsys):
         _, noisy_path = scene

@@ -22,6 +22,7 @@ from hsidenoise.io import (
     write_band_stack,
     write_cube,
 )
+from hsidenoise.metrics import mssim
 from hsidenoise.pipeline import DenoiseConfig, denoise
 from hsidenoise.spatial import PatchGeometry
 from hsidenoise.synthetic import rank_cube
@@ -365,6 +366,31 @@ class TestBenchBands:
             assert float(row["stage_b_seconds"]) > 0.0
             assert 0.0 < float(row["mssim"]) <= 1.0
         assert (tmp_path / "bench" / "bench.csv").exists()
+
+    def test_denoises_without_clean(self, cube_path, tmp_path, monkeypatch):
+        """The rows read only the stage times and the MSSIM of the estimate,
+        so the loop need not write the estimate or a PSNR per iteration."""
+        calls = []
+
+        def recording_denoise(noisy, sigma0=None, config=None, clean=None):
+            calls.append(clean)
+            return denoise(noisy, sigma0, config, clean=clean)
+
+        monkeypatch.setattr(experiment, "denoise", recording_denoise)
+        spec = ExperimentSpec(
+            input_path=cube_path,
+            sigmas=[15.0],
+            output_dir=tmp_path / "bench",
+            config=FAST_CFG,
+            normalize=False,
+        )
+        rows = bench_bands(spec, band_counts=[4, 8])
+        assert calls == [None, None]
+        clean = load_input(cube_path, normalize=False)
+        for row, nb in zip(rows, [4, 8]):
+            sub = np.ascontiguousarray(clean[:, :, :nb])
+            x, _ = denoise(add_gaussian_noise(sub, 15.0, seed=spec.seed), 15.0, FAST_CFG)
+            assert float(row["mssim"]) == mssim(sub, x)
 
     def test_default_counts_need_32_bands(self, cube_path, tmp_path):
         spec = ExperimentSpec(

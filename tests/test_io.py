@@ -167,8 +167,41 @@ class TestPgm:
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.pgm").write_bytes(b"P7\n2 2\n255\n....")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="not a PGM file"):
             read_pgm(tmp_path / "x.pgm")
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (b"P5\n3 2", DataError, "truncated PGM header"),
+            (b"P5\n3 # 2\n", DataError, "truncated PGM header"),
+            (b"P5\n3 x\n255\n", DataError, "bad PGM header"),
+            (b"P5\n0 2\n255\n", DataError, "bad PGM dims/maxval"),
+            (b"P5\n3 2\n0\n", DataError, "bad PGM dims/maxval"),
+            (b"P5\n3 2\n65536\n", DataError, "bad PGM dims/maxval"),
+            (b"P5\n3 2\n255\n" + bytes(5), PayloadSizeError, "expected 6 bytes, got 5"),
+            (b"P5\n3 2\n65535\n" + bytes(11), PayloadSizeError, "expected 12 bytes, got 11"),
+            (b"P2\n2 1\n255\n1 x\n", DataError, "bad P2 sample"),
+            (b"P2\n2 2\n255\n1 2 3\n", PayloadSizeError, "expected 4 samples, got 3"),
+        ],
+        ids=[
+            "truncated", "comment-ends-header", "non-integer", "zero-width", "zero-maxval",
+            "maxval-beyond-16-bit", "short-p5", "short-16-bit-p5", "bad-p2-sample",
+            "few-p2-samples",
+        ],
+    )
+    def test_rejected_file_names_itself(self, tmp_path, data, error, message):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(data)
+        with pytest.raises(error, match=message) as info:
+            read_pgm(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("name", ["missing.pgm", "dir.pgm"])
+    def test_unreadable_file(self, tmp_path, name):
+        (tmp_path / "dir.pgm").mkdir()
+        with pytest.raises(UnreadableFileError, match="cannot read"):
+            read_pgm(tmp_path / name)
 
 
 class TestBandStack:
@@ -191,6 +224,12 @@ class TestBandStack:
         (tmp_path / "stack").mkdir()
         with pytest.raises(DataError):
             read_band_stack(tmp_path / "stack")
+
+    def test_not_a_directory(self, tmp_path):
+        write_pgm(tmp_path / "band.pgm", np.zeros((4, 4)))
+        for path in (tmp_path / "band.pgm", tmp_path / "missing"):
+            with pytest.raises(UnreadableFileError, match="not a directory"):
+                read_band_stack(path)
 
 
 class TestAddGaussianNoise:

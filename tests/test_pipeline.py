@@ -4,7 +4,6 @@ import dataclasses
 import math
 import re
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -371,6 +370,14 @@ class TestDenoise:
         with pytest.raises(ValueError, match="finite"):
             denoise(bad, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
 
+    def test_non_finite_stage_output_raises(self, nan_stage):
+        noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=12), 20.0, seed=12)
+        with pytest.raises(
+            pipeline.NumericalError,
+            match="^non-finite values after spatial filtering at iteration 1$",
+        ):
+            denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=2, geom=SMALL_GEOM))
+
 
 def blas_counts():
     return [get() for get, _ in spatial._openblas()]
@@ -490,22 +497,17 @@ class TestBlasHold:
             denoise(bad, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
         assert blas_counts() == blas_at_three
 
-    def test_shrinkage_pool_keeps_its_workers(self, blas_at_three, monkeypatch):
+    def test_shrinkage_pool_keeps_its_workers(self, blas_at_three, pool_log, monkeypatch):
         """denoise_reduced's hold, nested in denoise's, still finds
-        OpenBLAS, so each call's pool gets one thread per core, not one;
-        match_groups makes no pool."""
-        pools = []
-
-        def pool(workers):
-            pools.append(workers)
-            return ThreadPoolExecutor(workers)
-
+        OpenBLAS, so each call's stage gets one thread per core, not one,
+        all from the one pool the first stage creates; match_groups makes
+        no pool."""
         monkeypatch.setattr(spatial, "_workers", lambda: 3)
-        monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
         noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=11), 20.0, seed=11)
         denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM))
         # denoise_reduced at each of the three iterations
-        assert pools == [3] * 3
+        assert pool_log.stages == [pool_log.created[0]] * 3
+        assert [workers for workers, _ in pool_log.created] == [3]
 
 
 TINY_GEOM = PatchGeometry(patch=2, stride=2, window=4, group=4)

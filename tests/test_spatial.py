@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsidenoise import spatial
+from hsidenoise.experiment import REPORT_FIELDS, ExperimentSpec, run_experiment
+from hsidenoise.io import add_gaussian_noise, write_cube
+from hsidenoise.pipeline import DenoiseConfig, denoise
+from hsidenoise.synthetic import rank_cube
 from hsidenoise.spatial import (
     PatchGeometry,
     aggregate,
@@ -916,20 +920,112 @@ class TestThreadedStage:
             np.testing.assert_array_equal(out, want)
         assert blas_counts() == blas_at_three
 
-    def test_no_openblas_runs_one_worker(self, monkeypatch):
+    def test_no_openblas_runs_one_worker(self, pool_log, monkeypatch):
+        """With no OpenBLAS found the stage gets a pool of one worker, kept
+        next to the two-worker pool of the call before."""
         reduced, geom, sigma = STAGE_CASES["default_geometry"]
         use_workers(monkeypatch, 2)
         want = denoise_reduced(reduced, sigma, geom)
-        pools = []
-
-        def pool(workers):
-            pools.append(workers)
-            return ThreadPoolExecutor(workers)
-
-        monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(spatial, "_openblas", lambda: ())
         np.testing.assert_array_equal(denoise_reduced(reduced, sigma, geom), want)
-        assert pools == [1]
+        assert pool_log.stages == pool_log.created
+        assert [workers for workers, _ in pool_log.created] == [2, 1]
+        assert sorted(spatial._pools) == [(os.getpid(), 1), (os.getpid(), 2)]
+
+
+class TestPoolLifetime:
+    """The process keeps one shrink pool per worker count: the first stage
+    creates it and later stages reuse it, a stage that raises leaves no job
+    behind and the pool usable, and a process forked after a stage creates
+    a pool of its own."""
+
+    def test_two_denoises_create_one_pool(self, pool_log, monkeypatch):
+        use_workers(monkeypatch, 2)
+        noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=11), 20.0, seed=11)
+        cfg = DenoiseConfig(k0=2, iters=2, geom=PatchGeometry(patch=4, stride=2, window=10, group=16))
+        first, _ = denoise(noisy, 20.0, cfg)
+        second, _ = denoise(noisy, 20.0, cfg)
+        np.testing.assert_array_equal(second, first)
+        assert len(pool_log.created) == 1
+        assert pool_log.stages == pool_log.created * 4
+        assert list(spatial._pools.values()) == [pool_log.created[0][1]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_raising_stage_cancels_its_queued_chunks(self, workers, fresh_pools, monkeypatch):
+        """One group per chunk, so every chunk of OVERFLOWING raises.  After
+        the first chunk the test queues jobs of its own on the pool, as many
+        as it has workers, which hold every worker until the next chunk is
+        cancelled or done: the chunks behind them are still queued when the
+        calling thread sees the first error."""
+        use_workers(monkeypatch, workers)
+        monkeypatch.setattr(spatial, "_CHUNK_BYTES", 1)
+        finite = _scene(24, OVERFLOWING.shape)
+        want = denoise_reduced(finite, 10.0, SMALL)
+        jobs, free, started = [], [], []
+        released = threading.Event()
+        submit, shrink_chunk = spatial._submit, spatial._shrink_chunk
+
+        def recording_submit(pool, fn, *args):
+            jobs.append(submit(pool, fn, *args))
+            free.append(args[-1])
+            if len(jobs) == 1:
+                for _ in range(workers):
+                    pool.submit(released.wait, 30)
+            elif len(jobs) == 2:
+                jobs[1].add_done_callback(lambda job: released.set())
+            return jobs[-1]
+
+        def recording_shrink_chunk(*args):
+            started.append(args)
+            return shrink_chunk(*args)
+
+        monkeypatch.setattr(spatial, "_submit", recording_submit)
+        monkeypatch.setattr(spatial, "_shrink_chunk", recording_shrink_chunk)
+        with np.errstate(over="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+                denoise_reduced(OVERFLOWING, 10.0, SMALL)
+        assert len(jobs) == workers + 1
+        assert all(job.done() for job in jobs), "a chunk outlived the call"
+        assert all(job.cancelled() for job in jobs[1:])
+        assert len(started) == 1
+        assert len({id(q) for q in free}) == 1 and free[0].qsize() == workers
+        np.testing.assert_array_equal(denoise_reduced(finite, 10.0, SMALL), want)
+        assert list(fresh_pools) == [(os.getpid(), workers)]
+
+    def test_sweep_forked_after_a_denoise_equals_serial(self, fresh_pools, tmp_path, monkeypatch):
+        """The forked sweep workers inherit the cache with the parent's
+        pool, whose threads they do not have: a job submitted to it would
+        never run."""
+        use_workers(monkeypatch, 2)
+        cube = rank_cube(32, 32, 8, 2, seed=1)
+        cfg = DenoiseConfig(k0=2, delta=0, iters=2, geom=PatchGeometry(patch=4, stride=2, window=10, group=16))
+        denoise(add_gaussian_noise(cube, 20.0, seed=0), 20.0, cfg)
+        assert [pid for pid, _ in fresh_pools] == [os.getpid()]
+        base = dict(
+            input_path=write_cube(tmp_path / "scene", cube),
+            sigmas=[10.0, 20.0],
+            config=cfg,
+            normalize=False,
+            save_cubes=False,
+        )
+        serial = run_experiment(ExperimentSpec(output_dir=tmp_path / "s", **base))
+        parallel = []
+        sweep = threading.Thread(
+            target=lambda: parallel.extend(
+                run_experiment(ExperimentSpec(output_dir=tmp_path / "p", jobs=2, **base))
+            ),
+            daemon=True,
+        )
+        sweep.start()
+        sweep.join(timeout=120)
+        assert not sweep.is_alive(), "a forked worker waits on its parent's pool"
+        timing = {"seconds", "stage_a_seconds", "stage_b_seconds"}
+
+        def untimed(rows):
+            return [{f: r[f] for f in REPORT_FIELDS if f not in timing} for r in rows]
+
+        assert all(r["status"] == "ok" for r in serial)
+        assert untimed(parallel) == untimed(serial)
 
 
 class TestChunkMemory:
