@@ -22,9 +22,8 @@ from .experiment import (
 )
 from .io import DTYPES, DataError, add_gaussian_noise, parse_band_list, parse_key_values, write_cube
 from .metrics import _check_window, quality_report
-from .pipeline import DenoiseConfig, NumericalError, denoise
+from .pipeline import DenoiseConfig, NumericalError, _band_noise_and_dim, denoise
 from .spatial import PatchGeometry
-from .subspace import estimate_band_noise, estimate_subspace_dim
 from .tensor import PEAK
 
 __all__ = ["main"]
@@ -64,7 +63,6 @@ _HELP = {
     "stride": "reference patch spacing (default: the patch side)",
     "window": "search window side",
     "group": "patches per group",
-    "early_stop": "relative-change stop threshold (default: off)",
 }
 # run options that are not denoiser fields:
 # key -> (parser of a file value, flag, flag keywords)
@@ -204,12 +202,11 @@ def _cmd_metrics(args):
 def _cmd_estimate_k(args):
     _, run = _build_config(args)
     cube = load_input(args.input, run.normalize, run.keep_bands)
-    sig = estimate_band_noise(cube)
-    k = estimate_subspace_dim(cube, sig)
+    sig, k = _band_noise_and_dim(cube)
     print(f"K = {k}")
     print(
-        f"band sigma: median={np.median(sig):.4f} "
-        f"min={sig.min():.4f} max={sig.max():.4f}"
+        f"band sigma: median={np.median(sig):.6g} "
+        f"min={sig.min():.6g} max={sig.max():.6g}"
     )
     return 0
 

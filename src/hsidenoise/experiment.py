@@ -48,6 +48,13 @@ BENCH_FIELDS = ["bands", "stage_a_seconds", "stage_b_seconds", "mssim"]
 TRACE_FIELDS = [f.name for f in fields(IterationRecord)]
 
 
+def _check_keep_bands(keep_bands):
+    """Raise ValueError for an empty keep_bands or one naming a band twice,
+    which would read sigma 0 in the band-noise regression."""
+    if keep_bands is not None and not 0 < len(set(keep_bands)) == len(keep_bands):
+        raise ValueError(f"keep_bands must list one or more distinct bands, got {list(keep_bands)}")
+
+
 @dataclass
 class ExperimentSpec:
     """One noise-sweep experiment over a clean input cube."""
@@ -71,6 +78,7 @@ class ExperimentSpec:
         _int_field("seed", self.seed)
         for band in self.keep_bands if self.keep_bands is not None else ():
             _int_field("keep_bands entry", band)
+        _check_keep_bands(self.keep_bands)
 
     @property
     def image_name(self):
@@ -82,10 +90,12 @@ def load_input(path, normalize=True, keep_bands=None):
 
     The bands in keep_bands are selected first; normalize then maps them
     onto [0, PEAK] by the header scale when there is one, else by their own
-    data range, so a dropped band sets neither.  A NaN or infinite entry in
-    the cube returned (the bands kept, after normalization) raises
-    DataError.
+    data range, so a dropped band sets neither.  An empty keep_bands, or
+    one that names a band twice, raises ValueError.  A NaN or infinite
+    entry in the cube returned (the bands kept, after normalization)
+    raises DataError.
     """
+    _check_keep_bands(keep_bands)
     p = Path(path)
     scale = None
     if p.is_dir():

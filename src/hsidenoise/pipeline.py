@@ -68,9 +68,8 @@ class DenoiseConfig:
 
     k0 is the initial subspace dimension (estimated from the data when
     None).  delta grows it each iteration; lam mixes the estimate with the
-    observation; gamma scales the per-iteration noise re-estimate;
-    early_stop, when set, ends the loop once an iteration changes the
-    estimate by less than that fraction of its norm.  Each iteration
+    observation; gamma scales the per-iteration noise re-estimate; iters
+    counts the outer iterations, the loop's one stop.  Each iteration
     passes its noise re-estimate sigma_i to the spatial stage, which
     shrinks the patch groups with WNNM's weight at that level.
     """
@@ -81,7 +80,6 @@ class DenoiseConfig:
     gamma: float = 0.5
     iters: int = 5
     geom: PatchGeometry = field(default_factory=PatchGeometry)
-    early_stop: float | None = None
 
     def __post_init__(self):
         if self.k0 is not None and _int_field("k0", self.k0) < 1:
@@ -94,9 +92,6 @@ class DenoiseConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if _int_field("iters", self.iters) < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        # written so that NaN, which fails every comparison, fails the check
-        if self.early_stop is not None and not 0.0 < self.early_stop < np.inf:
-            raise ValueError(f"early_stop must be finite and > 0, got {self.early_stop}")
 
 
 @dataclass
@@ -157,24 +152,34 @@ def _scale_exponent(top):
     return math.frexp(top)[1] - math.frexp(PEAK)[1]
 
 
+def _band_noise_and_dim(y, dim=True):
+    """(band sigmas on y's scale, K or None unless dim), estimated on y
+    scaled by the power of two that _scale_exponent gives its largest
+    magnitude, so a cube of entries near 1e-200 or 1e160, whose band
+    Gram's trace underflows or overflows, is estimated too.  Scaling the
+    cube and the sigmas together leaves K as it is."""
+    f = _scale_exponent(max(float(y.max()), -float(y.min())))
+    y_est = np.ldexp(y, -f) if f else y
+    band_sigma = estimate_band_noise(y_est)
+    k = estimate_subspace_dim(y_est, band_sigma) if dim else None
+    return np.ldexp(band_sigma, f), k
+
+
 def _iterations(y, k0, sigma0, cfg, keep):
     """Run the outer iterations on the observation y from K = k0; yield
-    (record, x, change_sq, norm_sq) after each one.
+    (record, x) after each one.
 
     The generator owns the iteration's input y_i, K, the groups and the
     estimate x.  y_i is dropped once projected, so the spatial stage holds
     no full-band cube besides y, which may be the caller's array.  x is
-    written only where it is read again: at the last iteration, at each
-    one when keep is set, and for the early stop, which alone keeps it
-    through the next iteration and overwrites it in place, each block's
-    change summed first into change_sq = ||x_i - x_(i-1)||^2 and norm_sq =
-    ||x_(i-1)||^2; change_sq is None when the change is not summed.  A
-    caller that holds x while the next iteration runs holds one more
-    cube.  The record's sigma and residual are on y's scale, its psnr None.
+    written only where it is read: at the last iteration, and at each one
+    when keep is set; it is None otherwise.  Each x is a fresh array that
+    the generator drops once yielded, so a caller that holds x while the
+    next iteration runs holds one more cube.  The record's sigma and
+    residual are on y's scale, its psnr None.
     """
     k = k0
     y_i = y
-    x = None
     for i in range(1, cfg.iters + 1):
         last = i == cfg.iters
         sigma_i = reestimate_noise(y_i, y, sigma0, cfg.gamma)
@@ -200,19 +205,13 @@ def _iterations(y, k0, sigma0, cfg, keep):
         del model
         t2 = time.perf_counter()
 
-        # the lift-back, its finiteness check, the early-stop sums and
-        # the blend with the observation, one row block at a time
-        if x is None and (last or keep or cfg.early_stop is not None):
-            x = np.empty(y.shape)
+        # the lift-back, its finiteness check and the blend with the
+        # observation, one row block at a time
+        x = np.empty(y.shape) if last or keep else None
         y_i = None if last else np.empty(y.shape)
-        check_stop = cfg.early_stop is not None and i > 1
-        change_sq = norm_sq = 0.0
         for rows in _row_blocks(y):
             x_rows = mode3_product(m_i[rows], basis)
             _check_finite(x_rows, "spatial filtering", i)
-            if check_stop:
-                change_sq += frob_norm_sq(x_rows, x[rows])
-                norm_sq += frob_norm_sq(x[rows])
             if x is not None:
                 x[rows] = x_rows
             if y_i is not None:
@@ -222,9 +221,8 @@ def _iterations(y, k0, sigma0, cfg, keep):
 
         record = IterationRecord(iteration=i, k=k, sigma=sigma_i, residual=residual, psnr=None,
                                  stage_a_seconds=(t1 - t0) + (t3 - t2), stage_b_seconds=t2 - t1)
-        yield record, x, change_sq if check_stop else None, norm_sq
-        if cfg.early_stop is None:
-            x = None
+        yield record, x
+        del x
         k = update_k(k0, cfg.delta, i, y.shape[2])
 
 
@@ -242,9 +240,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     near 1e152, whose band Gram matrix overflows, still gives a finite
     estimate.  The band-noise and K estimates run on the cube scaled the
     same way by its own magnitude alone, so a cube of entries near 1e-200
-    under a sigma0 of 10 is estimated too.  _iterations runs the
-    iterations; early_stop ends them once one changes the estimate by
-    less than that fraction of its norm.
+    under a sigma0 of 10 is estimated too; `hsidenoise estimate-k` runs
+    the same estimate.  _iterations runs the config's iters iterations.
 
     OpenBLAS is held to one thread for the whole call, as denoise_reduced
     holds it for its shrinkage pool: after a threaded BLAS call OpenBLAS's
@@ -282,33 +279,21 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
 
         k0 = 1 if b == 1 else cfg.k0
         if k0 is None or sigma0 is None:
-            # on the cube scaled from its own magnitude, which may lie far
-            # below a large sigma0's: the band Gram's trace of entries near
-            # 1e-160 underflows.  Scaling the cube and the sigmas together
-            # leaves K as it is.
-            f = _scale_exponent(math.ldexp(top, -e))
-            y_est = np.ldexp(y, -f) if f else y
-            band_sigma = estimate_band_noise(y_est)
-            if k0 is None:
-                k0 = estimate_subspace_dim(y_est, band_sigma)
+            # y's magnitude may lie far below a large sigma0's
+            band_sigma, k = _band_noise_and_dim(y, dim=k0 is None)
+            k0 = k0 or k
             if sigma0 is None:
-                sigma0 = math.ldexp(float(np.median(band_sigma)), f)
-            del y_est
+                sigma0 = float(np.median(band_sigma))
 
         trace = []
-        for record, x, change_sq, norm_sq in _iterations(
-            y, min(int(k0), b), sigma0, cfg, clean is not None
-        ):
+        for record, x in _iterations(y, min(int(k0), b), sigma0, cfg, clean is not None):
             if clean is not None:
                 record.psnr = metrics.mpsnr(clean, np.ldexp(x, e) if e else x)
             record.sigma = math.ldexp(record.sigma, e)
             record.residual = math.ldexp(record.residual, e)
             trace.append(record)
-            if record.iteration == cfg.iters or (
-                change_sq is not None and math.sqrt(change_sq) < cfg.early_stop * math.sqrt(norm_sq)
-            ):
-                break
-            del x  # not held through the next iteration unless early_stop keeps it
+            if record.iteration < cfg.iters:
+                del x  # not held through the next iteration's spatial stage
 
         if e:
             np.ldexp(x, e, out=x)

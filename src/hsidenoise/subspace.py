@@ -79,15 +79,30 @@ def spectral_decompose(cube, k):
     return SubspaceModel(basis=basis, reduced=reduced)
 
 
-def _check_gram_underflow(tr, cube):
-    """Raise numpy.linalg.LinAlgError if the band Gram's trace tr is below
-    the smallest normal float while the cube has a nonzero entry: its
-    squares underflowed, and the estimates would read a lost signal."""
+def _band_gram(cube):
+    """(R, tr(R)) for the band Gram R = Z Z^T, Z the cube's (B, M*N) view.
+
+    Raise numpy.linalg.LinAlgError if R or tr(R) is not finite (entries
+    near 1e152 or larger), or if tr(R) is below the smallest normal float
+    while the cube has a nonzero entry (its squares underflowed): the
+    estimates would pass NaN or a lost signal off as numbers.
+    """
+    m, n, b = cube.shape
+    z = cube.reshape(m * n, b).T
+    with np.errstate(over="ignore"):
+        r = z @ z.T
+        tr = float(np.trace(r))
+    if not (np.isfinite(tr) and np.all(np.isfinite(r))):
+        raise np.linalg.LinAlgError(
+            f"the {b}x{b} band Gram matrix or its trace is not finite: cube "
+            "entries are too large to square and sum, or not finite"
+        )
     if tr < np.finfo(float).tiny and np.any(cube):
         raise np.linalg.LinAlgError(
             f"the band Gram matrix's trace underflows ({tr:.3g}, below the "
             "smallest normal float): cube entries are too small to square and sum"
         )
+    return r, tr
 
 
 def estimate_band_noise(cube):
@@ -135,17 +150,7 @@ def estimate_band_noise(cube):
             stacklevel=2,
         )
 
-    z = cube.reshape(mn, b).T
-    r = z @ z.T
-    with np.errstate(over="ignore"):
-        tr = float(np.trace(r))
-    if not (np.isfinite(tr) and np.all(np.isfinite(r))):
-        # it would give an all-NaN sigma, which passes for an estimate
-        raise np.linalg.LinAlgError(
-            f"the {b}x{b} band Gram matrix or its trace is not finite: cube "
-            "entries are too large to square and sum, or not finite"
-        )
-    _check_gram_underflow(tr, cube)
+    r, tr = _band_gram(cube)
     if tr <= 0:
         # all-zero cube regresses to itself exactly
         return np.zeros(b)
@@ -167,7 +172,8 @@ def estimate_subspace_dim(cube, per_band_sigma):
     int in [1, B].  Degenerate input (no positive eigenvalue, as from an
     all-zero cube) returns 1 with a warning.  A band Gram matrix whose
     trace underflows, from a cube with a nonzero entry, raises
-    numpy.linalg.LinAlgError, as estimate_band_noise does.
+    numpy.linalg.LinAlgError, as estimate_band_noise does, and so does a
+    non-finite one, from entries near 1e152 or larger.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -177,10 +183,7 @@ def estimate_subspace_dim(cube, per_band_sigma):
     if not np.all((sig >= 0) & (sig < np.inf)):
         raise ValueError("band sigmas must be finite and >= 0")
 
-    z = cube.reshape(m * n, b).T
-    ry = z @ z.T
-    with np.errstate(over="ignore"):
-        _check_gram_underflow(np.trace(ry), cube)
+    ry, _ = _band_gram(cube)
     ry /= m * n
     try:
         evals, evecs = np.linalg.eigh(ry)

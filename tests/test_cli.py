@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from hsidenoise import cli
 from hsidenoise.cli import _build_config, build_parser, main
 from hsidenoise.io import add_gaussian_noise, read_cube, write_cube
-from hsidenoise.pipeline import DenoiseConfig
+from hsidenoise.pipeline import DenoiseConfig, denoise
 from hsidenoise.spatial import PatchGeometry
 from hsidenoise.synthetic import rank_cube
 
@@ -152,7 +153,7 @@ class TestDenoiseCommand:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "flags", [["--early-stop", "-1"], ["--early-stop", "inf"], ["--early-stop", "0"]]
+        "flags", [["--gamma", "0"], ["--lambda", "inf"], ["--delta", "-1"]]
     )
     def test_out_of_range_shrinkage_constant_is_usage_error(
         self, scene, tmp_path, flags, capsys
@@ -164,7 +165,10 @@ class TestDenoiseCommand:
         assert "must be" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
-    @pytest.mark.parametrize("line", ["itres = 1", "lam = 0.5", "sigma = 3"])
+    # early_stop, a relative-change stop beside iters, is removed
+    @pytest.mark.parametrize(
+        "line", ["itres = 1", "lam = 0.5", "sigma = 3", "early_stop = 0.01", "early-stop = 0.01"]
+    )
     def test_unknown_config_key_is_usage_error(self, scene, tmp_path, capsys, line):
         _, noisy_path = scene
         cfg = tmp_path / "run.cfg"
@@ -173,7 +177,7 @@ class TestDenoiseCommand:
             ["denoise", str(noisy_path), str(tmp_path / "o"), "--config", str(cfg)]
         )
         assert code == 1
-        key = line.split()[0]
+        key = line.split()[0].replace("-", "_")
         assert f"run.cfg:2: unknown key '{key}'" in capsys.readouterr().err
 
     def test_config_line_without_equals_is_usage_error(self, scene, tmp_path, capsys):
@@ -238,13 +242,13 @@ class TestDenoiseCommand:
         assert "cannot read config file" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
-    @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--early-stop", "nan"]])
+    @pytest.mark.parametrize("flags", [["--sigma0", "nan"], ["--gamma", "nan"]])
     def test_nan_is_usage_error(self, scene, tmp_path, flags, capsys):
         _, noisy_path = scene
         out = tmp_path / "o"
         code = main(["denoise", str(noisy_path), str(out), "--no-normalize"] + flags + FAST)
         assert code == 1
-        assert "finite" in capsys.readouterr().err
+        assert "got nan" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
 
@@ -252,8 +256,8 @@ class TestDenoiseCommand:
 DENOISE_OPTIONS = {
     "-h", "--help", "--clean", "--trace", "--dtype", "--config", "--k0",
     "--delta", "--lambda", "--gamma", "--iters", "--patch", "--stride",
-    "--window", "--group", "--seed", "--sigma0", "--early-stop",
-    "--no-normalize", "--keep-bands",
+    "--window", "--group", "--seed", "--sigma0", "--no-normalize",
+    "--keep-bands",
 }
 # a non-default value for each settable field and the config key it is read under
 FIELD_VALUES = {
@@ -262,7 +266,6 @@ FIELD_VALUES = {
     "lam": ("lambda", 0.5),
     "gamma": ("gamma", 0.25),
     "iters": ("iters", 2),
-    "early_stop": ("early-stop", 0.01),
     "patch": ("patch", 5),
     "stride": ("stride", 3),
     "window": ("window", 20),
@@ -361,13 +364,23 @@ class TestOtherCommands:
         assert out.startswith("K = 2")
         assert "band sigma" in out
 
-    def test_estimate_k_overflowing_cube_is_numerical_failure(self, tmp_path, capsys):
-        cube = add_gaussian_noise(rank_cube(32, 32, 32, 5, seed=0), 10.0, seed=0)
-        path = write_cube(tmp_path / "huge", cube * 1e150)
-        assert main(["estimate-k", str(path), "--no-normalize"]) == 3
-        captured = capsys.readouterr()
-        assert "numerical failure" in captured.err
-        assert "K =" not in captured.out
+    @pytest.mark.parametrize("scale", [1e-170, 1e150, 1e160], ids=["1e-170", "1e150", "1e160"])
+    def test_estimate_k_scaled_like_denoise(self, tmp_path, capsys, scale):
+        """Entries near 1e-170 underflow the band Gram and near 1e150
+        overflow it; estimate-k scales the cube by a power of two first, as
+        denoise does, and prints the K and median sigma denoise uses."""
+        cube = add_gaussian_noise(rank_cube(32, 32, 16, 3, seed=0), 10.0, seed=0) * scale
+        path = write_cube(tmp_path / "far", cube)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate-k", str(path), "--no-normalize"]) == 0
+        out = capsys.readouterr().out
+        geom = PatchGeometry(patch=4, window=10, group=16)
+        _, trace = denoise(cube, config=DenoiseConfig(iters=1, geom=geom))
+        assert out.startswith(f"K = {trace[0].k}\n")
+        median = float(out.split("median=")[1].split()[0])
+        # the first iteration works at gamma * sigma0
+        assert trace[0].sigma == pytest.approx(0.5 * median, rel=1e-5)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 """Experiment harness: sigma sweeps, reports, band-count benchmarks."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ class TestLoadInput:
         bad = next(i for i in keep if not 0 <= i < 8)
         with pytest.raises(ValueError, match=f"band index {bad} out of range"):
             load_input(cube_path, normalize=False, keep_bands=keep)
+
+    @pytest.mark.parametrize("keep", [[], [1, 1], [0, 3, 0]])
+    def test_keep_bands_empty_or_repeated(self, cube_path, tmp_path, keep):
+        # [] failed in rescale on a zero-size cube; a repeated band read
+        # sigma 0 in the band-noise regression
+        with pytest.raises(ValueError, match=re.escape(f"distinct bands, got {keep}")):
+            load_input(cube_path, normalize=False, keep_bands=keep)
+        with pytest.raises(ValueError, match=re.escape(f"distinct bands, got {keep}")):
+            ExperimentSpec(
+                input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, keep_bands=keep
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_is_data_error(self, tmp_path, bad):

@@ -78,8 +78,8 @@ class TestDenoiseConfig:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"early_stop": 0.0},
-            {"early_stop": -0.01},
+            {"k0": 0},
+            {"iters": 0},
             {"gamma": 0.0},
             {"lam": -0.1},
             {"delta": -1},
@@ -90,7 +90,7 @@ class TestDenoiseConfig:
         with pytest.raises(ValueError, match=name):
             DenoiseConfig(**bad)
 
-    @pytest.mark.parametrize("name", ["lam", "gamma", "early_stop"])
+    @pytest.mark.parametrize("name", ["lam", "gamma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_shrinkage_constants_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -169,27 +169,6 @@ class TestDenoise:
         # working sigma is near gamma * 20
         assert 0.5 * 15.0 < trace[0].sigma < 0.5 * 25.0
 
-    def test_early_stop_cuts_trace(self):
-        clean = rank_cube(32, 32, 8, 2, seed=7)
-        noisy = add_gaussian_noise(clean, 10.0, seed=7)
-        cfg = DenoiseConfig(k0=2, iters=5, early_stop=10.0, geom=SMALL_GEOM)
-        _, trace = denoise(noisy, 10.0, cfg)
-        assert 2 <= len(trace) < 5
-
-    def test_early_stop_equals_run_of_its_length(self):
-        """Stopping early returns what a run of as many iterations without
-        early stop returns, bit for bit, though only the early-stopping run
-        keeps its previous estimate."""
-        clean = rank_cube(32, 32, 8, 2, seed=7)
-        noisy = add_gaussian_noise(clean, 10.0, seed=7)
-        cfg = DenoiseConfig(k0=2, iters=5, early_stop=10.0, geom=SMALL_GEOM)
-        stopped, trace = denoise(noisy, 10.0, cfg)
-        assert len(trace) < cfg.iters
-        cfg = dataclasses.replace(cfg, iters=len(trace), early_stop=None)
-        full, full_trace = denoise(noisy, 10.0, cfg)
-        np.testing.assert_array_equal(stopped, full)
-        assert [r.residual for r in full_trace] == [r.residual for r in trace]
-
     def test_traced_peak(self, monkeypatch):
         """A default denoise holds one work buffer per chunk in flight and
         no cube it does not read again: 5.6 MB traced here as a process's
@@ -254,20 +233,16 @@ class TestDenoise:
         assert peak < 3.7 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} cubes"
 
     def test_kept_estimate_does_not_change_it(self):
-        """The branches that write the full-band estimate at every
-        iteration, for the PSNR against clean and for an early stop that
-        never fires, return what a run without them returns, bit for bit."""
+        """The branch that writes the full-band estimate at every
+        iteration, for the PSNR against clean, returns what a run without
+        it returns, bit for bit."""
         clean = rank_cube(32, 32, 8, 2, seed=12)
         noisy = add_gaussian_noise(clean, 20.0, seed=12)
         cfg = DenoiseConfig(iters=3, geom=SMALL_GEOM)
         plain, plain_trace = denoise(noisy, 20.0, cfg)
-        with_clean, _ = denoise(noisy, 20.0, cfg, clean=clean)
-        never_stops, trace = denoise(
-            noisy, 20.0, dataclasses.replace(cfg, early_stop=1e-300)
-        )
+        with_clean, trace = denoise(noisy, 20.0, cfg, clean=clean)
         assert len(trace) == cfg.iters
         np.testing.assert_array_equal(with_clean, plain)
-        np.testing.assert_array_equal(never_stops, plain)
         assert [r.residual for r in trace] == [r.residual for r in plain_trace]
 
     @pytest.mark.parametrize("sigma0", [None, 20.0])

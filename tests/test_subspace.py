@@ -298,6 +298,19 @@ class TestEstimateSubspaceDim:
         with pytest.raises(np.linalg.LinAlgError, match="underflows"):
             estimate_subspace_dim(x * 1e-170, np.zeros(16))
 
+    def test_overflowing_gram_raises(self):
+        # entries near 4e156: the Gram overflows, which the
+        # eigendecomposition once reported as "Eigenvalues did not converge"
+        # after an overflow warning
+        x = add_gaussian_noise(rank_cube(32, 32, 16, 3, seed=0), 10.0, seed=0)
+        sig = estimate_band_noise(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                estimate_subspace_dim(x * 1e154, sig * 1e154)
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                estimate_band_noise(x * 1e154)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_band_sigma_rejected(self, bad):
         cube = add_gaussian_noise(rank_cube(16, 16, 6, 2, seed=4), 5.0, seed=4)
