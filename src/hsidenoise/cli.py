@@ -319,7 +319,7 @@ def build_parser():
     p = sub.add_parser("bench-bands", help="stage timing vs band count")
     p.add_argument("input")
     p.add_argument("--sigma", type=float, default=50.0)
-    p.add_argument("--bands", help="comma list of band counts (default 32,64,128,B)")
+    p.add_argument("--bands", help="comma list of band counts (default 32,64,128 below B, then B)")
     p.add_argument("--outdir", required=True)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_bench_bands)

@@ -192,12 +192,12 @@ def run_experiment(spec):
 def bench_bands(spec, band_counts=None):
     """Time the two stages while the band count grows.
 
-    Truncates the input to each requested band count (default 32, 64,
-    128, B), runs the pipeline at spec.sigmas[0], and writes bench.csv
-    with per-stage times summed over iterations.  The default grid needs
-    an input with >= 32 bands; explicit counts must fit the input.  Bad
-    or no counts, or a cube too small for the SSIM window, raise before
-    anything is written.
+    Truncates the input to each requested band count (default those of
+    32, 64 and 128 below B, then B), runs the pipeline at spec.sigmas[0],
+    and writes bench.csv with per-stage times summed over iterations.
+    The default grid needs an input with >= 32 bands; explicit counts
+    must fit the input.  Bad or no counts, or a cube too small for the
+    SSIM window, raise before anything is written.
     """
     clean = load_input(spec.input_path, spec.normalize, spec.keep_bands)
     total = clean.shape[2]
@@ -206,7 +206,7 @@ def bench_bands(spec, band_counts=None):
     if band_counts is None:
         if total < 32:
             raise ValueError(f"default band grid needs >= 32 bands, got {total}")
-        band_counts = [32, 64, 128, total]
+        band_counts = [c for c in (32, 64, 128) if c < total] + [total]
     counts = sorted({_int_field("band count", c) for c in band_counts})
     if not counts or counts[0] < 1 or counts[-1] > total:
         raise ValueError(f"band counts must be one or more in [1, {total}], got {band_counts}")

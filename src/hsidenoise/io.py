@@ -388,6 +388,4 @@ def parse_band_list(text):
                 raise ValueError(f"bad band index {part!r}") from exc
     if not out:
         raise ValueError(f"no bands in {text!r}")
-    if min(out) < 0:
-        raise ValueError("band indices must be >= 0")
     return sorted(out)

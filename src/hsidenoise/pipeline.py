@@ -106,7 +106,7 @@ class IterationRecord:
     # first part is summed before the spatial stage, so y_i is not kept
     residual: float
     psnr: float | None
-    # the full-band work: projection, off-subspace sum, lift-back and blend
+    # the full-band work: sigma re-estimate, projection, off-subspace sum, lift-back, blend
     stage_a_seconds: float
     # the spatial stage on the k-band reduced image: matching and filtering
     stage_b_seconds: float
@@ -176,15 +176,18 @@ def _iterations(y, k0, sigma0, cfg, keep):
     when keep is set; it is None otherwise.  Each x is a fresh array that
     the generator drops once yielded, so a caller that holds x while the
     next iteration runs holds one more cube.  The record's sigma and
-    residual are on y's scale, its psnr None.
+    residual are on y's scale, its psnr None.  The blend pass that writes
+    y_i also sums ||y_i - y||^2 block by block, from which the next
+    iteration's sigma_i is re-estimated; y_i = y at iteration 1 gives 0.
     """
     k = k0
     y_i = y
+    change_sq = 0.0
     for i in range(1, cfg.iters + 1):
         last = i == cfg.iters
-        sigma_i = reestimate_noise(y_i, y, sigma0, cfg.gamma)
 
         t0 = time.perf_counter()
+        sigma_i = reestimate_noise(change_sq / y.size, sigma0, cfg.gamma)
         model = spectral_decompose(y_i, k)
         _check_finite(model.reduced, "spectral projection", i)
         basis = model.basis
@@ -209,6 +212,7 @@ def _iterations(y, k0, sigma0, cfg, keep):
         # observation, one row block at a time
         x = np.empty(y.shape) if last or keep else None
         y_i = None if last else np.empty(y.shape)
+        change_sq = 0.0
         for rows in _row_blocks(y):
             x_rows = mode3_product(m_i[rows], basis)
             _check_finite(x_rows, "spatial filtering", i)
@@ -216,6 +220,7 @@ def _iterations(y, k0, sigma0, cfg, keep):
                 x[rows] = x_rows
             if y_i is not None:
                 y_i[rows] = iterate_regularize(x_rows, y[rows], cfg.lam)
+                change_sq += frob_norm_sq(y_i[rows], y[rows])
         del m_i
         t3 = time.perf_counter()
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _all_finite, as_cube, frob_norm_sq, mode3_product
+from .tensor import _all_finite, as_cube, mode3_product
 
 __all__ = [
     "SubspaceModel",
@@ -207,18 +207,12 @@ def estimate_subspace_dim(cube, per_band_sigma):
     return min(max(k, 1), b)
 
 
-def reestimate_noise(y_i, y, sigma0, gamma):
+def reestimate_noise(msd, sigma0, gamma):
     """Noise level for the current iteration.
 
-    sigma_i = gamma * sqrt(|sigma0^2 - mean((y_i - y)^2)|), the mean taken
-    over all cube entries a row block at a time, so no cube-sized
-    difference is formed.  At iteration 1 (y_i = y) this is gamma*sigma0.
-    sigma0 and gamma are taken as given: denoise and DenoiseConfig check
-    them.
+    sigma_i = gamma * sqrt(|sigma0^2 - msd|), msd the mean square of
+    y_i - y over all cube entries, which the loop sums as it blends y_i.
+    At iteration 1 (y_i = y, msd 0) this is gamma*sigma0.  The three are
+    taken as given: denoise and DenoiseConfig check sigma0 and gamma.
     """
-    y_i = as_cube(y_i, "y_i")
-    y = as_cube(y, "y")
-    if y_i.shape != y.shape:
-        raise ValueError(f"shape mismatch: {y_i.shape} vs {y.shape}")
-    msd = frob_norm_sq(y_i, y) / y.size
     return gamma * float(np.sqrt(abs(sigma0 * sigma0 - msd)))

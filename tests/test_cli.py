@@ -190,6 +190,15 @@ class TestDenoiseCommand:
         assert code == 1
         assert "run.cfg:3: expected key = value, got 'iters 2'" in capsys.readouterr().err
 
+    def test_config_normalize_not_a_boolean_is_usage_error(self, scene, tmp_path, capsys):
+        _, noisy_path = scene
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("normalize = maybe\n")
+        out = tmp_path / "o"
+        assert main(["denoise", str(noisy_path), str(out), "--config", str(cfg)]) == 1
+        assert "expected a boolean, got 'maybe'" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
+
     def test_non_finite_header_scale_is_data_error(self, scene, tmp_path, capsys):
         _, noisy_path = scene
         noisy_path.write_text(noisy_path.read_text() + "scale = nan 5\n")

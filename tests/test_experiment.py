@@ -1,6 +1,7 @@
 """Experiment harness: sigma sweeps, reports, band-count benchmarks."""
 
 import csv
+import dataclasses
 import re
 
 import numpy as np
@@ -224,6 +225,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="jobs"):
             ExperimentSpec(input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, jobs=jobs)
 
+    def test_zero_jobs_rejected(self, cube_path, tmp_path):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            ExperimentSpec(input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, jobs=0)
+
     def test_numpy_integer_jobs_accepted(self, cube_path, tmp_path):
         spec = ExperimentSpec(
             input_path=cube_path, sigmas=[10.0], output_dir=tmp_path, jobs=np.int64(2)
@@ -404,16 +409,36 @@ class TestBenchBands:
             x, _ = denoise(add_gaussian_noise(sub, 15.0, seed=spec.seed), 15.0, FAST_CFG)
             assert float(row["mssim"]) == mssim(sub, x)
 
-    def test_default_counts_need_32_bands(self, cube_path, tmp_path):
+    def test_default_counts_need_32_bands(self, tmp_path):
+        path = write_cube(tmp_path / "scene", rank_cube(16, 16, 31, 2, seed=1))
         spec = ExperimentSpec(
-            input_path=cube_path,
+            input_path=path,
             sigmas=[15.0],
             output_dir=tmp_path / "bench",
             config=FAST_CFG,
             normalize=False,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs >= 32 bands, got 31"):
             bench_bands(spec)
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize(
+        "bands, counts", [(32, [32]), (64, [32, 64]), (129, [32, 64, 128, 129])]
+    )
+    def test_default_counts_below_the_band_count(self, tmp_path, bands, counts):
+        """With no counts, the grid is those of 32, 64 and 128 below B, then
+        B; on a 64-band cube it once asked for 128 bands and raised."""
+        path = write_cube(tmp_path / "scene", rank_cube(16, 16, bands, 2, seed=1))
+        spec = ExperimentSpec(
+            input_path=path,
+            sigmas=[15.0],
+            output_dir=tmp_path / "bench",
+            config=dataclasses.replace(FAST_CFG, iters=1),
+            normalize=False,
+        )
+        rows = bench_bands(spec)
+        assert [int(r["bands"]) for r in rows] == counts
+        assert [int(r["bands"]) for r in read_rows(tmp_path / "bench" / "bench.csv")] == counts
 
     @pytest.mark.parametrize("counts", [[4.7, 6.2], [4, 6.0], [True, 4]])
     def test_counts_must_be_integers(self, cube_path, tmp_path, counts):

@@ -1,6 +1,7 @@
 """File formats: native header + raw cube pairs, PGM band stacks."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestCubeHeader:
             CubeHeader.parse(
                 "rows = 2\ncols = 2\nbands = 1\ndtype = u8\nscale = 1\n"
             )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("interleave = bip", "unsupported interleave 'bip', only bsq"),
+            ("rows = 0", "dims must be positive, got 0x2x1"),
+            ("scale = a b", "header: bad scale values: could not convert string to float: 'a'"),
+        ],
+    )
+    def test_rejected_header_line(self, line, message):
+        # a later line overrides an earlier one of the same key
+        with pytest.raises(HeaderError, match=f"^{re.escape(message)}$"):
+            CubeHeader.parse(f"rows = 2\ncols = 2\nbands = 1\ndtype = f64\n{line}\n")
 
     @pytest.mark.parametrize("scale", ["nan 5", "0 inf", "-inf 1"])
     def test_non_finite_scale(self, scale):
@@ -272,6 +286,15 @@ class TestHelpers:
             parse_band_list("1,two,3")
         with pytest.raises(ValueError):
             parse_band_list("5-2")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("3-x", "bad band range '3-x'"), (",", "no bands in ','"), ("-1", "bad band range '-1'")],
+    )
+    def test_parse_band_list_messages(self, text, message):
+        # "-1" takes the range branch, so no negative index gets through
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_band_list(text)
 
     def test_rescale_default_bounds(self):
         cube = random_cube((4, 4, 2), seed=13, lo=-5.0, hi=10.0)

@@ -161,6 +161,26 @@ class TestQualityReport:
         assert rep.sam_deg == 0.0
 
 
+class TestMismatchedPairs:
+    @pytest.mark.parametrize("metric", [quality_report, sam])
+    def test_shapes_differ(self, metric):
+        cube = np.ones((16, 16, 3))
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(16, 16, 3\) vs \(16, 16, 2\)$"):
+            metric(cube, cube[:, :, :2])
+
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            (quality_report, r"^expected 3-d arrays, got 3-d and 2-d$"),
+            (sam, r"^test must be 3-d \(rows, cols, bands\), got shape \(16, 16\)$"),
+        ],
+    )
+    def test_dimensions_differ(self, metric, message):
+        cube = np.ones((16, 16, 3))
+        with pytest.raises(ValueError, match=message):
+            metric(cube, cube[:, :, 0])
+
+
 class TestPeak:
     @pytest.mark.parametrize("peak", [math.nan, 0.0, -1.0, math.inf])
     @pytest.mark.parametrize("metric", [psnr, mpsnr, ssim, mssim, quality_report])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -401,6 +402,46 @@ class TestResidualSplit:
         for rec, direct in zip(trace, direct_residuals(clean, 0.0, cfg), strict=True):
             assert math.isfinite(rec.residual) and rec.residual >= 0.0
             assert abs(rec.residual - direct) <= tol
+
+
+def direct_sigmas(noisy, sigma0, cfg):
+    """gamma * sqrt(|sigma0^2 - ||y_i - y||^2 / N|) of each iteration,
+    formed from whole cubes: y_1 the observation and y_i the blend of
+    x_(i-1), the estimate of a run of i - 1 iterations, with it."""
+    y_i = noisy
+    out = []
+    for i in range(1, cfg.iters + 1):
+        msd = frob_norm_sq(y_i, noisy) / noisy.size
+        out.append(cfg.gamma * math.sqrt(abs(sigma0 * sigma0 - msd)))
+        x_i, _ = denoise(noisy, sigma0, dataclasses.replace(cfg, iters=i))
+        y_i = iterate_regularize(x_i, noisy, cfg.lam)
+    return out
+
+
+def test_trace_sigma_from_whole_cubes():
+    """The blend pass sums ||y_i - y||^2 over the row blocks that a
+    whole-cube sum visits, so each trace sigma is the whole-cube one
+    bit for bit."""
+    clean = rank_cube(32, 32, 8, 2, seed=16)
+    noisy = add_gaussian_noise(clean, 20.0, seed=16)
+    cfg = DenoiseConfig(iters=3, geom=SMALL_GEOM)
+    _, trace = denoise(noisy, 20.0, cfg)
+    assert [rec.sigma for rec in trace] == direct_sigmas(noisy, 20.0, cfg)
+
+
+def test_reestimate_counted_in_stage_a(monkeypatch):
+    """The noise re-estimate runs inside stage A's clock."""
+    reestimate = pipeline.reestimate_noise
+
+    def slow(*args):
+        time.sleep(0.02)
+        return reestimate(*args)
+
+    monkeypatch.setattr(pipeline, "reestimate_noise", slow)
+    noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=17), 20.0, seed=17)
+    _, trace = denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM))
+    assert len(trace) == 3
+    assert all(rec.stage_a_seconds >= 0.02 for rec in trace), trace
 
 
 # the names denoise calls BLAS through, as pipeline binds them
