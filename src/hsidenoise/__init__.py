@@ -2,7 +2,7 @@
 and non-local low-rank patch filtering.
 
 The names below are the public surface; the building blocks (patch
-matching, shrinkage, unfoldings, the noise model) stay importable from
+matching, shrinkage, unfoldings, the subspace fit) stay importable from
 their submodules.
 """
 

@@ -22,8 +22,9 @@ from .experiment import (
 )
 from .io import DTYPES, DataError, add_gaussian_noise, parse_band_list, parse_key_values, write_cube
 from .metrics import _check_window, quality_report
-from .pipeline import DenoiseConfig, NumericalError, _band_noise_and_dim, denoise
+from .pipeline import DenoiseConfig, NumericalError, denoise
 from .spatial import PatchGeometry
+from .subspace import estimate_band_noise, estimate_subspace_dim
 from .tensor import PEAK
 
 __all__ = ["main"]
@@ -61,7 +62,7 @@ _HELP = {
     "iters": "outer iterations",
     "patch": "patch side",
     "stride": "reference patch spacing (default: the patch side)",
-    "window": "search window side",
+    "window": "search window side; window // 2 corners each way, so 30 and 31 both search 31x31",
     "group": "patches per group",
 }
 # run options that are not denoiser fields:
@@ -202,7 +203,8 @@ def _cmd_metrics(args):
 def _cmd_estimate_k(args):
     _, run = _build_config(args)
     cube = load_input(args.input, run.normalize, run.keep_bands)
-    sig, k = _band_noise_and_dim(cube)
+    sig = estimate_band_noise(cube)
+    k = estimate_subspace_dim(cube, sig)
     print(f"K = {k}")
     print(
         f"band sigma: median={np.median(sig):.6g} "

@@ -19,10 +19,10 @@ from .subspace import (
     spectral_decompose,
 )
 from .tensor import (
-    PEAK,
     _all_finite,
     _int_field,
     _row_blocks,
+    _scale_exponent,
     as_cube,
     frob_norm_sq,
     mode3_product,
@@ -51,15 +51,6 @@ class NumericalError(RuntimeError):
 # time per case over two runs on 2 cores (69-76% with the offset-by-offset
 # match); matching at iteration 1 only lost 0.06 dB and raised SAM by 1.8%.
 _LAST_MATCH_ITER = 2
-
-# denoise runs its loop on an input whose largest magnitude, or sigma0 if
-# larger, lies between PEAK * 2^-_SCALE_BAND and PEAK * 2^_SCALE_BAND as it
-# is; one outside is scaled by a power of two onto [128, 256), next to PEAK,
-# and the estimate scaled back.  Power-of-two scaling is exact, so the result
-# is the same up to that scale, where squares and Gram matrices of entries
-# near 1e152 would overflow, or of entries near 1e-160 underflow.  Data on
-# [0, 1] (2^-8 PEAK) and at 16 bits (2^8 PEAK) lie well inside the band.
-_SCALE_BAND = 16
 
 
 @dataclass
@@ -143,28 +134,6 @@ def _check_finite(arr, stage, iteration):
         )
 
 
-def _scale_exponent(top):
-    """e such that a cube of largest magnitude top is scaled by 2^-e: 0
-    when top lies within the band around PEAK or is 0, otherwise the e
-    that puts it in [128, 256)."""
-    if top == 0.0 or PEAK * 2.0**-_SCALE_BAND <= top <= PEAK * 2.0**_SCALE_BAND:
-        return 0
-    return math.frexp(top)[1] - math.frexp(PEAK)[1]
-
-
-def _band_noise_and_dim(y, dim=True):
-    """(band sigmas on y's scale, K or None unless dim), estimated on y
-    scaled by the power of two that _scale_exponent gives its largest
-    magnitude, so a cube of entries near 1e-200 or 1e160, whose band
-    Gram's trace underflows or overflows, is estimated too.  Scaling the
-    cube and the sigmas together leaves K as it is."""
-    f = _scale_exponent(max(float(y.max()), -float(y.min())))
-    y_est = np.ldexp(y, -f) if f else y
-    band_sigma = estimate_band_noise(y_est)
-    k = estimate_subspace_dim(y_est, band_sigma) if dim else None
-    return np.ldexp(band_sigma, f), k
-
-
 def _iterations(y, k0, sigma0, cfg, keep):
     """Run the outer iterations on the observation y from K = k0; yield
     (record, x) after each one.
@@ -242,11 +211,11 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     of max|noisy| and sigma0 lies far from PEAK (outside PEAK * 2^+-16), the
     iterations run on the cube and sigma0 scaled by a power of two and the
     estimate, sigmas and residuals are scaled back, so a cube of entries
-    near 1e152, whose band Gram matrix overflows, still gives a finite
-    estimate.  The band-noise and K estimates run on the cube scaled the
-    same way by its own magnitude alone, so a cube of entries near 1e-200
-    under a sigma0 of 10 is estimated too; `hsidenoise estimate-k` runs
-    the same estimate.  _iterations runs the config's iters iterations.
+    near 1e152 still gives a finite estimate.  sigma0 and K0, where not
+    given, come from estimate_band_noise and estimate_subspace_dim on that
+    cube, as `hsidenoise estimate-k` prints them; those scale a cube whose
+    band Gram over- or underflows themselves, so a cube of entries near
+    1e-200 under a sigma0 of 10 is estimated too.
 
     OpenBLAS is held to one thread for the whole call, as denoise_reduced
     holds it for its shrinkage pool: after a threaded BLAS call OpenBLAS's
@@ -284,9 +253,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
 
         k0 = 1 if b == 1 else cfg.k0
         if k0 is None or sigma0 is None:
-            # y's magnitude may lie far below a large sigma0's
-            band_sigma, k = _band_noise_and_dim(y, dim=k0 is None)
-            k0 = k0 or k
+            band_sigma = estimate_band_noise(y)
+            k0 = k0 or estimate_subspace_dim(y, band_sigma)
             if sigma0 is None:
                 sigma0 = float(np.median(band_sigma))
 

@@ -33,7 +33,7 @@ forked after a stage, as run_experiment's workers are, creates a pool of its
 own, since the pools are kept by process id.  A call waits for its own jobs
 before it returns or raises, so none of them outlives it.
 match_group, wnnm_shrink and aggregate run the stage's helpers (_match and
-_patch_pixels, _shrink, _scatter and _average) on one reference, one group
+_patch_offsets, _shrink, _scatter and _average) on one reference, one group
 and a list of groups, on the calling thread.
 """
 
@@ -114,8 +114,9 @@ class PatchGeometry:
 
     patch: square patch side; stride: spacing of reference patches, the
     patch side when None, so the reference grid tiles the image; window:
-    search window side, centered on the reference; group: number of similar
-    patches kept per reference.
+    search window side, centered on the reference: it reaches window // 2
+    corners each way, so 30 and 31 both search 31 x 31; group: number of
+    similar patches kept per reference.
 
     The stride is resolved at construction, so dataclasses.replace(geom,
     patch=p) keeps geom's resolved stride: from PatchGeometry(), patch=4
@@ -420,13 +421,6 @@ def _patch_offsets(ps, n):
     return (np.arange(ps)[:, None] * n + np.arange(ps)).ravel()
 
 
-def _patch_pixels(corners, offsets):
-    """(first, pix): the smallest of the flat corners r*N + c (..., p), and
-    the pixels of their patches (..., p, ps*ps) less first, at offsets."""
-    first = int(corners.min())
-    return first, (corners - first)[..., None] + offsets
-
-
 def _scatter(corners, n, ps, values):
     """(box, sums) of the patches values (..., p, ps*ps, k) at the flat
     corners r*N + c (..., p) of a C-ordered (M, N, k) cube, N = n: box is
@@ -467,8 +461,8 @@ def match_group(reduced, ref, geom):
         raise ValueError(f"reference {ref} out of bounds for {m}x{n} image")
     corners, sizes = _match(reduced, [r0], [c0], geom)
     members = corners[0, : sizes[0]]
-    first, pix = _patch_pixels(members, _patch_offsets(ps, n))
-    patches = reduced.reshape(m * n, k)[first:][pix].reshape(len(members), -1)
+    pix = members[:, None] + _patch_offsets(ps, n)
+    patches = reduced.reshape(m * n, k)[pix].reshape(len(members), -1)
     return PatchGroup(
         ref_pos=(r0, c0),
         members=np.stack(np.divmod(members, n), axis=1),
@@ -512,12 +506,14 @@ def _shrink(b, sigma):
     if sigma == 0:
         return
     p, d = b.shape[1:]
+    overflowed = np.linalg.LinAlgError(f"Gram matrix of a {d}x{p} group matrix overflowed")
     gram = b @ b.transpose(0, 2, 1)
     if not np.all(np.isfinite(gram)):
-        raise np.linalg.LinAlgError(
-            f"Gram matrix of a {d}x{p} group matrix overflowed"
-        )
+        raise overflowed
     lam, v = np.linalg.eigh(gram)
+    # a finite Gram near the largest float can still have an eigenvalue past it
+    if not np.all(np.isfinite(lam)):
+        raise overflowed
     # at most two (G, p, p) arrays at a time: the Gram goes here, and
     # V diag(ratio) V^T is formed as W W^T, W = V diag(sqrt(ratio)) in v
     del gram
@@ -670,10 +666,10 @@ def _shrink_chunk(image, members, ps, sigma, free):
     m, n, k = image.shape
     buffer = free.get()
     try:
-        first, pix = _patch_pixels(members, _patch_offsets(ps, n))
+        pix = members[..., None] + _patch_offsets(ps, n)
         groups = buffer[: pix.size * k].reshape(pix.shape + (k,))
         # mode="raise" would gather through a temporary copy of the buffer
-        np.take(image.reshape(m * n, k)[first:], pix, axis=0, out=groups, mode="clip")
+        np.take(image.reshape(m * n, k), pix, axis=0, out=groups, mode="clip")
         del pix
         _shrink(groups.reshape(members.shape + (-1,)), sigma)
         return _scatter(members, n, ps, groups)

@@ -3,12 +3,13 @@ subspace-dimension estimation from the data itself, and the per-iteration
 noise re-estimate that drives the spatial stage.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _all_finite, as_cube, mode3_product
+from .tensor import _all_finite, _scale_exponent, as_cube, mode3_product
 
 __all__ = [
     "SubspaceModel",
@@ -20,6 +21,11 @@ __all__ = [
 
 # ridge weight for the band regressions, relative to mean band energy
 RIDGE_SCALE = 1e-6
+
+# _band_gram scales a cube whose Gram trace is below 2^-970 (tiny / eps), where
+# squares are subnormal: unscaled, a noisy 32x32x16 cube times 1e-158 (trace
+# 2.4e-308) moved its sigmas by 1.3e-10 relative, and below tiny they read zero
+_GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass
@@ -47,6 +53,33 @@ def _fix_column_signs(basis):
     return basis * signs
 
 
+def _band_gram(cube):
+    """(R, tr(R), f): the band Gram R = Z Z^T, Z the (B, M*N) view of the
+    cube times 2^-f.  f is 0 unless R or tr(R) is not finite (entries near
+    1e152) or a nonzero cube's tr(R) is below _GRAM_FLOOR; then R is formed
+    on the cube scaled by the power of two that puts it on [128, 256),
+    exactly.  Only a non-finite entry raises numpy.linalg.LinAlgError.
+    """
+    m, n, b = cube.shape
+
+    def gram(c):
+        z = c.reshape(m * n, b).T
+        with np.errstate(over="ignore"):
+            r = z @ z.T
+            return r, float(np.trace(r))
+
+    r, tr = gram(cube)
+    if np.isfinite(tr) and np.all(np.isfinite(r)) and (tr >= _GRAM_FLOOR or not np.any(cube)):
+        return r, tr, 0
+    top = max(float(cube.max()), -float(cube.min()))
+    if not math.isfinite(top):
+        raise np.linalg.LinAlgError(
+            f"the {b}x{b} band Gram matrix is not finite: the cube has a non-finite entry"
+        )
+    f = _scale_exponent(top)
+    return (*gram(np.ldexp(cube, -f)), f)
+
+
 def spectral_decompose(cube, k):
     """Fit the best rank-k spectral subspace of a cube.
 
@@ -56,7 +89,9 @@ def spectral_decompose(cube, k):
     approximation of the input in Frobenius norm.
 
     The decomposition runs on the B x B band Gram matrix, so the cost
-    stays linear in the pixel count.
+    stays linear in the pixel count.  _band_gram scales a cube whose Gram
+    would overflow or underflow by a power of two, so its basis is the
+    in-range cube's.  A non-finite entry raises ValueError.
     """
     # one C-ordered copy of another layout serves the Gram and the projection
     cube = np.ascontiguousarray(as_cube(cube))
@@ -67,9 +102,8 @@ def spectral_decompose(cube, k):
     if not _all_finite(cube):
         raise ValueError("cube has non-finite entries")
 
-    flat = cube.reshape(m * n, b)
     try:
-        _, evecs = np.linalg.eigh(flat.T @ flat)
+        _, evecs = np.linalg.eigh(_band_gram(cube)[0])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
@@ -77,32 +111,6 @@ def spectral_decompose(cube, k):
     basis = _fix_column_signs(np.ascontiguousarray(evecs[:, ::-1][:, :k]))
     reduced = mode3_product(cube, basis.T)
     return SubspaceModel(basis=basis, reduced=reduced)
-
-
-def _band_gram(cube):
-    """(R, tr(R)) for the band Gram R = Z Z^T, Z the cube's (B, M*N) view.
-
-    Raise numpy.linalg.LinAlgError if R or tr(R) is not finite (entries
-    near 1e152 or larger), or if tr(R) is below the smallest normal float
-    while the cube has a nonzero entry (its squares underflowed): the
-    estimates would pass NaN or a lost signal off as numbers.
-    """
-    m, n, b = cube.shape
-    z = cube.reshape(m * n, b).T
-    with np.errstate(over="ignore"):
-        r = z @ z.T
-        tr = float(np.trace(r))
-    if not (np.isfinite(tr) and np.all(np.isfinite(r))):
-        raise np.linalg.LinAlgError(
-            f"the {b}x{b} band Gram matrix or its trace is not finite: cube "
-            "entries are too large to square and sum, or not finite"
-        )
-    if tr < np.finfo(float).tiny and np.any(cube):
-        raise np.linalg.LinAlgError(
-            f"the band Gram matrix's trace underflows ({tr:.3g}, below the "
-            "smallest normal float): cube entries are too small to square and sum"
-        )
-    return r, tr
 
 
 def estimate_band_noise(cube):
@@ -117,12 +125,12 @@ def estimate_band_noise(cube):
     alpha = RIDGE_SCALE * tr(R) / B and Q = (R + alpha I)^-1, band i's
     residual is (Q Z)_i / Q_ii, so everything follows from Q in closed
     form: sigma_i^2 = (Q_ii / (Q^2)_ii - alpha) / (M N), clipped at 0.
-    The cube is read only to form R.  A non-finite R or tr(R), as from
-    entries near 1e152 or larger, raises numpy.linalg.LinAlgError, and so
-    does a tr(R) below the smallest normal float from a cube with a nonzero
-    entry, whose squares underflowed (entries of about 1e-156 in a 32x32x16
-    cube).
-    An all-zero cube gives all-zero sigmas.
+    The cube is read only to form R, by _band_gram: where squaring the
+    cube would overflow or underflow (entries near 1e152, or near 1e-156
+    in a 32x32x16 cube), R is that of the cube scaled by 2^-f and the
+    sigmas are scaled back by 2^f, which is exact, so the result is the
+    in-range cube's scaled alike.  Only a non-finite entry raises
+    numpy.linalg.LinAlgError.  An all-zero cube gives all-zero sigmas.
 
     Each regression fits B - 1 predictors on M*N samples, so it needs M*N
     well above B; with few pixels per band it reads sigma low.  On
@@ -150,7 +158,7 @@ def estimate_band_noise(cube):
             stacklevel=2,
         )
 
-    r, tr = _band_gram(cube)
+    r, tr, f = _band_gram(cube)
     if tr <= 0:
         # all-zero cube regresses to itself exactly
         return np.zeros(b)
@@ -160,7 +168,7 @@ def estimate_band_noise(cube):
     s = tr / b
     q = np.linalg.inv(r / s + RIDGE_SCALE * np.eye(b))
     q2 = np.einsum("ji,ji->i", q, q)
-    return np.sqrt(s * np.maximum(np.diag(q) / q2 - RIDGE_SCALE, 0.0) / mn)
+    return np.ldexp(np.sqrt(s * np.maximum(np.diag(q) / q2 - RIDGE_SCALE, 0.0) / mn), f)
 
 
 def estimate_subspace_dim(cube, per_band_sigma):
@@ -170,10 +178,9 @@ def estimate_subspace_dim(cube, per_band_sigma):
     noise variance projected onto each eigenvector; K counts the
     eigenvalues that clear twice their noise contribution.  Returns an
     int in [1, B].  Degenerate input (no positive eigenvalue, as from an
-    all-zero cube) returns 1 with a warning.  A band Gram matrix whose
-    trace underflows, from a cube with a nonzero entry, raises
-    numpy.linalg.LinAlgError, as estimate_band_noise does, and so does a
-    non-finite one, from entries near 1e152 or larger.
+    all-zero cube) returns 1 with a warning.  Where _band_gram scales the
+    cube by 2^-f, the sigmas are scaled with it, so K is the in-range
+    cube's; only a non-finite entry raises numpy.linalg.LinAlgError.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -183,7 +190,7 @@ def estimate_subspace_dim(cube, per_band_sigma):
     if not np.all((sig >= 0) & (sig < np.inf)):
         raise ValueError("band sigmas must be finite and >= 0")
 
-    ry, _ = _band_gram(cube)
+    ry, _, f = _band_gram(cube)
     ry /= m * n
     try:
         evals, evecs = np.linalg.eigh(ry)
@@ -198,8 +205,8 @@ def estimate_subspace_dim(cube, per_band_sigma):
         warnings.warn("degenerate band correlation; defaulting to K=1")
         return 1
 
-    # noise power seen along eigenvector j
-    noise_proj = (evecs * evecs).T @ (sig * sig)
+    # noise power seen along eigenvector j, on the Gram's scale
+    noise_proj = (evecs * evecs).T @ np.ldexp(sig, -f) ** 2
     # relative floor keeps the decision scale-covariant and absorbs
     # numerically-zero eigenvalues of exactly low-rank input
     floor = evals[0] * 1e-12

@@ -9,12 +9,23 @@ column-major unfolding of :func:`unfold3` is the pixel order of the cube
 file payload.
 """
 
+import math
+
 import numpy as np
 
 __all__ = ["PEAK", "unfold3", "fold3", "mode3_product", "frob_norm_sq", "as_cube"]
 
 # the intensity scale: inputs are normalized onto [0, PEAK], sigma is in its units
 PEAK = 255.0
+
+# A cube whose largest magnitude lies between PEAK * 2^-_SCALE_BAND and
+# PEAK * 2^_SCALE_BAND is worked on as it is; where one must be scaled,
+# _scale_exponent gives the power of two that puts it on [128, 256), next to
+# PEAK.  Power-of-two scaling is exact, so the result is the same up to that
+# scale, where squares and Gram matrices of entries near 1e152 would
+# overflow, or of entries near 1e-160 underflow.  Data on [0, 1] (2^-8 PEAK)
+# and at 16 bits (2^8 PEAK) lie well inside the band.
+_SCALE_BAND = 16
 
 # float64 bytes per row block of the passes that read whole cubes entry by
 # entry (differences, sums of squares, finiteness checks, blends): each pass
@@ -30,6 +41,15 @@ def as_cube(arr, name="cube"):
     if min(a.shape) < 1:
         raise ValueError(f"{name} has an empty dimension: {a.shape}")
     return a
+
+
+def _scale_exponent(top):
+    """e such that a cube of largest magnitude top is scaled by 2^-e: 0
+    when top lies within the band around PEAK or is 0, otherwise the e
+    that puts it in [128, 256)."""
+    if top == 0.0 or PEAK * 2.0**-_SCALE_BAND <= top <= PEAK * 2.0**_SCALE_BAND:
+        return 0
+    return math.frexp(top)[1] - math.frexp(PEAK)[1]
 
 
 def _int_field(name, value):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hsidenoise import pipeline, spatial
+from hsidenoise.subspace import SubspaceModel, spectral_decompose
 
 
 @pytest.fixture
@@ -70,3 +71,16 @@ def nan_stage(monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline, "denoise_reduced", stage)
+
+
+@pytest.fixture
+def nan_projection(monkeypatch):
+    """pipeline's subspace fit replaced by one whose reduced image holds a
+    NaN."""
+
+    def fit(cube, k):
+        model = spectral_decompose(cube, k)
+        model.reduced[0, 0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(pipeline, "spectral_decompose", fit)

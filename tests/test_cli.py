@@ -225,6 +225,15 @@ class TestDenoiseCommand:
         assert "numerical failure: non-finite values after spatial filtering at iteration 1" in err
         assert not out.with_suffix(".hdr").exists()
 
+    def test_non_finite_projection_is_numerical_error(self, scene, tmp_path, nan_projection, capsys):
+        _, noisy_path = scene
+        out = tmp_path / "o"
+        code = main(["denoise", str(noisy_path), str(out), "--sigma0", "20", "--no-normalize"] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite values after spectral projection at iteration 1" in err
+        assert not out.with_suffix(".hdr").exists()
+
     def test_config_normalize_true(self, tmp_path):
         """A file's normalize = true rescales on load as the default does,
         and --no-normalize overrides it."""

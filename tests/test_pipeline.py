@@ -286,9 +286,9 @@ class TestDenoise:
         assert [shape[2] for shape in calls] == [r.k for r in trace[:2]]
 
     def test_overflowing_band_gram_scaled_away(self):
-        """Entries near 3e152 overflow the band Gram's trace, where
-        estimate_band_noise raises; denoise scales them by a power of two
-        first and gives the unscaled cube's estimate, times 1e150."""
+        """Entries near 3e152 overflow the band Gram's trace; denoise
+        scales them by a power of two first and gives the unscaled cube's
+        estimate, times 1e150."""
         clean = rank_cube(32, 32, 32, 5, seed=0)
         noisy = add_gaussian_noise(clean, 10.0, seed=0)
         cfg = DenoiseConfig(iters=1, geom=SMALL_GEOM)
@@ -351,6 +351,14 @@ class TestDenoise:
         with pytest.raises(
             pipeline.NumericalError,
             match="^non-finite values after spatial filtering at iteration 1$",
+        ):
+            denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=2, geom=SMALL_GEOM))
+
+    def test_non_finite_projection_raises(self, nan_projection):
+        noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=12), 20.0, seed=12)
+        with pytest.raises(
+            pipeline.NumericalError,
+            match="^non-finite values after spectral projection at iteration 1$",
         ):
             denoise(noisy, 20.0, DenoiseConfig(k0=2, iters=2, geom=SMALL_GEOM))
 

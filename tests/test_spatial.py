@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -647,6 +648,18 @@ class TestShrinkAgainstSvd:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
                 wnnm_shrink(g, 1.0)
+
+    def test_overflowed_eigenvalue_raises_not_nan(self):
+        # the Gram's entries are finite (about 9e306), its largest
+        # eigenvalue (about 6.3e308) is not; the shrink once returned a
+        # non-finite matrix after a divide warning
+        reduced = np.ldexp(rank_cube(32, 32, 3, 2, seed=0), 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+                wnnm_shrink(np.full((36, 70), 5e152), 1.0)
+            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+                denoise_reduced(reduced, 1.0, PatchGeometry())
 
 
 class TestChunkInPlace:
