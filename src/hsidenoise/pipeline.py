@@ -21,8 +21,8 @@ from .subspace import (
 from .tensor import (
     _all_finite,
     _int_field,
+    _near_peak,
     _row_blocks,
-    _scale_exponent,
     as_cube,
     frob_norm_sq,
     mode3_product,
@@ -230,26 +230,18 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     """
     with _one_blas_thread():
         y = as_cube(noisy, "noisy")
-        if not _all_finite(y):
-            raise ValueError("input cube has non-finite entries")
+        if sigma0 is not None:
+            sigma0 = float(sigma0)
+            if not 0 <= sigma0 < np.inf:
+                raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
+        y, sigma0, e = _near_peak(y, "input cube", sigma0)
         if clean is not None:
             if np.shape(clean) != y.shape:
                 raise ValueError(f"clean has shape {np.shape(clean)}, noisy has {y.shape}")
             if not _all_finite(np.asarray(clean)):
                 raise ValueError("clean cube has non-finite entries")
-        if sigma0 is not None:
-            sigma0 = float(sigma0)
-            if not 0 <= sigma0 < np.inf:
-                raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
         cfg = config if config is not None else DenoiseConfig()
         b = y.shape[2]
-
-        top = max(float(y.max()), -float(y.min()))
-        e = _scale_exponent(max(top, sigma0 or 0.0))
-        if e:
-            y = np.ldexp(y, -e)
-            if sigma0 is not None:
-                sigma0 = math.ldexp(sigma0, -e)
 
         k0 = 1 if b == 1 else cfg.k0
         if k0 is None or sigma0 is None:

@@ -21,6 +21,14 @@ still grows with the image in two places: a chunk whose references straddle
 two grid rows gets a box as wide as the image, and the group corners grow
 with the reference count.
 
+Each entry point (denoise_reduced, match_groups, match_group and
+wnnm_shrink) rejects an image or group with a NaN or infinite entry, and
+works on one far from PEAK, with its sigma, scaled near PEAK by a power of
+two (tensor._near_peak), which is exact: it is matched and shrunk as its
+in-range copy is, and a filtered result is scaled back.  So the stage has no
+scale of its own, and near PEAK no distance and no group Gram matrix
+overflows, nor does a Gram matrix underflow to zero.
+
 The calling thread matches.  The shrinkage runs on a thread pool, one worker
 per core, with OpenBLAS held to one thread: a worker gathers, shrinks and
 scatters one chunk of groups end to end, in one of the buffers, one per
@@ -51,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _all_finite, _int_field, as_cube
+from .tensor import _int_field, _near_peak, as_cube
 
 __all__ = [
     "PatchGeometry",
@@ -269,19 +277,16 @@ def _shortlist(est, widths, sizes, margins, ref_flat):
     """(owner, flat) of the shortlisted candidates, row-major: reference
     owner's candidate at flat index flat of est[owner] (_estimate), whose
     first widths[owner] columns are its window.  A reference shortlists
-    itself, at ref_flat, every candidate whose estimate is not finite, and
-    every one whose estimate is at most its sizes-th smallest finite one
-    plus its margin; all of them when fewer than sizes are finite."""
+    itself, at ref_flat, and every candidate whose estimate is at most its
+    sizes-th smallest one plus its margin.  The estimates of an image near
+    PEAK are finite, so the threshold is too."""
     nref, ny, wmax = est.shape
     inside = np.broadcast_to((np.arange(wmax) < widths[:, None])[:, None], est.shape)
-    inside = inside.reshape(nref, -1)
-    est = est.reshape(nref, -1)
-    finite = np.isfinite(est)
-    clean = np.where(finite & inside, est, np.inf)
+    est = np.where(inside, est, np.inf).reshape(nref, -1)
     kth = sizes - 1
-    least = np.partition(clean, np.unique(kth), axis=1)
+    least = np.partition(est, np.unique(kth), axis=1)
     threshold = np.take_along_axis(least, kth[:, None], axis=1)[:, 0] + margins
-    keep = ((clean <= threshold[:, None]) | ~finite) & inside
+    keep = est <= threshold[:, None]
     keep[np.arange(nref), ref_flat] = True
     return np.nonzero(keep)
 
@@ -327,10 +332,12 @@ def _match_refs(patches, norms, r, cols, geom, out):
 
     The distance of every in-window candidate is estimated (_estimate) and
     a shortlist drawn from the estimates (_shortlist), both under
-    np.errstate(all="ignore").  An estimate lies within half the margin
-    (_shortlist_margin) of its exact distance, so a reference's shortlist
-    holds every candidate that can rank among the sizes nearest, ties
-    included.  Only the shortlist gets its exact distance (_exact_distances)
+    np.errstate(all="ignore"): on an image near PEAK no estimate overflows,
+    but the products of its smallest entries can underflow, which a
+    caller's errstate must not turn into an error.  An estimate lies within
+    half the margin (_shortlist_margin) of its exact distance, so a
+    reference's shortlist holds every candidate that can rank among the
+    sizes nearest, ties included.  Only the shortlist gets its exact distance (_exact_distances)
     and a stable sort, in row-major candidate order, so ties keep that
     order.  When a window holds fewer in-image candidates than out is wide,
     its offsets that leave the image follow them in row-major order.
@@ -382,8 +389,8 @@ def _match(reduced, rows, cols, geom):
 
     A candidate's exact distance is its squared difference from the
     reference, summed over the bands, then over the patch rows and columns.
-    Every term is non-negative, so exact duplicates score exactly 0, and an
-    overflowing distance reads +inf.  Candidates tie in row-major order.
+    Every term is non-negative, so exact duplicates score exactly 0.
+    Candidates tie in row-major order.
     The calling thread matches the references row by row, a run of columns
     at a time (_match_refs), so that their estimates and patches take at
     most a quarter of _CHUNK_BYTES however wide the image, and the pieces
@@ -450,16 +457,19 @@ def match_group(reduced, ref, geom):
     Similarity is squared Euclidean distance over all patch entries and
     bands; ties break in row-major position order.  The reference itself
     is always member 0.  If the window holds fewer than geom.group
-    candidates, all of them are taken.  The one reference is matched on the
+    candidates, all of them are taken.  The group is matched as match_groups
+    matches it, on the image scaled near PEAK, and its matrix holds the
+    patches of reduced as given.  The one reference is matched on the
     calling thread: no pool is made and BLAS's thread count is not touched.
     """
-    reduced = _finite_cube(reduced)
+    reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
+    scaled, _, _ = _near_peak(reduced, "reduced")
     m, n, k = reduced.shape
     ps = geom.patch
     r0, c0 = int(ref[0]), int(ref[1])
     if not (0 <= r0 <= m - ps and 0 <= c0 <= n - ps):
         raise ValueError(f"reference {ref} out of bounds for {m}x{n} image")
-    corners, sizes = _match(reduced, [r0], [c0], geom)
+    corners, sizes = _match(scaled, [r0], [c0], geom)
     members = corners[0, : sizes[0]]
     pix = members[:, None] + _patch_offsets(ps, n)
     patches = reduced.reshape(m * n, k)[pix].reshape(len(members), -1)
@@ -468,16 +478,6 @@ def match_group(reduced, ref, geom):
         members=np.stack(np.divmod(members, n), axis=1),
         matrix=np.ascontiguousarray(patches.T),
     )
-
-
-def _finite_cube(reduced):
-    """reduced as a C-ordered float64 cube; a ValueError naming it if an
-    entry is not finite, which would sort among the distances and overflow
-    the shrink's Gram matrices."""
-    reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
-    if not _all_finite(reduced):
-        raise ValueError("reduced has non-finite entries")
-    return reduced
 
 
 def _check_sigma(sigma):
@@ -493,7 +493,9 @@ def _shrink(b, sigma):
     max(s - c*sqrt(p) / (s_clean + eps*s_max), 0), with threshold
     c = _SIGMA_WEIGHT_C * sigma^2, eps = _WEIGHT_EPS,
     s_clean = sqrt(max(s^2 - p*sigma^2, 0)) and s_max the group's largest:
-    scaling b and sigma by t scales the result by t.
+    scaling b and sigma by t scales the result by t.  The callers scale b
+    and sigma near PEAK first (tensor._near_peak), where the Gram matrices
+    and their eigenvalues neither overflow nor underflow to zero.
 
     With b = V S U^T, the p x p Gram matrix b b^T = V S^2 V^T gives V and S
     by one batched eigh, and V S_new U^T = W W^T b with
@@ -506,14 +508,8 @@ def _shrink(b, sigma):
     if sigma == 0:
         return
     p, d = b.shape[1:]
-    overflowed = np.linalg.LinAlgError(f"Gram matrix of a {d}x{p} group matrix overflowed")
     gram = b @ b.transpose(0, 2, 1)
-    if not np.all(np.isfinite(gram)):
-        raise overflowed
     lam, v = np.linalg.eigh(gram)
-    # a finite Gram near the largest float can still have an eigenvalue past it
-    if not np.all(np.isfinite(lam)):
-        raise overflowed
     # at most two (G, p, p) arrays at a time: the Gram goes here, and
     # V diag(ratio) V^T is formed as W W^T, W = V diag(sqrt(ratio)) in v
     del gram
@@ -541,13 +537,19 @@ def wnnm_shrink(g, sigma):
     soft-threshold: strong components are barely touched while weak
     (noise-dominated) ones collapse, as denoise_reduced does each group.
     sigma is the noise level of g's entries and sets the threshold,
-    WNNM's 32*sqrt(2) * sigma^2; sigma = 0 returns a copy of g.
+    WNNM's 32*sqrt(2) * sigma^2; sigma = 0 returns a copy of g.  g and
+    sigma far from PEAK are shrunk scaled near it by a power of two, and
+    the result is scaled back, so scaling g and sigma by 2^j scales the
+    result by 2^j exactly.  A NaN or infinite entry of g raises ValueError.
     """
     g = np.array(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
     _check_sigma(sigma)
+    g, sigma, e = _near_peak(g, "g", sigma)
     _shrink(g.T[None], sigma)
+    if e:
+        np.ldexp(g, e, out=g)
     return g
 
 
@@ -748,10 +750,12 @@ def match_groups(reduced, geom):
     candidates, nearest first and the reference itself first of all, and
     its first sizes[i] entries are the group.  Members are pixel positions,
     so the pair can be passed as denoise_reduced's groups for another image
-    of the same height and width.  The references are matched on the
-    calling thread: no pool is made and BLAS's thread count is not touched.
+    of the same height and width.  An image far from PEAK is matched scaled
+    near it by a power of two, which changes no group.  The references are
+    matched on the calling thread: no pool is made and BLAS's thread count
+    is not touched.
     """
-    reduced = _finite_cube(reduced)
+    reduced, _, _ = _near_peak(np.ascontiguousarray(as_cube(reduced, "reduced")), "reduced")
     m, n, _ = reduced.shape
     return _match(reduced, *_grid_axes(m, n, geom), geom)
 
@@ -796,9 +800,13 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     in chunks of references with equal group size, gathers the groups as
     one (G, p, d) stack, shrinks it in place as wnnm_shrink does each group
     at noise level sigma, and scatter-adds it into the overlap average.
-    Scaling reduced and sigma by a power of two scales the result by the
-    same.  With sigma = 0 this is the identity up to overlap-averaging
-    roundoff.
+    When the larger of sigma and reduced's largest magnitude lies far from
+    PEAK (outside PEAK * 2^+-16), the stage runs on reduced and sigma
+    scaled near PEAK by a power of two (tensor._near_peak) and scales its
+    result back, so scaling reduced and sigma by any power of two scales
+    the result by the same, bit for bit.  With sigma = 0 this is the
+    identity up to overlap-averaging roundoff.  A NaN or infinite entry of
+    reduced raises ValueError.
 
     The calling thread matches.  Then the process's pool of one thread per
     core shrinks while OpenBLAS is held to one thread; with no OpenBLAS
@@ -815,8 +823,9 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     the call outlives it, every buffer is back, and the pool serves the
     next call.
     """
-    reduced = _finite_cube(reduced)
     _check_sigma(sigma)
+    reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
+    reduced, sigma, e = _near_peak(reduced, "reduced", sigma)
     m, n, k = reduced.shape
     ps = geom.patch
     if groups is None:
@@ -863,4 +872,5 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
                 job.cancel()
             wait(pending)
             raise
-    return _average(acc, _coverage(corners, sizes, m, n, ps), m, n, k)
+    out = _average(acc, _coverage(corners, sizes, m, n, ps), m, n, k)
+    return np.ldexp(out, e, out=out) if e else out

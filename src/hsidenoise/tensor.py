@@ -21,10 +21,11 @@ PEAK = 255.0
 # A cube whose largest magnitude lies between PEAK * 2^-_SCALE_BAND and
 # PEAK * 2^_SCALE_BAND is worked on as it is; where one must be scaled,
 # _scale_exponent gives the power of two that puts it on [128, 256), next to
-# PEAK.  Power-of-two scaling is exact, so the result is the same up to that
-# scale, where squares and Gram matrices of entries near 1e152 would
-# overflow, or of entries near 1e-160 underflow.  Data on [0, 1] (2^-8 PEAK)
-# and at 16 bits (2^8 PEAK) lie well inside the band.
+# PEAK, and _near_peak scales it.  Power-of-two scaling is exact, so the
+# result is the same up to that scale, where squares and Gram matrices of
+# entries near 1e152 would overflow, or of entries near 1e-160 underflow.
+# Data on [0, 1] (2^-8 PEAK) and at 16 bits (2^8 PEAK) lie well inside the
+# band.
 _SCALE_BAND = 16
 
 # float64 bytes per row block of the passes that read whole cubes entry by
@@ -50,6 +51,24 @@ def _scale_exponent(top):
     if top == 0.0 or PEAK * 2.0**-_SCALE_BAND <= top <= PEAK * 2.0**_SCALE_BAND:
         return 0
     return math.frexp(top)[1] - math.frexp(PEAK)[1]
+
+
+def _near_peak(a, name, sigma=None):
+    """(a, sigma, e): an array and a noise level on its scale, both scaled
+    by 2^-e, with e from _scale_exponent of the larger of sigma and a's
+    largest magnitude (0 for an empty a); returned as given when e is 0.
+    One max and one min reduction find that largest magnitude, and a
+    ValueError naming a is raised if it is not finite, as a NaN or infinite
+    entry makes it."""
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    if not math.isfinite(top):
+        raise ValueError(f"{name} has non-finite entries")
+    e = _scale_exponent(max(top, sigma or 0.0))
+    if e:
+        a = np.ldexp(a, -e)
+        if sigma is not None:
+            sigma = math.ldexp(sigma, -e)
+    return a, sigma, e
 
 
 def _int_field(name, value):

@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules."""
 
 import contextlib
+import itertools
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +61,30 @@ def pool_log(fresh_pools, monkeypatch):
     monkeypatch.setattr(spatial, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(spatial, "_stage_pool", recording_stage_pool)
     return log
+
+
+@pytest.fixture
+def failing_shrink(monkeypatch):
+    """A function that makes spatial._shrink raise RuntimeError("shrink call
+    i failed") on the calls i it is given, counted from 0 over every thread
+    from then on, or on every call when given none; the other calls shrink
+    as before, so a stage's job can be made to raise on any image."""
+    shrink = spatial._shrink
+    lock = threading.Lock()
+
+    def fail(*calls):
+        counter = itertools.count()
+
+        def failing(b, sigma):
+            with lock:
+                i = next(counter)
+            if not calls or i in calls:
+                raise RuntimeError(f"shrink call {i} failed")
+            shrink(b, sigma)
+
+        monkeypatch.setattr(spatial, "_shrink", failing)
+
+    return fail
 
 
 @pytest.fixture

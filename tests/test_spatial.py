@@ -6,7 +6,6 @@ import os
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -217,10 +216,9 @@ class TestWnnmShrink:
         g = low_rank_group(rng, 20, 7, 1.0)
         want = wnnm_shrink(g, 1.0)
         assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
-        for e in range(-100, 101):
-            t = 2.0**e
-            got = wnnm_shrink(t * g, t)
-            np.testing.assert_array_equal(got, t * want, err_msg=f"e = {e}")
+        for e in range(-620, 621, 10):
+            got = wnnm_shrink(np.ldexp(g, e), math.ldexp(1.0, e))
+            np.testing.assert_array_equal(got, np.ldexp(want, e), err_msg=f"e = {e}")
 
     def test_large_sigma_flattens(self):
         rng = np.random.default_rng(7)
@@ -254,14 +252,20 @@ class TestWnnmShrink:
         want = assert_shrinks_agree(g, sigma)
         assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
 
-    @pytest.mark.parametrize("j", [-30, -8, 8, 30])
+    @pytest.mark.parametrize("j", [-560, -240, -30, -8, 8, 30, 240, 500, 600])
     def test_denoise_reduced_scale_covariant_bit_for_bit(self, j):
         """denoise_reduced(t x, t sigma) = t denoise_reduced(x, sigma) for
-        t = 2^j: the stage has no scale of its own."""
+        t = 2^j, and match_groups(t x) = match_groups(x): the stage has no
+        scale of its own.  Near 2^-560 the group Gram matrices underflowed to
+        zero and zeroed every group; from 2^240 the output drifted, and from
+        2^500 the Gram matrices overflowed."""
         reduced, geom, sigma = STAGE_CASES["default_geometry"]
         want = denoise_reduced(reduced, sigma, geom)
-        t = 2.0**j
-        np.testing.assert_array_equal(denoise_reduced(t * reduced, t * sigma, geom), t * want)
+        scaled = np.ldexp(reduced, j)
+        got = denoise_reduced(scaled, math.ldexp(sigma, j), geom)
+        np.testing.assert_array_equal(got, np.ldexp(want, j))
+        for got, want in zip(match_groups(scaled, geom), match_groups(reduced, geom)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestAggregate:
@@ -358,6 +362,14 @@ class TestDenoiseReduced:
         }[entry]
         with pytest.raises(ValueError, match="reduced has non-finite entries"):
             call()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_group_rejected(self, value):
+        """wnnm_shrink once reported an overflowed Gram matrix."""
+        g = np.random.default_rng(17).standard_normal((36, 12))
+        g[5, 7] = value
+        with pytest.raises(ValueError, match="g has non-finite entries"):
+            wnnm_shrink(g, 1.0)
 
 
 # --- Per-reference reference implementations -------------------------------
@@ -634,32 +646,45 @@ class TestShrinkAgainstSvd:
         g = low_rank_group(rng, 36, 12, 0.1) * 1e150
         assert_shrinks_agree(g, 0.05e150 / scale)
 
-    def test_both_overflow_at_1e160(self):
-        rng = np.random.default_rng(33)
-        g = low_rank_group(rng, 36, 12, 0.1) * 1e160
+    def test_entries_near_1e160(self):
+        """The oracle's SVD overflows at 2^531 (about 1e160); the shrink
+        gives the in-range group's result scaled alike."""
+        g = low_rank_group(np.random.default_rng(33), 36, 12, 0.1)
+        want = wnnm_shrink(g, 0.1)
+        assert 0.0 < np.linalg.norm(want) < np.linalg.norm(g)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                shrink_by_svd(g, 1.0, wnnm_c(1.0))
-            with pytest.raises(FloatingPointError):
-                wnnm_shrink(g, 1.0)
+                shrink_by_svd(np.ldexp(g, 531), 1.0, wnnm_c(1.0))
+            got = wnnm_shrink(np.ldexp(g, 531), math.ldexp(0.1, 531))
+        np.testing.assert_array_equal(got, np.ldexp(want, 531))
 
-    def test_overflowed_gram_raises_not_nan(self):
+    def test_gram_past_the_float_range_is_scaled(self):
+        """The Gram matrix of this group overflows, and the shrink once
+        raised LinAlgError on it; it now gives the in-range result, about
+        2^-520 of it, scaled back."""
         g = np.full((36, 12), 1e160)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-                wnnm_shrink(g, 1.0)
+        with np.errstate(all="raise"):
+            got = wnnm_shrink(g, 1e159)
+        small = np.ldexp(g, -520)
+        want = wnnm_shrink(small, math.ldexp(1e159, -520))
+        assert 0.0 < np.linalg.norm(want) < np.linalg.norm(small)
+        np.testing.assert_array_equal(got, np.ldexp(want, 520))
 
-    def test_overflowed_eigenvalue_raises_not_nan(self):
-        # the Gram's entries are finite (about 9e306), its largest
-        # eigenvalue (about 6.3e308) is not; the shrink once returned a
-        # non-finite matrix after a divide warning
-        reduced = np.ldexp(rank_cube(32, 32, 3, 2, seed=0), 500)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-                wnnm_shrink(np.full((36, 70), 5e152), 1.0)
-            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-                denoise_reduced(reduced, 1.0, PatchGeometry())
+    def test_eigenvalue_past_the_float_range_is_scaled(self):
+        """The Gram's entries are finite (about 9e306), its largest
+        eigenvalue (about 6.3e308) is not: the shrink once returned a
+        non-finite matrix after a divide warning, then raised LinAlgError.
+        The group and the stage now give the in-range result scaled back,
+        with no warning."""
+        small = np.full((36, 70), math.ldexp(5e152, -500))
+        want = wnnm_shrink(small, 1.0)
+        assert 0.0 < np.linalg.norm(want) < np.linalg.norm(small)
+        got = wnnm_shrink(np.ldexp(small, 500), 2.0**500)
+        np.testing.assert_array_equal(got, np.ldexp(want, 500))
+        reduced = rank_cube(32, 32, 3, 2, seed=0)
+        want = np.ldexp(denoise_reduced(reduced, 10.0, PatchGeometry()), 500)
+        got = denoise_reduced(np.ldexp(reduced, 500), math.ldexp(10.0, 500), PatchGeometry())
+        np.testing.assert_array_equal(got, want)
 
 
 class TestChunkInPlace:
@@ -851,9 +876,6 @@ def use_workers(monkeypatch, workers):
     monkeypatch.setattr(spatial, "_workers", lambda: workers)
 
 
-OVERFLOWING = np.full((14, 14, 3), 1e160)
-
-
 class TestThreadedStage:
     """denoise_reduced shrinks its chunks on a thread pool: the output does
     not depend on the worker count, and numpy's OpenBLAS thread count is
@@ -890,18 +912,33 @@ class TestThreadedStage:
         assert seen and all(counts == [1] * len(blas_at_three) for counts in seen)
         assert blas_counts() == blas_at_three
 
-    def test_overflow_raises_and_restores_blas(self, blas_at_three, monkeypatch):
+    def test_overflow_raises_and_restores_blas(self, blas_at_three, failing_shrink, monkeypatch):
+        """A stage whose job raises leaves numpy's OpenBLAS thread count as
+        the caller left it."""
         use_workers(monkeypatch, 2)
-        with np.errstate(over="ignore"):
-            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-                denoise_reduced(OVERFLOWING, 10.0, SMALL)
+        failing_shrink()
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        with pytest.raises(RuntimeError, match="shrink call"):
+            denoise_reduced(reduced, sigma, geom)
         assert blas_counts() == blas_at_three
 
     def test_caller_errstate_reaches_workers(self, monkeypatch):
+        seen = []
+        shrink = spatial._shrink
+
+        def recording_shrink(*args):
+            seen.append((threading.current_thread(), np.geterr()))
+            return shrink(*args)
+
+        monkeypatch.setattr(spatial, "_shrink", recording_shrink)
         use_workers(monkeypatch, 2)
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
-                denoise_reduced(OVERFLOWING, 10.0, SMALL)
+        reduced, geom, sigma = STAGE_CASES["default_geometry"]
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            denoise_reduced(reduced, sigma, geom)
+        assert caller != np.geterr()
+        assert seen and all(thread is not threading.current_thread() for thread, _ in seen)
+        assert all(errs == caller for _, errs in seen)
 
     def test_concurrent_calls_restore_blas(self, blas_at_three, monkeypatch):
         """More calling threads than cores, switching often: a hold that
@@ -964,16 +1001,19 @@ class TestPoolLifetime:
         assert list(spatial._pools.values()) == [pool_log.created[0][1]]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_raising_stage_cancels_its_queued_chunks(self, workers, fresh_pools, monkeypatch):
-        """One group per chunk, so every chunk of OVERFLOWING raises.  After
+    def test_a_raising_stage_cancels_its_queued_chunks(
+        self, workers, fresh_pools, failing_shrink, monkeypatch
+    ):
+        """One group per chunk, and the first chunk's shrink raises.  After
         the first chunk the test queues jobs of its own on the pool, as many
         as it has workers, which hold every worker until the next chunk is
         cancelled or done: the chunks behind them are still queued when the
         calling thread sees the first error."""
         use_workers(monkeypatch, workers)
         monkeypatch.setattr(spatial, "_CHUNK_BYTES", 1)
-        finite = _scene(24, OVERFLOWING.shape)
+        finite = _scene(24, (14, 14, 3))
         want = denoise_reduced(finite, 10.0, SMALL)
+        failing_shrink(0)
         jobs, free, started = [], [], []
         released = threading.Event()
         submit, shrink_chunk = spatial._submit, spatial._shrink_chunk
@@ -994,9 +1034,8 @@ class TestPoolLifetime:
 
         monkeypatch.setattr(spatial, "_submit", recording_submit)
         monkeypatch.setattr(spatial, "_shrink_chunk", recording_shrink_chunk)
-        with np.errstate(over="ignore"):
-            with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-                denoise_reduced(OVERFLOWING, 10.0, SMALL)
+        with pytest.raises(RuntimeError, match="shrink call 0 failed"):
+            denoise_reduced(finite, 10.0, SMALL)
         assert len(jobs) == workers + 1
         assert all(job.done() for job in jobs), "a chunk outlived the call"
         assert all(job.cancelled() for job in jobs[1:])
@@ -1116,20 +1155,20 @@ class TestChunkMemory:
         assert len(buffers) <= workers
         assert buffers <= {id(a) for thread, a in allocated if thread is caller}
 
-    def test_a_raising_job_gives_its_buffer_back(self, monkeypatch):
-        """One worker and one group per chunk: the first job overflows, and
-        the worker starts the next before the calling thread sees the error.
+    def test_a_raising_job_gives_its_buffer_back(self, failing_shrink, monkeypatch):
+        """One worker and one group per chunk: the first job raises, and the
+        worker starts the next before the calling thread sees the error.
         That job must find the buffer back in the queue, or it waits for it
         forever, and the pool's shutdown with it."""
         use_workers(monkeypatch, 1)
         monkeypatch.setattr(spatial, "_CHUNK_BYTES", 1)
+        failing_shrink(0)
         errors = []
 
         def call():
             try:
-                with np.errstate(over="ignore"):
-                    denoise_reduced(OVERFLOWING, 10.0, SMALL)
-            except np.linalg.LinAlgError as exc:
+                denoise_reduced(_scene(24, (14, 14, 3)), 10.0, SMALL)
+            except RuntimeError as exc:
                 errors.append(exc)
 
         thread = threading.Thread(target=call, daemon=True)
@@ -1221,25 +1260,24 @@ class TestPooledMatch:
         for got, expected in zip(match_groups(reduced, geom), want):
             np.testing.assert_array_equal(got, expected)
 
-    def test_caller_errstate_reaches_match_workers(self, monkeypatch):
-        # each squared difference, 1e308, is finite; their sum over a patch
-        # row overflows in the window sums
+    def test_entries_near_5e153(self):
+        """Each squared difference, 1e308, is finite, but their sum over a
+        patch row overflowed, so candidates off by an odd row scored +inf.
+        Matched near PEAK, the image gives the groups of its in-range copy
+        (2^-505 of it, entries near 39), with no overflow."""
         reduced = np.full((14, 14, 1), 5e153)
         reduced[::2] *= -1.0
-        use_workers(monkeypatch, 2)
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
-                match_groups(reduced, SMALL)
-        with np.errstate(over="ignore"):
-            corners, _ = match_groups(reduced, SMALL)
         refs = [r * 14 + c for r, c in reference_grid(14, 14, SMALL)]
-        np.testing.assert_array_equal(corners[:, 0], refs)
-        # a group as large as the window: candidates off by an odd row score
-        # +inf, and those that leave the image must still sort after them
-        geom = dataclasses.replace(SMALL, group=49)
+        # the second, a group as large as the window: every in-image
+        # candidate, then the candidates that leave the image
+        for geom in (SMALL, dataclasses.replace(SMALL, group=49)):
+            with np.errstate(all="raise"):
+                corners, sizes = match_groups(reduced, geom)
+            want_corners, want_sizes = match_groups(np.ldexp(reduced, -505), geom)
+            np.testing.assert_array_equal(corners, want_corners)
+            np.testing.assert_array_equal(sizes, want_sizes)
+            np.testing.assert_array_equal(corners[:, 0], refs)
         h, last = geom.window // 2, 14 - geom.patch
-        with np.errstate(over="ignore"):
-            corners, sizes = match_groups(reduced, geom)
         for (r, c), row, size in zip(reference_grid(14, 14, geom), corners, sizes):
             inside = sum(
                 0 <= r + dr <= last and 0 <= c + dc <= last
