@@ -56,7 +56,7 @@ def _parse_bool(text):
 _KEYS = {"lam": "lambda"}
 _HELP = {
     "k0": "initial subspace dimension (default: estimated)",
-    "delta": "subspace growth per iteration",
+    "delta": "subspace growth per iteration; 0 holds K at k0",
     "lam": "estimate/observation mix in [0,1]",
     "gamma": "noise re-estimation scale",
     "iters": "outer iterations",

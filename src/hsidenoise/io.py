@@ -242,7 +242,8 @@ def write_cube(path, cube, dtype="f64", scale=None):
         if scale is not None:
             mat = (mat - lo) / (hi - lo) * info.max
         mat = np.clip(np.rint(mat), info.min, info.max)
-    raw_path.write_bytes(np.ascontiguousarray(mat.astype(np_dtype)).tobytes())
+    # unfold3's copy is the only one for f64: astype keeps it, tofile writes its buffer
+    mat.astype(np_dtype, copy=False).tofile(raw_path)
     hdr_path.write_text(header.dump())
     return hdr_path
 

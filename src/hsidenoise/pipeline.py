@@ -1,7 +1,8 @@
 """Outer denoising loop: alternate a global spectral low-rank projection
 with non-local low-rank filtering of the reduced image, feeding a
-regularized mix of the estimate and the observation back in each round
-while the subspace dimension grows.
+regularized mix of the estimate and the observation back in each round.
+The subspace dimension holds at K0 unless DenoiseConfig.delta grows it,
+and the patch groups are matched once, on the first projection.
 """
 
 import math
@@ -42,31 +43,23 @@ class NumericalError(RuntimeError):
     """Non-finite values appeared mid-pipeline."""
 
 
-# Patch groups are matched at iterations 1 (the noisy projection) and 2 (the
-# first regularized estimate); later iterations reuse iteration 2's groups.
-# Members are pixel positions, independent of the spectral basis, while the
-# cost of matching grows with K.  On the 32x32x32 rank-5 sweep scene over
-# sigma 10-70 (four noise seeds, default config), matching at every iteration
-# gained 0.04 dB MPSNR and lowered SAM by 1.0% against this, for 17-30% more
-# time per case over two runs on 2 cores (69-76% with the offset-by-offset
-# match); matching at iteration 1 only lost 0.06 dB and raised SAM by 1.8%.
-_LAST_MATCH_ITER = 2
-
-
 @dataclass
 class DenoiseConfig:
     """All tunables of the denoising loop.
 
     k0 is the initial subspace dimension (estimated from the data when
-    None).  delta grows it each iteration; lam mixes the estimate with the
-    observation; gamma scales the per-iteration noise re-estimate; iters
-    counts the outer iterations, the loop's one stop.  Each iteration
-    passes its noise re-estimate sigma_i to the spatial stage, which
-    shrinks the patch groups with WNNM's weight at that level.
+    None, at the noise edge).  delta grows it each iteration, the
+    paper's schedule; at its default of 0 K stays at k0, where the
+    estimate puts the signal's last detectable component.  lam mixes the
+    estimate with the observation; gamma scales the per-iteration noise
+    re-estimate; iters counts the outer iterations, the loop's one stop.
+    Each iteration passes its noise re-estimate sigma_i to the spatial
+    stage, which shrinks the patch groups with WNNM's weight at that
+    level.
     """
 
     k0: int | None = None
-    delta: int = 2
+    delta: int = 0
     lam: float = 0.9
     gamma: float = 0.5
     iters: int = 5
@@ -139,19 +132,23 @@ def _iterations(y, k0, sigma0, cfg, keep):
     (record, x) after each one.
 
     The generator owns the iteration's input y_i, K, the groups and the
-    estimate x.  y_i is dropped once projected, so the spatial stage holds
-    no full-band cube besides y, which may be the caller's array.  x is
-    written only where it is read: at the last iteration, and at each one
-    when keep is set; it is None otherwise.  Each x is a fresh array that
-    the generator drops once yielded, so a caller that holds x while the
-    next iteration runs holds one more cube.  The record's sigma and
-    residual are on y's scale, its psnr None.  The blend pass that writes
-    y_i also sums ||y_i - y||^2 block by block, from which the next
-    iteration's sigma_i is re-estimated; y_i = y at iteration 1 gives 0.
+    estimate x.  The groups are matched once, on iteration 1's
+    projection, and serve every iteration: their members are pixel
+    positions, which do not depend on the spectral basis.  y_i is dropped
+    once projected, so the spatial stage holds no full-band cube besides
+    y, which may be the caller's array.  x is written only where it is
+    read: at the last iteration, and at each one when keep is set; it is
+    None otherwise.  Each x is a fresh array that the generator drops
+    once yielded, so a caller that holds x while the next iteration runs
+    holds one more cube.  The record's sigma and residual are on y's
+    scale, its psnr None.  The blend pass that writes y_i also sums
+    ||y_i - y||^2 block by block, from which the next iteration's
+    sigma_i is re-estimated; y_i = y at iteration 1 gives 0.
     """
     k = k0
     y_i = y
     change_sq = 0.0
+    groups = None
     for i in range(1, cfg.iters + 1):
         last = i == cfg.iters
 
@@ -170,7 +167,7 @@ def _iterations(y, k0, sigma0, cfg, keep):
         del y_i
         t1 = time.perf_counter()
 
-        if i <= _LAST_MATCH_ITER:
+        if groups is None:
             groups = match_groups(model.reduced, cfg.geom)
         m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
         residual = math.sqrt(off_sq + frob_norm_sq(model.reduced, m_i))
@@ -190,7 +187,9 @@ def _iterations(y, k0, sigma0, cfg, keep):
             if y_i is not None:
                 y_i[rows] = iterate_regularize(x_rows, y[rows], cfg.lam)
                 change_sq += frob_norm_sq(y_i[rows], y[rows])
-        del m_i
+        # the last block's lift-back too, or it is held through the next
+        # iteration's spatial stage: a whole cube when one block covers it
+        del m_i, x_rows
         t3 = time.perf_counter()
 
         record = IterationRecord(iteration=i, k=k, sigma=sigma_i, residual=residual, psnr=None,

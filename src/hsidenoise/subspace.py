@@ -117,30 +117,27 @@ def estimate_band_noise(cube):
     """Estimate per-band noise sigma by multiple regression.
 
     Each band is regressed on all the others (ridge-regularized least
-    squares); the residual standard deviation, corrected for the noise the
-    predictors carry, is that band's noise level.  Returns an array of B
-    non-negative sigmas.
+    squares).  The residual's mean square over its degrees of freedom,
+    M*N - B + 1 for B - 1 predictors, is the band's noise variance plus
+    the noise the predictors carry through the coefficients beta, about
+    sigma^2 ||beta||^2.  The fitted ||beta||^2 overstates that by the
+    coefficients' own sampling variance, v tr((X X^T)^-1) for residual
+    variance v and predictors X, so sigma_i^2 = v / (1 + max(||beta||^2 -
+    v tr((X X^T)^-1), 0)).  On pure noise the fitted beta is all sampling
+    variance and sigma_i^2 = v.  Returns an array of B non-negative sigmas.
 
-    With Z the (B, M*N) band-mode view, R = Z Z^T, the ridge weight
-    alpha = RIDGE_SCALE * tr(R) / B and Q = (R + alpha I)^-1, band i's
+    With Z the (B, M*N) band-mode view, R = Z Z^T, s = tr(R)/B, the ridge
+    weight alpha = RIDGE_SCALE and Q = (R/s + alpha I)^-1, band i's
     residual is (Q Z)_i / Q_ii, so everything follows from Q in closed
-    form: sigma_i^2 = (Q_ii / (Q^2)_ii - alpha) / (M N), clipped at 0.
+    form: the residual's squared norm is s (Q_ii - alpha (Q^2)_ii) / Q_ii^2,
+    the ridge's own term taken off; ||beta||^2 = (Q^2)_ii / Q_ii^2 - 1; and
+    tr((X X^T + alpha s I)^-1) = (tr(Q) - (Q^2)_ii / Q_ii) / s.
     The cube is read only to form R, by _band_gram: where squaring the
     cube would overflow or underflow (entries near 1e152, or near 1e-156
     in a 32x32x16 cube), R is that of the cube scaled by 2^-f and the
     sigmas are scaled back by 2^f, which is exact, so the result is the
     in-range cube's scaled alike.  Only a non-finite entry raises
     numpy.linalg.LinAlgError.  An all-zero cube gives all-zero sigmas.
-
-    Each regression fits B - 1 predictors on M*N samples, so it needs M*N
-    well above B; with few pixels per band it reads sigma low.  On
-    rank_cube(m, m, 191, 3) with sigma 30 noise the median reads 20.1 at
-    m = 24 (M*N about 3B), where K is then estimated as 93, 27.6 at
-    m = 48 (about 12B) and 29.4 at m = 96; through the command line, which
-    normalizes the noisy cube, the 24x24 cube reads 12.9.  Pass sigma0 to
-    denoise for such cubes, and k0 too: estimate_subspace_dim reads these
-    sigmas.  A UserWarning says so when M*N < 10*B; the estimate is the
-    same.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -150,12 +147,6 @@ def estimate_band_noise(cube):
     if mn <= b:
         raise ValueError(
             f"insufficient pixels for regression: {mn} pixels, {b} bands"
-        )
-    if mn < 10 * b:
-        warnings.warn(
-            f"{mn} pixels for {b} bands, fewer than 10 per band: the band noise "
-            "estimate reads low; pass sigma0 and k0 to denoise for this cube",
-            stacklevel=2,
         )
 
     r, tr, f = _band_gram(cube)
@@ -168,7 +159,11 @@ def estimate_band_noise(cube):
     s = tr / b
     q = np.linalg.inv(r / s + RIDGE_SCALE * np.eye(b))
     q2 = np.einsum("ji,ji->i", q, q)
-    return np.ldexp(np.sqrt(s * np.maximum(np.diag(q) / q2 - RIDGE_SCALE, 0.0) / mn), f)
+    qd = np.diag(q)
+    # residual variance and ||beta||^2 less its sampling part, on R/s
+    v = np.maximum(qd - RIDGE_SCALE * q2, 0.0) / (qd * qd) / (mn - b + 1)
+    carried = np.maximum(q2 / (qd * qd) - 1.0 - v * (np.trace(q) - q2 / qd), 0.0)
+    return np.ldexp(np.sqrt(s * v / (1.0 + carried)), f)
 
 
 def estimate_subspace_dim(cube, per_band_sigma):
@@ -176,11 +171,14 @@ def estimate_subspace_dim(cube, per_band_sigma):
 
     Eigenvalues of the band correlation matrix are compared against the
     noise variance projected onto each eigenvector; K counts the
-    eigenvalues that clear twice their noise contribution.  Returns an
-    int in [1, B].  Degenerate input (no positive eigenvalue, as from an
-    all-zero cube) returns 1 with a warning.  Where _band_gram scales the
-    cube by 2^-f, the sigmas are scaled with it, so K is the in-range
-    cube's; only a non-finite entry raises numpy.linalg.LinAlgError.
+    eigenvalues past the Marchenko-Pastur noise edge, (1 + sqrt(B/(M N)))^2
+    times their noise contribution: white noise alone ends there, and a
+    component strong enough to be detected at all shows beyond it (Baik,
+    Ben Arous & Peche 2005).  Returns an int in [1, B].  Degenerate input
+    (no positive eigenvalue, as from an all-zero cube) returns 1 with a
+    warning.  Where _band_gram scales the cube by 2^-f, the sigmas are
+    scaled with it, so K is the in-range cube's; only a non-finite entry
+    raises numpy.linalg.LinAlgError.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -210,7 +208,8 @@ def estimate_subspace_dim(cube, per_band_sigma):
     # relative floor keeps the decision scale-covariant and absorbs
     # numerically-zero eigenvalues of exactly low-rank input
     floor = evals[0] * 1e-12
-    k = int(np.count_nonzero(evals > 2.0 * noise_proj + floor))
+    edge = (1.0 + math.sqrt(b / (m * n))) ** 2
+    k = int(np.count_nonzero(evals > edge * noise_proj + floor))
     return min(max(k, 1), b)
 
 

@@ -88,8 +88,9 @@ def unfold3(cube):
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
-    # reshape with order='F' walks rows fastest, matching the column-major scan
-    return cube.reshape(m * n, b, order="F").T.copy()
+    # the (B, N, M) transpose walks rows fastest, matching the column-major
+    # scan, so one C-ordered copy of it is the unfolding
+    return np.array(cube.transpose(2, 1, 0), order="C").reshape(b, m * n)
 
 
 def fold3(mat, shape):

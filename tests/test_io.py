@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ class TestCubeRoundTrip:
     def test_f64_bit_exact(self, tmp_path):
         cube = random_cube((7, 5, 4), seed=1)
         write_cube(tmp_path / "c", cube)
+        np.testing.assert_array_equal(read_cube(tmp_path / "c"), cube)
+
+    @pytest.mark.parametrize("layout", ["fortran", "band-sliced"])
+    def test_f64_bit_exact_from_any_layout(self, tmp_path, layout):
+        wide = random_cube((7, 5, 8), seed=7)
+        cube = np.asfortranarray(wide) if layout == "fortran" else wide[:, :, ::2]
+        write_cube(tmp_path / "c", cube)
+        np.testing.assert_array_equal(read_cube(tmp_path / "c"), cube)
+
+    def test_f64_write_copies_the_cube_once(self, tmp_path):
+        # the band-major unfolding is the one copy; it is written as it is
+        cube = random_cube((64, 64, 32), seed=8)
+        write_cube(tmp_path / "c", cube)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            write_cube(tmp_path / "c", cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cube.nbytes, f"peak {peak / cube.nbytes:.2f} cubes"
         np.testing.assert_array_equal(read_cube(tmp_path / "c"), cube)
 
     def test_read_accepts_hdr_or_stem(self, tmp_path):

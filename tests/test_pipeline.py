@@ -63,7 +63,7 @@ class TestDenoiseConfig:
     def test_defaults(self):
         cfg = DenoiseConfig()
         assert cfg.k0 is None
-        assert cfg.delta == 2
+        assert cfg.delta == 0
         assert cfg.lam == 0.9
         assert cfg.gamma == 0.5
         assert cfg.iters == 5
@@ -267,23 +267,32 @@ class TestDenoise:
         assert len(seen) == 3
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 5])
-    def test_groups_matched_at_first_two_iterations(self, iters, monkeypatch):
+    def test_groups_matched_once(self, iters, monkeypatch):
         calls = []
+        matched = []
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return match(*args, **kwargs)
 
+        def counted_groups(*args, **kwargs):
+            matched.append(args[0].shape)
+            return match_groups(*args, **kwargs)
+
         match = spatial._match
+        match_groups = pipeline.match_groups
         monkeypatch.setattr(spatial, "_match", counted)
+        monkeypatch.setattr(pipeline, "match_groups", counted_groups)
         clean = rank_cube(24, 24, 8, 2, seed=9)
         noisy = add_gaussian_noise(clean, 20.0, seed=9)
-        cfg = DenoiseConfig(k0=2, iters=iters, geom=SMALL_GEOM)
+        # delta = 2 grows K, and the groups of iteration 1's image still serve
+        cfg = DenoiseConfig(k0=2, delta=2, iters=iters, geom=SMALL_GEOM)
         _, trace = denoise(noisy, 20.0, cfg)
         assert len(trace) == iters
-        assert len(calls) == min(iters, 2)
-        # iteration 2 matches on its own K-band image
-        assert [shape[2] for shape in calls] == [r.k for r in trace[:2]]
+        assert [r.k for r in trace] == [2, 4, 8, 8, 8][:iters]
+        assert len(matched) == 1
+        assert calls == matched
+        assert matched[0][2] == trace[0].k
 
     def test_overflowing_band_gram_scaled_away(self):
         """Entries near 3e152 overflow the band Gram's trace; denoise
@@ -574,8 +583,7 @@ class TestDegenerateCubes:
         """sigma0 = 10 keeps the loop's cube unscaled, and the estimates
         scale it by its own magnitude: the band Gram's trace of entries
         near 1e-203 underflowed and raised LinAlgError."""
-        with pytest.warns(UserWarning, match="fewer than 10 per band"):
-            x = denoised_or_value_error(np.full((4, 4, 2), 4.31569717e-203), 10.0)
+        x = denoised_or_value_error(np.full((4, 4, 2), 4.31569717e-203), 10.0)
         assert not x.any()
 
     def test_tiny_cube_keeps_its_estimated_k(self):

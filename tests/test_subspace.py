@@ -26,22 +26,25 @@ def rel_frob(a, b):
 def band_noise_by_loop(cube):
     """Reference estimate: regress each band on the others, one at a time.
 
-    Band i is removed from the ridge-regularized inverse by a rank-one
-    downdate, then its coefficients come from the downdated inverse.
+    Each regression is a least-squares solve of the band on the other
+    bands with ridge rows appended.  Its residual's mean square over the
+    M*N - B + 1 degrees of freedom is v; the predictors' noise carried
+    through the coefficients, ||beta||^2 less its sampling part v times
+    the sum of 1/sv^2 over the solve's singular values, is taken off.
     """
     z = unfold3(cube)
-    b = z.shape[0]
-    r = z @ z.T
-    q = np.linalg.inv(r + RIDGE_SCALE * np.trace(r) / b * np.eye(b))
+    b, mn = z.shape
+    ridge = math.sqrt(RIDGE_SCALE * np.trace(z @ z.T) / b) * np.eye(b - 1)
     sigmas = np.empty(b)
     for i in range(b):
-        xx = q - np.outer(q[:, i], q[i, :]) / q[i, i]
-        ra = r[:, i].copy()
-        ra[i] = 0.0
-        beta = xx @ ra
-        beta[i] = 0.0
-        w = z[i] - beta @ z
-        sigmas[i] = np.sqrt(np.mean(w * w) / (1.0 + beta @ beta))
+        others = np.delete(z, i, axis=0)
+        beta, _, _, sv = np.linalg.lstsq(
+            np.vstack([others.T, ridge]), np.concatenate([z[i], np.zeros(b - 1)]), rcond=None
+        )
+        w = z[i] - beta @ others
+        v = (w @ w) / (mn - b + 1)
+        carried = max(beta @ beta - v * np.sum(sv**-2.0), 0.0)
+        sigmas[i] = math.sqrt(v / (1.0 + carried))
     return sigmas
 
 
@@ -167,12 +170,14 @@ class TestEstimateBandNoise:
         assert sigmas.shape == (16,)
         assert 18.0 <= sigmas.mean() <= 22.0
 
-    def test_few_pixels_per_band_warn(self):
-        # 576 pixels for 191 bands: the median reads about 20 for sigma 30
-        cube = add_gaussian_noise(rank_cube(24, 24, 191, 3, seed=0), 30.0, seed=0)
-        with pytest.warns(UserWarning, match="pass sigma0 and k0"):
-            sigmas = estimate_band_noise(cube)
-        assert np.median(sigmas) < 25.0
+    @pytest.mark.parametrize(
+        "shape", [(24, 24, 191), (48, 48, 191), (96, 96, 64)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_pure_noise_median_unbiased(self, shape):
+        # 576 pixels for 191 bands at 24x24: the residual is divided by its
+        # 386 degrees of freedom, not by the 576 pixels
+        noise = np.random.default_rng(0).standard_normal(shape) * 30.0
+        assert np.median(estimate_band_noise(noise)) == pytest.approx(30.0, rel=0.02)
 
     @pytest.mark.parametrize(
         "shape", [(48, 48, 191), (128, 128, 191), (96, 96, 64), (32, 32, 32)]
@@ -264,6 +269,23 @@ class TestEstimateSubspaceDim:
         noise = rng.standard_normal((64, 64, 32)) * 30.0
         k = estimate_subspace_dim(noise, estimate_band_noise(noise))
         assert k <= 3
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(24, 24, 191), (48, 48, 191), (64, 64, 32), (96, 96, 64)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_pure_noise_is_one(self, shape):
+        # the Marchenko-Pastur edge holds the count to the least K, 1, even
+        # with M*N about 3B
+        noise = np.random.default_rng(1).standard_normal(shape) * 30.0
+        assert estimate_subspace_dim(noise, estimate_band_noise(noise)) == 1
+
+    @pytest.mark.parametrize("m", [24, 48])
+    @pytest.mark.parametrize("sigma", [10.0, 30.0, 50.0])
+    def test_rank_found_with_few_pixels_per_band(self, m, sigma):
+        cube = add_gaussian_noise(rank_cube(m, m, 191, 3, seed=0), sigma, seed=0)
+        assert estimate_subspace_dim(cube, estimate_band_noise(cube)) == 3
 
     def test_scale_covariant(self):
         cube = add_gaussian_noise(rank_cube(32, 32, 16, 4, seed=9), 15.0, seed=9)
