@@ -2,7 +2,10 @@
 with non-local low-rank filtering of the reduced image, feeding a
 regularized mix of the estimate and the observation back in each round.
 The subspace dimension holds at K0 unless DenoiseConfig.delta grows it,
-and the patch groups are matched once, on the first projection.
+and the patch groups are matched once, on the first projection.  The mix
+is never stored whole: its band Gram follows from the observation's,
+formed once, and from K-band products, and two row-block passes over the
+observation rebuild it where it is read.
 """
 
 import math
@@ -13,7 +16,13 @@ import numpy as np
 
 from . import metrics
 from .spatial import PatchGeometry, _one_blas_thread, denoise_reduced, match_groups
-from .subspace import (
+# perfbench's tracer wraps names as pipeline binds them (the estimators,
+# spectral_decompose, mode3_product, iterate_regularize, ...) and a traced
+# run fails on a missing one, so spectral_decompose stays bound here
+# though the loop no longer calls it
+from .subspace import (  # noqa: F401
+    _band_gram,
+    _gram_basis,
     estimate_band_noise,
     estimate_subspace_dim,
     reestimate_noise,
@@ -87,10 +96,14 @@ class IterationRecord:
     sigma: float
     # ||y_i - x_i||_F, formed as sqrt(||(I - P P^T) y_i||^2 + ||P^T y_i - m_i||^2)
     # with P the iteration's basis and m_i the filtered reduced image: the
-    # first part is summed before the spatial stage, so y_i is not kept
+    # first part is summed block by block as y_i's rows are projected, so
+    # y_i is never stored
     residual: float
     psnr: float | None
-    # the full-band work: sigma re-estimate, projection, off-subspace sum, lift-back, blend
+    # the work on B bands: at iteration 1 the band Gram of y and its
+    # projection; the sigma re-estimate; the lift of x where it is
+    # written; and the two passes over y that rebuild y_(i+1) for its
+    # sigma sum, its Gram and its projection
     stage_a_seconds: float
     # the spatial stage on the k-band reduced image: matching and filtering
     stage_b_seconds: float
@@ -127,76 +140,127 @@ def _check_finite(arr, stage, iteration):
         )
 
 
+def _lift(m, basis, rows, out=None):
+    """The rows `rows` of the reduced image m lifted to basis' B bands, as
+    one (rows * N, B) product, written into out when it is given: the
+    estimate and the blend lift alike, so each is the other's bit for bit."""
+    return np.matmul(m[rows].reshape(-1, m.shape[2]), basis.T, out=out)
+
+
+def _blends(m, basis, y, lam):
+    """(rows, block) for each row block of y, block those rows of the next
+    iteration's input: m lifted by basis, blended with y."""
+    for rows in _row_blocks(y):
+        obs = y[rows]
+        yield rows, iterate_regularize(_lift(m, basis, rows).reshape(obs.shape), obs, lam)
+
+
+def _project(blocks, basis, shape):
+    """(reduced, off_sq) for a cube of the given shape that arrives as
+    (rows, block) pairs: its projection onto basis, and ||(I - P P^T)
+    cube||^2 with P = basis, summed block by block."""
+    reduced = np.empty((*shape[:2], basis.shape[1]))
+    off_sq = 0.0
+    for rows, block in blocks:
+        reduced[rows] = mode3_product(block, basis.T)
+        off_sq += frob_norm_sq(block, mode3_product(reduced[rows], basis))
+    return reduced, off_sq
+
+
+def _next_basis(m, basis, y, lam, r0, f, k):
+    """(basis, change_sq): the top-k basis of the next iteration's input
+    y_next = lam * m lifted by basis + (1 - lam) * y, from its band Gram,
+    and ||y_next - y||^2.  r0 is the Gram of y * 2^-f; one pass over y
+    rebuilds y_next's rows for the sum and forms C = m^T Y."""
+    # m on r0's scale, so that the Gram's terms add: 2^-f is exact
+    ms = np.ldexp(m, -f) if f else m
+    km, b = m.shape[2], y.shape[2]
+    c = np.zeros((km, b))
+    change_sq = 0.0
+    for rows, block in _blends(m, basis, y, lam):
+        change_sq += frob_norm_sq(block, y[rows])
+        c += ms[rows].reshape(-1, km).T @ y[rows].reshape(-1, b)
+    flat = ms.reshape(-1, km)
+    pc = basis @ np.ldexp(c, -f)
+    gram = (lam * lam * (basis @ (flat.T @ flat) @ basis.T)
+            + lam * (1.0 - lam) * (pc + pc.T) + (1.0 - lam) ** 2 * r0)
+    return _gram_basis(gram, k), change_sq
+
+
 def _iterations(y, k0, sigma0, cfg, keep):
     """Run the outer iterations on the observation y from K = k0; yield
     (record, x) after each one.
 
-    The generator owns the iteration's input y_i, K, the groups and the
-    estimate x.  The groups are matched once, on iteration 1's
-    projection, and serve every iteration: their members are pixel
-    positions, which do not depend on the spectral basis.  y_i is dropped
-    once projected, so the spatial stage holds no full-band cube besides
-    y, which may be the caller's array.  x is written only where it is
-    read: at the last iteration, and at each one when keep is set; it is
-    None otherwise.  Each x is a fresh array that the generator drops
+    No full-band iterate is stored.  Iteration i's input is y_i = lam P m
+    + (1 - lam) y for the previous basis P and filtered reduced image m,
+    so with Y the (M*N, B) view of y, R_0 = Y^T Y (one _band_gram, at
+    iteration 1) and C = m^T Y, its band Gram is
+    lam^2 P (m^T m) P^T + lam (1 - lam) (P C + C^T P^T) + (1 - lam)^2 R_0,
+    whose top K eigenvectors are the next basis.  After each spatial stage
+    but the last, two passes over y rebuild y_i's rows a block at a time
+    (_blends) and drop them: the first sums ||y_i - y||^2, from which the
+    next sigma_i is re-estimated (0 at iteration 1, where y_1 = y), and
+    C; the second projects them onto the next basis and sums their part
+    off it.  The groups are matched once, on iteration 1's projection, and
+    serve every iteration: their members are pixel positions, which do not
+    depend on the basis.  y is read in place, whatever its layout.  x is
+    written only where it is read: at the last iteration, after the groups
+    and R_0 are dropped, and at each one when keep is set; it is None
+    otherwise.  Each x is a fresh C-ordered array that the generator drops
     once yielded, so a caller that holds x while the next iteration runs
     holds one more cube.  The record's sigma and residual are on y's
-    scale, its psnr None.  The blend pass that writes y_i also sums
-    ||y_i - y||^2 block by block, from which the next iteration's
-    sigma_i is re-estimated; y_i = y at iteration 1 gives 0.
+    scale, its psnr None.
     """
+    b = y.shape[2]
+    lam = cfg.lam
     k = k0
-    y_i = y
     change_sq = 0.0
     groups = None
     for i in range(1, cfg.iters + 1):
         last = i == cfg.iters
 
         t0 = time.perf_counter()
+        if i == 1:
+            # r0 is the Gram of y * 2^-f, where _band_gram had to scale it
+            r0, _, f = _band_gram(y)
+            basis = _gram_basis(r0, k)
+            reduced, off_sq = _project(((rows, y[rows]) for rows in _row_blocks(y)),
+                                       basis, y.shape)
         sigma_i = reestimate_noise(change_sq / y.size, sigma0, cfg.gamma)
-        model = spectral_decompose(y_i, k)
-        _check_finite(model.reduced, "spectral projection", i)
-        basis = model.basis
-        # ||y_i - x_i||^2 = ||(I - P P^T) y_i||^2 + ||reduced - m_i||^2,
-        # for x_i = P m_i and reduced = P^T y_i with P = basis: the parts
-        # lie in orthogonal subspaces.  The first is summed here, the
-        # last read of y_i.
-        off_sq = 0.0
-        for rows in _row_blocks(y_i):
-            off_sq += frob_norm_sq(y_i[rows], mode3_product(model.reduced[rows], basis))
-        del y_i
+        _check_finite(reduced, "spectral projection", i)
         t1 = time.perf_counter()
 
         if groups is None:
-            groups = match_groups(model.reduced, cfg.geom)
-        m_i = denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
-        residual = math.sqrt(off_sq + frob_norm_sq(model.reduced, m_i))
-        del model
+            groups = match_groups(reduced, cfg.geom)
+        m = denoise_reduced(reduced, sigma_i, cfg.geom, groups=groups)
+        _check_finite(m, "spatial filtering", i)
+        # ||y_i - x_i||^2 = ||(I - P P^T) y_i||^2 + ||reduced - m||^2 for
+        # x_i = P m and reduced = P^T y_i: the parts lie in orthogonal
+        # subspaces
+        residual = math.sqrt(off_sq + frob_norm_sq(reduced, m))
+        del reduced
+        if last:
+            groups = r0 = None
         t2 = time.perf_counter()
 
-        # the lift-back, its finiteness check and the blend with the
-        # observation, one row block at a time
-        x = np.empty(y.shape) if last or keep else None
-        y_i = None if last else np.empty(y.shape)
-        change_sq = 0.0
-        for rows in _row_blocks(y):
-            x_rows = mode3_product(m_i[rows], basis)
-            _check_finite(x_rows, "spatial filtering", i)
-            if x is not None:
-                x[rows] = x_rows
-            if y_i is not None:
-                y_i[rows] = iterate_regularize(x_rows, y[rows], cfg.lam)
-                change_sq += frob_norm_sq(y_i[rows], y[rows])
-        # the last block's lift-back too, or it is held through the next
-        # iteration's spatial stage: a whole cube when one block covers it
-        del m_i, x_rows
+        x = None
+        if last or keep:
+            x = np.empty(y.shape)
+            for rows in _row_blocks(y):
+                _lift(m, basis, rows, out=x[rows].reshape(-1, b))
+        if not last:
+            basis_next, change_sq = _next_basis(m, basis, y, lam, r0, f,
+                                                update_k(k0, cfg.delta, i, b))
+            reduced, off_sq = _project(_blends(m, basis, y, lam), basis_next, y.shape)
+            basis = basis_next
+        del m
         t3 = time.perf_counter()
 
         record = IterationRecord(iteration=i, k=k, sigma=sigma_i, residual=residual, psnr=None,
                                  stage_a_seconds=(t1 - t0) + (t3 - t2), stage_b_seconds=t2 - t1)
         yield record, x
         del x
-        k = update_k(k0, cfg.delta, i, y.shape[2])
+        k = basis.shape[1]
 
 
 def denoise(noisy, sigma0=None, config=None, clean=None):

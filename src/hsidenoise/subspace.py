@@ -80,6 +80,21 @@ def _band_gram(cube):
     return (*gram(np.ldexp(cube, -f)), f)
 
 
+def _gram_basis(gram, k):
+    """The (B, k) basis of a B x B band Gram matrix's top k eigenvectors,
+    largest eigenvalue first, each column signed by _fix_column_signs.
+    The basis does not depend on the matrix's scale, so the Gram of a cube
+    that _band_gram scaled serves as the cube's own."""
+    b = gram.shape[0]
+    try:
+        _, evecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
+        ) from exc
+    return _fix_column_signs(np.ascontiguousarray(evecs[:, ::-1][:, :k]))
+
+
 def spectral_decompose(cube, k):
     """Fit the best rank-k spectral subspace of a cube.
 
@@ -102,13 +117,7 @@ def spectral_decompose(cube, k):
     if not _all_finite(cube):
         raise ValueError("cube has non-finite entries")
 
-    try:
-        _, evecs = np.linalg.eigh(_band_gram(cube)[0])
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
-        ) from exc
-    basis = _fix_column_signs(np.ascontiguousarray(evecs[:, ::-1][:, :k]))
+    basis = _gram_basis(_band_gram(cube)[0], k)
     reduced = mode3_product(cube, basis.T)
     return SubspaceModel(basis=basis, reduced=reduced)
 
@@ -217,7 +226,7 @@ def reestimate_noise(msd, sigma0, gamma):
     """Noise level for the current iteration.
 
     sigma_i = gamma * sqrt(|sigma0^2 - msd|), msd the mean square of
-    y_i - y over all cube entries, which the loop sums as it blends y_i.
+    y_i - y over all cube entries, which the loop sums as it rebuilds y_i.
     At iteration 1 (y_i = y, msd 0) this is gamma*sigma0.  The three are
     taken as given: denoise and DenoiseConfig check sigma0 and gamma.
     """

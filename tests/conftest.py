@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hsidenoise import pipeline, spatial
-from hsidenoise.subspace import SubspaceModel, spectral_decompose
+from hsidenoise.subspace import _gram_basis
 
 
 @pytest.fixture
@@ -101,12 +101,12 @@ def nan_stage(monkeypatch):
 
 @pytest.fixture
 def nan_projection(monkeypatch):
-    """pipeline's subspace fit replaced by one whose reduced image holds a
-    NaN."""
+    """pipeline's basis fit replaced by one whose basis holds a NaN, so the
+    reduced image the loop projects onto it holds NaNs."""
 
-    def fit(cube, k):
-        model = spectral_decompose(cube, k)
-        model.reduced[0, 0, 0] = np.nan
-        return model
+    def fit(gram, k):
+        basis = _gram_basis(gram, k)
+        basis[0, 0] = np.nan
+        return basis
 
-    monkeypatch.setattr(pipeline, "spectral_decompose", fit)
+    monkeypatch.setattr(pipeline, "_gram_basis", fit)
