@@ -55,8 +55,7 @@ def _parse_bool(text):
 # named after the field unless listed here.
 _KEYS = {"lam": "lambda"}
 _HELP = {
-    "k0": "initial subspace dimension (default: estimated)",
-    "delta": "subspace growth per iteration; 0 holds K at k0",
+    "k0": "subspace dimension held for every iteration (default: estimated)",
     "lam": "estimate/observation mix in [0,1]",
     "gamma": "noise re-estimation scale",
     "iters": "outer iterations",

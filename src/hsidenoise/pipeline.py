@@ -1,14 +1,15 @@
 """Outer denoising loop: alternate a global spectral low-rank projection
 with non-local low-rank filtering of the reduced image, feeding a
 regularized mix of the estimate and the observation back in each round.
-The subspace dimension holds at K0 unless DenoiseConfig.delta grows it,
-and the patch groups are matched once, on the first projection.  The mix
-is never stored whole: its band Gram follows from the observation's,
-formed once, and from K-band products, and two row-block passes over the
-observation rebuild it where it is read.
+The subspace dimension holds at K0 on every round, and the patch groups
+are matched once, on the first projection.  The mix is never stored
+whole: its band Gram follows from the observation's, formed once, and
+from K-band products, and two row-block passes over the observation
+rebuild it where it is read.
 """
 
 import math
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ __all__ = [
     "NumericalError",
     "denoise",
     "iterate_regularize",
-    "update_k",
 ]
 
 
@@ -56,11 +56,10 @@ class NumericalError(RuntimeError):
 class DenoiseConfig:
     """All tunables of the denoising loop.
 
-    k0 is the initial subspace dimension (estimated from the data when
-    None, at the noise edge).  delta grows it each iteration, the
-    paper's schedule; at its default of 0 K stays at k0, where the
-    estimate puts the signal's last detectable component.  lam mixes the
-    estimate with the observation; gamma scales the per-iteration noise
+    k0 is the subspace dimension held for every iteration (estimated
+    from the data when None, at the noise edge, where the estimate puts
+    the signal's last detectable component).  lam mixes the estimate
+    with the observation; gamma scales the per-iteration noise
     re-estimate; iters counts the outer iterations, the loop's one stop.
     Each iteration passes its noise re-estimate sigma_i to the spatial
     stage, which shrinks the patch groups with WNNM's weight at that
@@ -68,7 +67,6 @@ class DenoiseConfig:
     """
 
     k0: int | None = None
-    delta: int = 0
     lam: float = 0.9
     gamma: float = 0.5
     iters: int = 5
@@ -77,8 +75,6 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.k0 is not None and _int_field("k0", self.k0) < 1:
             raise ValueError(f"k0 must be >= 1, got {self.k0}")
-        if _int_field("delta", self.delta) < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if not 0.0 < self.gamma <= 1.0:
@@ -107,17 +103,6 @@ class IterationRecord:
     stage_a_seconds: float
     # the spatial stage on the k-band reduced image: matching and filtering
     stage_b_seconds: float
-
-
-def update_k(k0, delta, i, bands):
-    """Subspace dimension after iteration i, clamped to the band count.
-
-    Iteration i adds delta*i, so K runs k0, k0+delta, k0+3*delta,
-    k0+6*delta, ...: k0 + delta*i*(i+1)/2 after iteration i.
-    """
-    if i < 1:
-        raise ValueError(f"iteration index must be >= 1, got {i}")
-    return min(k0 + delta * i * (i + 1) // 2, bands)
 
 
 def iterate_regularize(x_i, y, lam):
@@ -167,11 +152,12 @@ def _project(blocks, basis, shape):
     return reduced, off_sq
 
 
-def _next_basis(m, basis, y, lam, r0, f, k):
-    """(basis, change_sq): the top-k basis of the next iteration's input
-    y_next = lam * m lifted by basis + (1 - lam) * y, from its band Gram,
-    and ||y_next - y||^2.  r0 is the Gram of y * 2^-f; one pass over y
-    rebuilds y_next's rows for the sum and forms C = m^T Y."""
+def _next_basis(m, basis, y, lam, r0, f):
+    """(basis, change_sq): the next iteration's basis, as wide as basis,
+    the top eigenvectors of the band Gram of its input y_next = lam * m
+    lifted by basis + (1 - lam) * y, and ||y_next - y||^2.  r0 is the
+    Gram of y * 2^-f; one pass over y rebuilds y_next's rows for the sum
+    and forms C = m^T Y."""
     # m on r0's scale, so that the Gram's terms add: 2^-f is exact
     ms = np.ldexp(m, -f) if f else m
     km, b = m.shape[2], y.shape[2]
@@ -184,19 +170,19 @@ def _next_basis(m, basis, y, lam, r0, f, k):
     pc = basis @ np.ldexp(c, -f)
     gram = (lam * lam * (basis @ (flat.T @ flat) @ basis.T)
             + lam * (1.0 - lam) * (pc + pc.T) + (1.0 - lam) ** 2 * r0)
-    return _gram_basis(gram, k), change_sq
+    return _gram_basis(gram, basis.shape[1]), change_sq
 
 
 def _iterations(y, k0, sigma0, cfg, keep):
-    """Run the outer iterations on the observation y from K = k0; yield
-    (record, x) after each one.
+    """Run the outer iterations on the observation y with K = k0 on every
+    one; yield (record, x) after each one.
 
     No full-band iterate is stored.  Iteration i's input is y_i = lam P m
     + (1 - lam) y for the previous basis P and filtered reduced image m,
     so with Y the (M*N, B) view of y, R_0 = Y^T Y (one _band_gram, at
     iteration 1) and C = m^T Y, its band Gram is
     lam^2 P (m^T m) P^T + lam (1 - lam) (P C + C^T P^T) + (1 - lam)^2 R_0,
-    whose top K eigenvectors are the next basis.  After each spatial stage
+    whose top k0 eigenvectors are the next basis.  After each spatial stage
     but the last, two passes over y rebuild y_i's rows a block at a time
     (_blends) and drop them: the first sums ||y_i - y||^2, from which the
     next sigma_i is re-estimated (0 at iteration 1, where y_1 = y), and
@@ -213,7 +199,6 @@ def _iterations(y, k0, sigma0, cfg, keep):
     """
     b = y.shape[2]
     lam = cfg.lam
-    k = k0
     change_sq = 0.0
     groups = None
     for i in range(1, cfg.iters + 1):
@@ -223,7 +208,7 @@ def _iterations(y, k0, sigma0, cfg, keep):
         if i == 1:
             # r0 is the Gram of y * 2^-f, where _band_gram had to scale it
             r0, _, f = _band_gram(y)
-            basis = _gram_basis(r0, k)
+            basis = _gram_basis(r0, k0)
             reduced, off_sq = _project(((rows, y[rows]) for rows in _row_blocks(y)),
                                        basis, y.shape)
         sigma_i = reestimate_noise(change_sq / y.size, sigma0, cfg.gamma)
@@ -249,18 +234,16 @@ def _iterations(y, k0, sigma0, cfg, keep):
             for rows in _row_blocks(y):
                 _lift(m, basis, rows, out=x[rows].reshape(-1, b))
         if not last:
-            basis_next, change_sq = _next_basis(m, basis, y, lam, r0, f,
-                                                update_k(k0, cfg.delta, i, b))
+            basis_next, change_sq = _next_basis(m, basis, y, lam, r0, f)
             reduced, off_sq = _project(_blends(m, basis, y, lam), basis_next, y.shape)
             basis = basis_next
         del m
         t3 = time.perf_counter()
 
-        record = IterationRecord(iteration=i, k=k, sigma=sigma_i, residual=residual, psnr=None,
+        record = IterationRecord(iteration=i, k=k0, sigma=sigma_i, residual=residual, psnr=None,
                                  stage_a_seconds=(t1 - t0) + (t3 - t2), stage_b_seconds=t2 - t1)
         yield record, x
         del x
-        k = basis.shape[1]
 
 
 def denoise(noisy, sigma0=None, config=None, clean=None):
@@ -311,7 +294,8 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
             band_sigma = estimate_band_noise(y)
             k0 = k0 or estimate_subspace_dim(y, band_sigma)
             if sigma0 is None:
-                sigma0 = float(np.median(band_sigma))
+                # statistics, not np.median, which imports numpy.ma on first use
+                sigma0 = statistics.median(band_sigma.tolist())
 
         trace = []
         for record, x in _iterations(y, min(int(k0), b), sigma0, cfg, clean is not None):

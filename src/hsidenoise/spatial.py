@@ -284,7 +284,8 @@ def _shortlist(est, widths, sizes, margins, ref_flat):
     inside = np.broadcast_to((np.arange(wmax) < widths[:, None])[:, None], est.shape)
     est = np.where(inside, est, np.inf).reshape(nref, -1)
     kth = sizes - 1
-    least = np.partition(est, np.unique(kth), axis=1)
+    # a sorted list, not np.unique, which imports numpy.ma on first use
+    least = np.partition(est, sorted(set(kth.tolist())), axis=1)
     threshold = np.take_along_axis(least, kth[:, None], axis=1)[:, 0] + margins
     keep = est <= threshold[:, None]
     keep[np.arange(nref), ref_flat] = True
@@ -836,7 +837,7 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     # Groups clipped by the image edge can be smaller than geom.group; each
     # size is its own batch, so no group is cut or padded.
     chunks = []
-    for p in np.unique(sizes):
+    for p in sorted(set(sizes.tolist())):
         refs = np.flatnonzero(sizes == p)
         step = max(1, _CHUNK_BYTES // 2 // (d * p * 8))
         chunks += [(p, refs[lo : lo + step]) for lo in range(0, len(refs), step)]

@@ -65,7 +65,7 @@ def test_synthetic_gain_and_stabilization():
     a minute.
     """
     clean = rank_cube(64, 64, 32, 5, seed=5, strengths=[1.0, 0.9, 0.8, 0.7, 0.6])
-    cfg = DenoiseConfig(k0=5, delta=0, lam=0.8, iters=7)
+    cfg = DenoiseConfig(k0=5, lam=0.8, iters=7)
     t0 = time.perf_counter()
     for sigma in (30.0, 50.0):
         noisy = add_gaussian_noise(clean, sigma, seed=42)
@@ -155,7 +155,7 @@ def test_spatial_stage_time_flat_in_bands(tmp_path, monkeypatch):
         input_path=path,
         sigmas=[30.0],
         output_dir=tmp_path / "bench",
-        config=DenoiseConfig(k0=5, delta=0, iters=3),
+        config=DenoiseConfig(k0=5, iters=3),
         normalize=False,
         save_cubes=False,
     )

@@ -153,14 +153,15 @@ class TestDenoiseCommand:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "flags", [["--gamma", "0"], ["--lambda", "inf"], ["--delta", "-1"]]
+        "flags", [["--gamma", "0"], ["--lambda", "inf"], ["--iters", "0"]]
     )
     def test_out_of_range_shrinkage_constant_is_usage_error(
         self, scene, tmp_path, flags, capsys
     ):
         _, noisy_path = scene
         out = tmp_path / "o"
-        code = main(["denoise", str(noisy_path), str(out)] + flags + FAST)
+        # after FAST, so that a flag FAST sets too is the one read
+        code = main(["denoise", str(noisy_path), str(out)] + FAST + flags)
         assert code == 1
         assert "must be" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
@@ -179,6 +180,21 @@ class TestDenoiseCommand:
         assert code == 1
         key = line.split()[0].replace("-", "_")
         assert f"run.cfg:2: unknown key '{key}'" in capsys.readouterr().err
+
+    # delta, the paper's schedule that grew K each iteration, is removed:
+    # K holds at k0, and neither its flag nor its key is read
+    def test_delta_is_usage_error(self, scene, tmp_path, capsys):
+        _, noisy_path = scene
+        out = tmp_path / "o"
+        code = main(["denoise", str(noisy_path), str(out), "--delta", "2"] + FAST)
+        assert code == 1
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 2\n")
+        code = main(["denoise", str(noisy_path), str(out), "--config", str(cfg)] + FAST)
+        assert code == 1
+        assert "run.cfg:1: unknown key 'delta'" in capsys.readouterr().err
+        assert not out.with_suffix(".hdr").exists()
 
     def test_config_line_without_equals_is_usage_error(self, scene, tmp_path, capsys):
         _, noisy_path = scene
@@ -273,14 +289,12 @@ class TestDenoiseCommand:
 # Every option of `denoise`; the denoiser ones mirror the config fields.
 DENOISE_OPTIONS = {
     "-h", "--help", "--clean", "--trace", "--dtype", "--config", "--k0",
-    "--delta", "--lambda", "--gamma", "--iters", "--patch", "--stride",
-    "--window", "--group", "--seed", "--sigma0", "--no-normalize",
-    "--keep-bands",
+    "--lambda", "--gamma", "--iters", "--patch", "--stride", "--window",
+    "--group", "--seed", "--sigma0", "--no-normalize", "--keep-bands",
 }
 # a non-default value for each settable field and the config key it is read under
 FIELD_VALUES = {
     "k0": ("k0", 3),
-    "delta": ("delta", 1),
     "lam": ("lambda", 0.5),
     "gamma": ("gamma", 0.25),
     "iters": ("iters", 2),

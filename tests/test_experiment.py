@@ -31,7 +31,6 @@ from hsidenoise.synthetic import rank_cube
 
 FAST_CFG = DenoiseConfig(
     k0=2,
-    delta=0,
     iters=2,
     geom=PatchGeometry(patch=4, stride=2, window=10, group=16),
 )

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -15,7 +18,6 @@ from hsidenoise.pipeline import (
     DenoiseConfig,
     denoise,
     iterate_regularize,
-    update_k,
 )
 from hsidenoise.spatial import PatchGeometry
 from hsidenoise.subspace import (
@@ -30,19 +32,6 @@ from hsidenoise.io import add_gaussian_noise
 from hsidenoise.metrics import mpsnr
 
 SMALL_GEOM = PatchGeometry(patch=4, stride=2, window=10, group=16)
-
-
-class TestUpdateK:
-    def test_cumulative_sequence(self):
-        """Growth step widens by delta each round: 6 then 8, 12, 18."""
-        ks = [6] + [update_k(6, 2, i, 64) for i in range(1, 4)]
-        assert ks == [6, 8, 12, 18]
-
-    def test_clamped_to_band_count(self):
-        assert update_k(6, 2, 10, 16) == 16
-
-    def test_zero_delta_constant(self):
-        assert all(update_k(5, 0, i, 64) == 5 for i in range(1, 8))
 
 
 class TestIterateRegularize:
@@ -68,7 +57,6 @@ class TestDenoiseConfig:
     def test_defaults(self):
         cfg = DenoiseConfig()
         assert cfg.k0 is None
-        assert cfg.delta == 0
         assert cfg.lam == 0.9
         assert cfg.gamma == 0.5
         assert cfg.iters == 5
@@ -88,7 +76,7 @@ class TestDenoiseConfig:
             {"iters": 0},
             {"gamma": 0.0},
             {"lam": -0.1},
-            {"delta": -1},
+            {"lam": 1.1},
         ],
     )
     def test_shrinkage_constants_out_of_range(self, bad):
@@ -108,25 +96,24 @@ class TestDenoiseConfig:
         with pytest.raises(ValueError, match="gamma"):
             DenoiseConfig(gamma=gamma)
 
-    @pytest.mark.parametrize("name", ["k0", "delta", "iters"])
+    @pytest.mark.parametrize("name", ["k0", "iters"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "3"])
     def test_counts_must_be_integers(self, name, value):
-        # a float k0 or delta was truncated in the run, a float iters
+        # a float k0 was truncated in the run, a float iters
         # failed inside denoise
         with pytest.raises(ValueError, match=name):
             DenoiseConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_integer_counts_accepted(self, value):
-        cfg = DenoiseConfig(k0=value, delta=value, iters=value)
-        assert (cfg.k0, cfg.delta, cfg.iters) == (3, 3, 3)
+        cfg = DenoiseConfig(k0=value, iters=value)
+        assert (cfg.k0, cfg.iters) == (3, 3)
 
 
 def warm_traced_peak(noisy, clean=None):
     """The traced peak, in bytes, of a default denoise(noisy, 30.0), after
     a small denoise has made the allocations that only a process's first
-    call makes: np.unique imports numpy.ma then, about 1.1 MB of module
-    objects."""
+    call makes, about 0.02 MB since it no longer imports numpy.ma."""
     warm = add_gaussian_noise(rank_cube(16, 16, 4, 2, seed=0), 10.0, seed=0)
     denoise(warm, 10.0, DenoiseConfig(k0=2, iters=1, geom=SMALL_GEOM))
     tracemalloc.start()
@@ -148,10 +135,10 @@ class TestDenoise:
     def test_trace_records(self):
         clean = rank_cube(32, 32, 8, 2, seed=2)
         noisy = add_gaussian_noise(clean, 20.0, seed=2)
-        cfg = DenoiseConfig(k0=2, delta=1, iters=3, geom=SMALL_GEOM)
+        cfg = DenoiseConfig(k0=2, iters=3, geom=SMALL_GEOM)
         _, trace = denoise(noisy, 20.0, cfg, clean=clean)
         assert [r.iteration for r in trace] == [1, 2, 3]
-        assert [r.k for r in trace] == [2, 3, 5]
+        assert [r.k for r in trace] == [2, 2, 2]
         # first pass sees exactly gamma * sigma0
         assert trace[0].sigma == 0.5 * 20.0
         for rec in trace:
@@ -159,6 +146,24 @@ class TestDenoise:
             assert rec.residual >= 0.0
             assert rec.stage_a_seconds >= 0.0
             assert rec.stage_b_seconds >= 0.0
+
+    def test_first_denoise_imports_no_numpy_ma(self):
+        """A process's first denoise, sigma0 and K0 estimated, loads no
+        numpy.ma: np.unique and np.median import it on first use, about
+        1.1 MB of module objects."""
+        code = ("import sys; from hsidenoise import io, pipeline, spatial, synthetic; "
+                "noisy = io.add_gaussian_noise(synthetic.rank_cube(16, 16, 4, 2, seed=0), 10.0, seed=0); "
+                "geom = spatial.PatchGeometry(patch=4, stride=2, window=10, group=16); "
+                "pipeline.denoise(noisy, config=pipeline.DenoiseConfig(iters=2, geom=geom)); "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_psnr_none_without_clean(self):
         clean = rank_cube(32, 32, 8, 2, seed=3)
@@ -169,7 +174,7 @@ class TestDenoise:
     def test_improves_noisy_input(self):
         clean = rank_cube(48, 48, 16, 3, seed=4)
         noisy = add_gaussian_noise(clean, 30.0, seed=4)
-        cfg = DenoiseConfig(k0=3, delta=0, lam=0.8, geom=SMALL_GEOM)
+        cfg = DenoiseConfig(k0=3, lam=0.8, geom=SMALL_GEOM)
         out, _ = denoise(noisy, 30.0, cfg, clean=clean)
         assert mpsnr(clean, out) > mpsnr(clean, noisy) + 5.0
 
@@ -193,8 +198,8 @@ class TestDenoise:
     def test_traced_peak(self, monkeypatch):
         """A default denoise holds one work buffer per chunk in flight and
         no cube it does not read again: 2.32-2.36 MB traced here after a
-        warm-up (0.25 MB under the bound), 3.5 MB as a process's first
-        call, where a second buffer per chunk for the shrunk groups took
+        warm-up (0.25 MB under the bound), 2.36 MB as a process's first
+        call (3.3 MB while it imported numpy.ma), where a second buffer per chunk for the shrunk groups took
         7.5 MB and three buffers per chunk and two stale cubes 18.3 MB at
         a reference stride of 4, both as first calls."""
         monkeypatch.setattr(spatial, "_workers", lambda: 1)  # two chunks in flight
@@ -207,10 +212,10 @@ class TestDenoise:
         """With 191 bands and K = 5 the loop's full-band work, the band Gram
         once and two row-block passes over the observation per iteration,
         holds B x B matrices and row blocks, not cubes: 1.03 cubes traced
-        here after a warm-up, and 1.35 as a process's first call, whose
-        lazy import this bound covers (0.15 cubes over it); the stored
-        iterate took 1.29 warm, and whole-cube temporaries 4.2 before
-        that."""
+        here after a warm-up, and 1.04 as a process's first call, where
+        the import of numpy.ma took 1.31 and this bound covered it; the
+        stored iterate took 1.29 warm, and whole-cube temporaries 4.2
+        before that."""
         monkeypatch.setattr(spatial, "_workers", lambda: 1)
         clean = rank_cube(48, 48, 191, 5)
         noisy = add_gaussian_noise(clean, 30.0, seed=0)
@@ -266,7 +271,7 @@ class TestDenoise:
         clean = rank_cube(32, 32, 8, 2, seed=18)
         noisy = add_gaussian_noise(clean, 20.0, seed=18)
         wider = np.concatenate([noisy[:, :, :2], noisy, noisy[:, :, :3]], axis=2)
-        cfg = DenoiseConfig(iters=3, delta=1, geom=SMALL_GEOM)
+        cfg = DenoiseConfig(iters=3, geom=SMALL_GEOM)
         want, want_trace = denoise(noisy, sigma0, cfg)
         for cube in (np.asfortranarray(noisy), wider[:, :, 2:-3]):
             got, trace = denoise(cube, sigma0, cfg)
@@ -345,11 +350,10 @@ class TestDenoise:
         monkeypatch.setattr(pipeline, "match_groups", counted_groups)
         clean = rank_cube(24, 24, 8, 2, seed=9)
         noisy = add_gaussian_noise(clean, 20.0, seed=9)
-        # delta = 2 grows K, and the groups of iteration 1's image still serve
-        cfg = DenoiseConfig(k0=2, delta=2, iters=iters, geom=SMALL_GEOM)
+        cfg = DenoiseConfig(k0=2, iters=iters, geom=SMALL_GEOM)
         _, trace = denoise(noisy, 20.0, cfg)
         assert len(trace) == iters
-        assert [r.k for r in trace] == [2, 4, 8, 8, 8][:iters]
+        assert [r.k for r in trace] == [2] * iters
         assert len(matched) == 1
         assert calls == matched
         assert matched[0][2] == trace[0].k
@@ -459,31 +463,30 @@ def reference_loop(noisy, sigma0, cfg):
     band_sigma = estimate_band_noise(y) if sigma0 is None or cfg.k0 is None else None
     sigma0 = float(np.median(band_sigma)) if sigma0 is None else sigma0
     k0 = cfg.k0 or estimate_subspace_dim(y, band_sigma)
-    y_i, k, groups, steps = y, k0, None, []
+    y_i, groups, steps = y, None, []
     for i in range(1, cfg.iters + 1):
         sigma_i = reestimate_noise(frob_norm_sq(y_i, y) / y.size, sigma0, cfg.gamma)
-        model = spectral_decompose(y_i, k)
+        model = spectral_decompose(y_i, k0)
         if groups is None:
             groups = spatial.match_groups(model.reduced, cfg.geom)
         m = spatial.denoise_reduced(model.reduced, sigma_i, cfg.geom, groups=groups)
         x = mode3_product(m, model.basis)
-        steps.append((k, sigma_i, math.sqrt(frob_norm_sq(y_i, x))))
+        steps.append((k0, sigma_i, math.sqrt(frob_norm_sq(y_i, x))))
         y_i = iterate_regularize(x, y, cfg.lam)
-        k = update_k(k0, cfg.delta, i, y.shape[2])
     return x, steps
 
 
-@pytest.mark.parametrize("delta", [0, 2])
+@pytest.mark.parametrize("scene", [0, 2])
 @pytest.mark.parametrize("sigma0", [None, 30.0])
 @pytest.mark.parametrize("shape", [(64, 64, 32), (48, 48, 191)])
-def test_matches_the_stored_iterate_loop(shape, sigma0, delta):
+def test_matches_the_stored_iterate_loop(shape, sigma0, scene):
     """The loop in K-space forms each basis from a Gram summed in another
     order than y_i's own, so its estimate, sigmas and residuals agree with
     the stored-iterate loop to rounding: within 1e-10 relative, about 5e5
-    float64 epsilons; 3.1e-12 at most was measured here, 1.7e-13 on
-    scene96."""
-    noisy = add_gaussian_noise(rank_cube(*shape, 5, seed=0), 30.0, seed=1)
-    cfg = DenoiseConfig(delta=delta, iters=3)
+    float64 epsilons; 5.9e-13 at most was measured here, 1.7e-13 on
+    scene96.  scene seeds the clean cube."""
+    noisy = add_gaussian_noise(rank_cube(*shape, 5, seed=scene), 30.0, seed=1)
+    cfg = DenoiseConfig(iters=3)
     x, trace = denoise(noisy, sigma0, cfg)
     want, steps = reference_loop(noisy, sigma0, cfg)
     assert rel_diff(x, want) <= 1e-10

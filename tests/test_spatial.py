@@ -1050,7 +1050,7 @@ class TestPoolLifetime:
         never run."""
         use_workers(monkeypatch, 2)
         cube = rank_cube(32, 32, 8, 2, seed=1)
-        cfg = DenoiseConfig(k0=2, delta=0, iters=2, geom=PatchGeometry(patch=4, stride=2, window=10, group=16))
+        cfg = DenoiseConfig(k0=2, iters=2, geom=PatchGeometry(patch=4, stride=2, window=10, group=16))
         denoise(add_gaussian_noise(cube, 20.0, seed=0), 20.0, cfg)
         assert [pid for pid, _ in fresh_pools] == [os.getpid()]
         base = dict(
