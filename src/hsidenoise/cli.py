@@ -6,6 +6,7 @@ failure.
 
 import argparse
 import dataclasses
+import statistics
 import sys
 import time
 import typing
@@ -60,7 +61,6 @@ _HELP = {
     "gamma": "noise re-estimation scale",
     "iters": "outer iterations",
     "patch": "patch side",
-    "stride": "reference patch spacing (default: the patch side)",
     "window": "search window side; window // 2 corners each way, so 30 and 31 both search 31x31",
     "group": "patches per group",
 }
@@ -206,7 +206,7 @@ def _cmd_estimate_k(args):
     k = estimate_subspace_dim(cube, sig)
     print(f"K = {k}")
     print(
-        f"band sigma: median={np.median(sig):.6g} "
+        f"band sigma: median={statistics.median(sig.tolist()):.6g} "
         f"min={sig.min():.6g} max={sig.max():.6g}"
     )
     return 0
@@ -312,7 +312,7 @@ def build_parser():
     p.add_argument("--sigmas", required=True, help="comma list, e.g. 10,30,50,100")
     p.add_argument("--outdir", required=True)
     p.add_argument("--label", help="image name in the report (default: input stem)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=ExperimentSpec.jobs, help=f"parallel worker processes (default {ExperimentSpec.jobs})")
     p.add_argument("--no-save-cubes", action="store_true", help="skip writing denoised cubes")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_run_exp)

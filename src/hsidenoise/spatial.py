@@ -1,8 +1,8 @@
 """Non-local spatial step on the reduced image: reference-grid selection,
 k-NN full-band patch grouping, weighted singular-value shrinkage per group,
-and overlap-averaged reconstruction.  By default the references are spaced
-one patch side apart, so they tile the image; the stage's cost follows
-their count (256 on a 96x96 image at patch 6, against 576 at stride 4).
+and overlap-averaged reconstruction.  The references are spaced one patch
+side apart, so they tile the image; the stage's cost follows their count
+(256 on a 96x96 image at patch 6, against 576 at a spacing of 4).
 
 denoise_reduced runs the step as array passes: matching (match_groups, whose
 result a caller can pass back in to reuse the groups on another image of the
@@ -116,36 +116,24 @@ _CHUNK_BYTES = 2 << 20
 _SHRINK_SLAB = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PatchGeometry:
-    """Patch matching parameters.
+    """Patch matching parameters, given by keyword.
 
-    patch: square patch side; stride: spacing of reference patches, the
-    patch side when None, so the reference grid tiles the image; window:
-    search window side, centered on the reference: it reaches window // 2
-    corners each way, so 30 and 31 both search 31 x 31; group: number of
-    similar patches kept per reference.
-
-    The stride is resolved at construction, so dataclasses.replace(geom,
-    patch=p) keeps geom's resolved stride: from PatchGeometry(), patch=4
-    carries stride 6 and raises.  Pass stride=None with the new patch to
-    have it follow.
+    patch: square patch side, which is also the spacing of the reference
+    patches, so the reference grid tiles the image; window: search window
+    side, centered on the reference: it reaches window // 2 corners each
+    way, so 30 and 31 both search 31 x 31; group: number of similar patches
+    kept per reference.
     """
 
     patch: int = 6
-    stride: int | None = None
     window: int = 30
     group: int = 70
 
     def __post_init__(self):
-        if self.stride is None:
-            object.__setattr__(self, "stride", self.patch)
         if _int_field("patch", self.patch) < 1:
             raise ValueError(f"patch size must be >= 1, got {self.patch}")
-        if not 1 <= _int_field("stride", self.stride) <= self.patch:
-            raise ValueError(
-                f"stride must be in [1, patch={self.patch}], got {self.stride}"
-            )
         if _int_field("window", self.window) < self.patch:
             raise ValueError(
                 f"search window ({self.window}) smaller than patch ({self.patch})"
@@ -167,9 +155,9 @@ class PatchGroup:
     matrix: np.ndarray  # (patch*patch*K, p)
 
 
-def _axis_grid(dim, patch, stride):
+def _axis_grid(dim, patch):
     last = dim - patch
-    idx = list(range(0, last + 1, stride))
+    idx = list(range(0, last + 1, patch))
     if idx[-1] != last:
         idx.append(last)
     return idx
@@ -180,14 +168,14 @@ def _grid_axes(m, n, geom):
         raise ValueError(
             f"patch size {geom.patch} exceeds image dims ({m}, {n})"
         )
-    return _axis_grid(m, geom.patch, geom.stride), _axis_grid(n, geom.patch, geom.stride)
+    return _axis_grid(m, geom.patch), _axis_grid(n, geom.patch)
 
 
 def reference_grid(m, n, geom):
     """Top-left corners of the reference patches, row-major.
 
-    Stride-spaced grid with the last row/column clamped to the image edge
-    so every pixel falls inside at least one reference patch.
+    Corners one patch side apart, with the last row/column clamped to the
+    image edge so every pixel falls inside at least one reference patch.
     """
     rows, cols = _grid_axes(m, n, geom)
     return [(r, c) for r in rows for c in cols]

@@ -18,8 +18,8 @@ from hsidenoise.spatial import PatchGeometry
 from hsidenoise.synthetic import rank_cube
 
 FAST = [
-    "--k0", "2", "--iters", "1", "--patch", "4", "--stride", "2",
-    "--window", "10", "--group", "16",
+    "--k0", "2", "--iters", "1", "--patch", "4", "--window", "10",
+    "--group", "16",
 ]
 
 
@@ -118,7 +118,7 @@ class TestDenoiseCommand:
         _, noisy_path = scene
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "k0 = 2\niters = 3\npatch = 4\nstride = 2\nwindow = 10\ngroup = 16\n"
+            "k0 = 2\niters = 3\npatch = 4\nwindow = 10\ngroup = 16\n"
         )
         trace = tmp_path / "trace.csv"
         code = main(
@@ -129,28 +129,6 @@ class TestDenoiseCommand:
         assert code == 0
         # flag wins over the file: one iteration, not three
         assert trace.read_text().count("\n") == 2
-
-    def test_stride_follows_patch_flag(self, scene, tmp_path):
-        # a stride fixed at the default patch side would exceed patch 4
-        _, noisy_path = scene
-        flags = ["--k0", "2", "--iters", "1", "--patch", "4", "--window", "10", "--group", "16"]
-        assert _denoise_config(*flags)[0].geom.stride == 4
-        code = main(
-            ["denoise", str(noisy_path), str(tmp_path / "o"), "--sigma0", "20",
-             "--no-normalize"] + flags
-        )
-        assert code == 0
-
-    def test_stride_follows_patch_in_config_file(self, scene, tmp_path):
-        _, noisy_path = scene
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("k0 = 2\niters = 1\npatch = 4\nwindow = 10\ngroup = 16\n")
-        assert _denoise_config("--config", str(cfg))[0].geom.stride == 4
-        code = main(
-            ["denoise", str(noisy_path), str(tmp_path / "o"), "--sigma0", "20",
-             "--config", str(cfg), "--no-normalize"]
-        )
-        assert code == 0
 
     @pytest.mark.parametrize(
         "flags", [["--gamma", "0"], ["--lambda", "inf"], ["--iters", "0"]]
@@ -181,19 +159,24 @@ class TestDenoiseCommand:
         key = line.split()[0].replace("-", "_")
         assert f"run.cfg:2: unknown key '{key}'" in capsys.readouterr().err
 
-    # delta, the paper's schedule that grew K each iteration, is removed:
-    # K holds at k0, and neither its flag nor its key is read
-    def test_delta_is_usage_error(self, scene, tmp_path, capsys):
+    # retired options: delta, the paper's schedule that grew K each
+    # iteration (K holds at k0), and stride (the reference grid tiles the
+    # image); neither flag nor config key is read
+    @pytest.mark.parametrize("key", ["delta", "stride"])
+    def test_retired_option_is_usage_error(self, scene, tmp_path, capsys, key):
         _, noisy_path = scene
         out = tmp_path / "o"
-        code = main(["denoise", str(noisy_path), str(out), "--delta", "2"] + FAST)
+        code = main(["denoise", str(noisy_path), str(out), f"--{key}", "2"] + FAST)
         assert code == 1
-        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hsidenoise")
+        assert f"unrecognized arguments: --{key}" in err
+        assert not out.with_suffix(".hdr").exists()
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("delta = 2\n")
+        cfg.write_text(f"{key} = 2\n")
         code = main(["denoise", str(noisy_path), str(out), "--config", str(cfg)] + FAST)
         assert code == 1
-        assert "run.cfg:1: unknown key 'delta'" in capsys.readouterr().err
+        assert f"run.cfg:1: unknown key '{key}'" in capsys.readouterr().err
         assert not out.with_suffix(".hdr").exists()
 
     def test_config_line_without_equals_is_usage_error(self, scene, tmp_path, capsys):
@@ -289,7 +272,7 @@ class TestDenoiseCommand:
 # Every option of `denoise`; the denoiser ones mirror the config fields.
 DENOISE_OPTIONS = {
     "-h", "--help", "--clean", "--trace", "--dtype", "--config", "--k0",
-    "--lambda", "--gamma", "--iters", "--patch", "--stride", "--window",
+    "--lambda", "--gamma", "--iters", "--patch", "--window",
     "--group", "--seed", "--sigma0", "--no-normalize", "--keep-bands",
 }
 # a non-default value for each settable field and the config key it is read under
@@ -299,7 +282,6 @@ FIELD_VALUES = {
     "gamma": ("gamma", 0.25),
     "iters": ("iters", 2),
     "patch": ("patch", 5),
-    "stride": ("stride", 3),
     "window": ("window", 20),
     "group": ("group", 10),
 }

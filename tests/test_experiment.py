@@ -32,7 +32,7 @@ from hsidenoise.synthetic import rank_cube
 FAST_CFG = DenoiseConfig(
     k0=2,
     iters=2,
-    geom=PatchGeometry(patch=4, stride=2, window=10, group=16),
+    geom=PatchGeometry(patch=4, window=10, group=16),
 )
 
 
@@ -188,7 +188,7 @@ class TestRunExperiment:
         # patch bigger than the image: every case fails inside denoise,
         # but the sweep still completes and reports
         bad_cfg = DenoiseConfig(
-            k0=2, iters=1, geom=PatchGeometry(patch=40, stride=4, window=80, group=16)
+            k0=2, iters=1, geom=PatchGeometry(patch=40, window=80, group=16)
         )
         spec = ExperimentSpec(
             input_path=cube_path,

@@ -27,40 +27,30 @@ from hsidenoise.spatial import (
 )
 
 
-SMALL = PatchGeometry(patch=2, stride=2, window=6, group=4)
+SMALL = PatchGeometry(patch=2, window=6, group=4)
 
 
 class TestPatchGeometry:
     def test_defaults(self):
         geom = PatchGeometry()
-        assert (geom.patch, geom.stride, geom.window, geom.group) == (6, 6, 30, 70)
+        assert (geom.patch, geom.window, geom.group) == (6, 30, 70)
 
-    def test_stride_follows_patch(self):
-        assert PatchGeometry(patch=5).stride == 5
-        assert PatchGeometry(patch=4, stride=None).stride == 4
-
-    def test_explicit_stride_kept(self):
-        assert PatchGeometry(stride=2).stride == 2
-
-    def test_replace_keeps_resolved_stride(self):
-        # the stride is resolved at construction: replacing the patch alone
-        # carries stride 6, which exceeds patch 4
-        with pytest.raises(ValueError, match="stride"):
-            dataclasses.replace(PatchGeometry(), patch=4)
-        geom = dataclasses.replace(PatchGeometry(), patch=4, stride=None)
-        assert geom.stride == 4
+    def test_fields_are_keyword_only(self):
+        # by position, a stale PatchGeometry(6, 6, 30) would silently mean
+        # window 6, group 30
+        assert [f.name for f in dataclasses.fields(PatchGeometry)] == ["patch", "window", "group"]
+        with pytest.raises(TypeError):
+            PatchGeometry(6, 6, 30)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PatchGeometry(patch=0)
         with pytest.raises(ValueError):
-            PatchGeometry(stride=0)
-        with pytest.raises(ValueError):
             PatchGeometry(patch=6, window=4)
         with pytest.raises(ValueError):
             PatchGeometry(group=0)
 
-    @pytest.mark.parametrize("name", ["patch", "stride", "window", "group"])
+    @pytest.mark.parametrize("name", ["patch", "window", "group"])
     @pytest.mark.parametrize("value", [4.0, 2.5, True, np.float64(4.0)])
     def test_sizes_must_be_integers(self, name, value):
         # a float size once failed with a TypeError inside denoise
@@ -68,8 +58,9 @@ class TestPatchGeometry:
             PatchGeometry(**{name: value})
 
     def test_numpy_integer_sizes_accepted(self):
-        geom = PatchGeometry(*np.array([4, 2, 8, 10]))
-        assert (geom.patch, geom.stride, geom.window, geom.group) == (4, 2, 8, 10)
+        patch, window, group = np.array([4, 8, 10])
+        geom = PatchGeometry(patch=patch, window=window, group=group)
+        assert (geom.patch, geom.window, geom.group) == (4, 8, 10)
 
     def test_frozen(self):
         geom = PatchGeometry()
@@ -79,20 +70,20 @@ class TestPatchGeometry:
 
 class TestReferenceGrid:
     def test_hand_grid(self):
-        geom = PatchGeometry(patch=6, stride=4, window=30, group=70)
-        # 10 pixels, patch 6, stride 4: starts 0 and 4; 4 is also the
-        # clamped last valid start 10 - 6
+        geom = PatchGeometry(patch=6, window=30, group=70)
+        # 10 pixels, patch 6: starts 0 and 6, the second clamped to the last
+        # valid start 10 - 6 = 4
         grid = reference_grid(10, 10, geom)
         assert grid == [(0, 0), (0, 4), (4, 0), (4, 4)]
 
     def test_last_start_clamped(self):
-        geom = PatchGeometry(patch=6, stride=4, window=30, group=70)
+        geom = PatchGeometry(patch=6, window=30, group=70)
         grid = reference_grid(13, 13, geom)
         rows = sorted({r for r, _ in grid})
-        assert rows == [0, 4, 7]  # 13 - 6 = 7, not 8
+        assert rows == [0, 6, 7]  # 13 - 6 = 7, not 12
 
     def test_image_equals_patch(self):
-        geom = PatchGeometry(patch=4, stride=4, window=8, group=4)
+        geom = PatchGeometry(patch=4, window=8, group=4)
         assert reference_grid(4, 4, geom) == [(0, 0)]
 
     def test_row_major_order(self):
@@ -100,7 +91,7 @@ class TestReferenceGrid:
         assert grid == sorted(grid)
 
     def test_every_pixel_covered(self):
-        geom = PatchGeometry(patch=6, stride=4, window=30, group=70)
+        geom = PatchGeometry(patch=6, window=30, group=70)
         m = n = 21
         cover = np.zeros((m, n), dtype=bool)
         for r, c in reference_grid(m, n, geom):
@@ -139,7 +130,7 @@ class TestMatchGroup:
     def test_members_stay_inside_window(self):
         rng = np.random.default_rng(2)
         reduced = rng.standard_normal((30, 30, 2))
-        geom = PatchGeometry(patch=2, stride=2, window=4, group=9)
+        geom = PatchGeometry(patch=2, window=4, group=9)
         grp = match_group(reduced, (14, 14), geom)
         half = geom.window // 2
         for r, c in grp.members:
@@ -148,7 +139,7 @@ class TestMatchGroup:
     def test_small_window_takes_all_candidates(self):
         rng = np.random.default_rng(3)
         reduced = rng.standard_normal((6, 6, 1))
-        geom = PatchGeometry(patch=2, stride=2, window=2, group=70)
+        geom = PatchGeometry(patch=2, window=2, group=70)
         grp = match_group(reduced, (2, 2), geom)
         # 3x3 candidate corners in a +-1 window around (2, 2)
         assert len(grp.members) == 9
@@ -344,7 +335,7 @@ class TestDenoiseReduced:
         rng = np.random.default_rng(15)
         clean = np.tile(np.linspace(0.0, 255.0, 20)[:, None, None], (1, 20, 2))
         noisy = clean + rng.standard_normal(clean.shape) * 20.0
-        geom = PatchGeometry(patch=4, stride=2, window=10, group=20)
+        geom = PatchGeometry(patch=4, window=10, group=20)
         out = denoise_reduced(noisy, 20.0, geom)
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
 
@@ -461,7 +452,7 @@ STAGE_CASES = {
     # clipped windows give groups of 4, 6 and 9 members
     "ragged": (
         _scene(21, (12, 12, 3)),
-        PatchGeometry(patch=2, stride=2, window=2, group=9),
+        PatchGeometry(patch=2, window=2, group=9),
         10.0,
     ),
     # every candidate ties at distance 0
@@ -469,7 +460,7 @@ STAGE_CASES = {
     "one_patch": (_scene(22, (6, 6, 4)), PatchGeometry(), 10.0),
     "planted_duplicates": (
         _planted_duplicates(),
-        PatchGeometry(patch=4, stride=2, window=12, group=6),
+        PatchGeometry(patch=4, window=12, group=6),
         10.0,
     ),
     "default_geometry": (_scene(23, (40, 40, 5)), PatchGeometry(), 10.0),
@@ -488,7 +479,6 @@ def reduced_and_geometry(draw):
     patch = draw(st.integers(1, 4))
     geom = PatchGeometry(
         patch=patch,
-        stride=draw(st.integers(1, patch)),
         window=draw(st.integers(patch, 9)),
         group=draw(st.integers(1, 12)),
     )
@@ -757,7 +747,7 @@ class TestChunkInPlace:
         width = self.assert_box_matches_entry_bincount(
             np.random.default_rng(33), rows, cols, 400, 2, geom.patch
         )
-        assert width <= 3 * geom.stride + 2 * (geom.window // 2) + geom.patch
+        assert width <= 4 * geom.patch + 2 * (geom.window // 2)
 
 
 class TestGroupReuse:
@@ -817,7 +807,7 @@ class TestGroupReuse:
     def test_groups_of_another_width_rejected(self):
         """A 12x16 and a 16x12 image have the same number of references, but
         flat corners r*16 + c address other pixels of the 16x12 image."""
-        geom = PatchGeometry(patch=2, stride=2, window=4, group=5)
+        geom = PatchGeometry(patch=2, window=4, group=5)
         wide = np.random.default_rng(40).uniform(0.0, 255.0, (12, 16, 2))
         tall = np.ascontiguousarray(wide.transpose(1, 0, 2))
         groups = match_groups(wide, geom)
@@ -851,7 +841,7 @@ class TestGroupReuse:
 
     def test_unsigned_groups_match_signed(self):
         reduced = np.random.default_rng(41).uniform(0.0, 255.0, (20, 20, 3))
-        geom = PatchGeometry(4, 2, 8, 6)
+        geom = PatchGeometry(patch=4, window=8, group=6)
         corners, sizes = match_groups(reduced, geom)
         want = denoise_reduced(reduced, 10.0, geom, groups=(corners, sizes))
         got = denoise_reduced(
@@ -992,7 +982,7 @@ class TestPoolLifetime:
     def test_two_denoises_create_one_pool(self, pool_log, monkeypatch):
         use_workers(monkeypatch, 2)
         noisy = add_gaussian_noise(rank_cube(24, 24, 8, 2, seed=11), 20.0, seed=11)
-        cfg = DenoiseConfig(k0=2, iters=2, geom=PatchGeometry(patch=4, stride=2, window=10, group=16))
+        cfg = DenoiseConfig(k0=2, iters=2, geom=PatchGeometry(patch=4, window=10, group=16))
         first, _ = denoise(noisy, 20.0, cfg)
         second, _ = denoise(noisy, 20.0, cfg)
         np.testing.assert_array_equal(second, first)
@@ -1050,7 +1040,7 @@ class TestPoolLifetime:
         never run."""
         use_workers(monkeypatch, 2)
         cube = rank_cube(32, 32, 8, 2, seed=1)
-        cfg = DenoiseConfig(k0=2, iters=2, geom=PatchGeometry(patch=4, stride=2, window=10, group=16))
+        cfg = DenoiseConfig(k0=2, iters=2, geom=PatchGeometry(patch=4, window=10, group=16))
         denoise(add_gaussian_noise(cube, 20.0, seed=0), 20.0, cfg)
         assert [pid for pid, _ in fresh_pools] == [os.getpid()]
         base = dict(
@@ -1394,7 +1384,7 @@ def near_ties(offset, seed, m=16, n=16, k=4):
 
 # group 30: the reference and the 24 candidates that overlap it lead, and 5
 # of the 56 near ties follow them
-NEAR_TIE_GEOM = PatchGeometry(patch=3, stride=3, window=8, group=30)
+NEAR_TIE_GEOM = PatchGeometry(patch=3, window=8, group=30)
 
 # (offset, seed) of near_ties whose near ties take more than one value
 NEAR_TIE_CASES = [(2.0**12, 0), (2.0**12, 2), (2.0**26, 0), (2.0**26, 2)]
@@ -1436,7 +1426,7 @@ class TestShortlistMatch:
     def test_default_geometry(self, shape):
         self.assert_matches_offsets(_scene(33, shape), PatchGeometry())
 
-    @pytest.mark.parametrize("geom", [PatchGeometry(), PatchGeometry(4, 2, 12, 40)])
+    @pytest.mark.parametrize("geom", [PatchGeometry(), PatchGeometry(patch=4, window=12, group=40)])
     def test_exact_duplicates(self, geom):
         """Duplicates score exactly 0 and tie in row-major order; a default
         window holds about 60 of each reference."""
@@ -1474,7 +1464,7 @@ class TestShortlistMatch:
         not see the caller's errstate; no exact distance overflows."""
         rng = np.random.default_rng(35)
         reduced = 1e154 * (1.0 + rng.uniform(-1e-3, 1e-3, (20, 20, 3)))
-        geom = PatchGeometry(patch=3, stride=3, window=8, group=10)
+        geom = PatchGeometry(patch=3, window=8, group=10)
         with np.errstate(over="raise", invalid="raise"):
             self.assert_matches_offsets(reduced, geom)
 
@@ -1483,4 +1473,4 @@ class TestShortlistMatch:
         keep few bits and tie often."""
         rng = np.random.default_rng(36)
         reduced = 1e-160 * rng.uniform(0.0, 255.0, (20, 20, 3))
-        self.assert_matches_offsets(reduced, PatchGeometry(patch=3, stride=3, window=8, group=10))
+        self.assert_matches_offsets(reduced, PatchGeometry(patch=3, window=8, group=10))
