@@ -169,7 +169,9 @@ def _cmd_denoise(args):
     # the trace first: a trace path that cannot be written leaves no cube
     if args.trace:
         write_trace_csv(args.trace, trace)
-    write_cube(args.output, x, dtype=args.dtype)
+    # a normalized input's scale, [0, PEAK], is recorded, so load_input
+    # reads the values back as written, not mapped by their own range
+    write_cube(args.output, x, dtype=args.dtype, scale=(0.0, PEAK) if run.normalize else None)
     m, n, b = x.shape
     last = trace[-1]
     print(
@@ -186,7 +188,8 @@ def _cmd_add_noise(args):
     _, run = _build_config(args)
     cube = load_input(args.input, run.normalize, run.keep_bands)
     noisy = add_gaussian_noise(cube, args.sigma, seed=run.seed)
-    write_cube(args.output, noisy, dtype=args.dtype)
+    # recorded as in denoise, so noisy and clean load on one scale
+    write_cube(args.output, noisy, dtype=args.dtype, scale=(0.0, PEAK) if run.normalize else None)
     print(f"wrote {args.output} (sigma={args.sigma:g}, seed={run.seed})")
     return 0
 
@@ -219,10 +222,11 @@ def _parse_list(text, what, kind=float):
         raise ValueError(f"bad {what} list {text!r}") from exc
 
 
-def _cmd_run_exp(args):
+def _spec(args, sigmas, **extra):
+    """The ExperimentSpec of a sweep subcommand's input, output directory
+    and options."""
     cfg, run = _build_config(args)
-    sigmas = _parse_list(args.sigmas, "sigma")
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         input_path=args.input,
         sigmas=sigmas,
         output_dir=args.outdir,
@@ -230,10 +234,13 @@ def _cmd_run_exp(args):
         config=cfg,
         normalize=run.normalize,
         keep_bands=run.keep_bands,
-        label=args.label,
-        jobs=args.jobs,
-        save_cubes=not args.no_save_cubes,
+        **extra,
     )
+
+
+def _cmd_run_exp(args):
+    spec = _spec(args, _parse_list(args.sigmas, "sigma"), label=args.label,
+                 jobs=args.jobs, save_cubes=not args.no_save_cubes)
     rows = run_experiment(spec)
     for row in rows:
         if row["status"] == "ok":
@@ -249,16 +256,7 @@ def _cmd_run_exp(args):
 
 
 def _cmd_bench_bands(args):
-    cfg, run = _build_config(args)
-    spec = ExperimentSpec(
-        input_path=args.input,
-        sigmas=[args.sigma],
-        output_dir=args.outdir,
-        seed=run.seed,
-        config=cfg,
-        normalize=run.normalize,
-        keep_bands=run.keep_bands,
-    )
+    spec = _spec(args, [args.sigma])
     counts = _parse_list(args.bands, "band", int) if args.bands else None
     rows = bench_bands(spec, counts)
     for row in rows:

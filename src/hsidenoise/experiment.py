@@ -21,7 +21,7 @@ from .io import (
 )
 from .metrics import _check_window, mssim, quality_report
 from .pipeline import DenoiseConfig, IterationRecord, denoise
-from .tensor import _all_finite, _int_field
+from .tensor import _all_finite, _int_field, _noise_level
 
 __all__ = [
     "ExperimentSpec",
@@ -71,8 +71,9 @@ class ExperimentSpec:
     save_cubes: bool = True
 
     def __post_init__(self):
-        if not self.sigmas or not all(0 <= s < np.inf for s in self.sigmas):
-            raise ValueError(f"sigmas must be one or more finite values >= 0, got {self.sigmas}")
+        if not self.sigmas:
+            raise ValueError(f"sigmas must list one or more noise levels, got {self.sigmas}")
+        _noise_level("sigmas", self.sigmas)
         if _int_field("jobs", self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         _int_field("seed", self.seed)
@@ -130,8 +131,9 @@ def write_trace_csv(path, trace):
 
 
 def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):
-    """One (image, sigma) case; a failure is captured in the status field,
-    and its traceback in {tag}_error.txt in outdir."""
+    """One (image, sigma) case, its outputs written into the directory
+    outdir (a Path); a failure is captured in the status field, and its
+    traceback in {tag}_error.txt there."""
     row = {f: "" for f in REPORT_FIELDS}
     row["image"] = image_name
     row["sigma"] = repr(float(sigma))
@@ -151,14 +153,12 @@ def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):
             seconds=repr(elapsed),
             status="ok",
         )
-        if outdir is not None:
-            write_trace_csv(Path(outdir) / f"{tag}_trace.csv", trace)
-            if save_cubes:
-                write_cube(Path(outdir) / f"{tag}_denoised.hdr", x)
+        write_trace_csv(outdir / f"{tag}_trace.csv", trace)
+        if save_cubes:
+            write_cube(outdir / f"{tag}_denoised.hdr", x)
     except Exception as exc:  # harness must keep going
         row["status"] = f"error: {type(exc).__name__}: {exc}"
-        if outdir is not None:
-            (Path(outdir) / f"{tag}_error.txt").write_text(traceback.format_exc())
+        (outdir / f"{tag}_error.txt").write_text(traceback.format_exc())
     return row
 
 

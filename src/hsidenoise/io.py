@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import PEAK, as_cube, fold3, unfold3
+from .tensor import PEAK, _noise_level, as_cube, fold3, unfold3
 
 __all__ = [
     "CubeHeader",
@@ -154,7 +154,9 @@ def rescale(cube, bounds=None):
     """Affine map of cube values onto [0, PEAK].
 
     bounds supplies the source range; by default the data min/max is used.
-    Values outside the bounds are clipped.  A flat range maps to zeros.
+    Values outside the bounds are mapped by the same affine map, not
+    clipped, so a noisy cube written with its clean cube's scale keeps
+    its noise.  A flat range maps to zeros.
     """
     cube = np.asarray(cube, dtype=np.float64)
     if bounds is None:
@@ -163,7 +165,7 @@ def rescale(cube, bounds=None):
         lo, hi = (float(b) for b in bounds)
     if hi <= lo:
         return np.zeros_like(cube)
-    return (np.clip(cube, lo, hi) - lo) * (PEAK / (hi - lo))
+    return (cube - lo) * (PEAK / (hi - lo))
 
 
 def read_cube(path):
@@ -358,9 +360,7 @@ def add_gaussian_noise(cube, sigma, seed=0):
     returns the input unchanged.
     """
     cube = as_cube(cube)
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
+    if _noise_level("sigma", sigma) == 0:
         return cube.copy()
     rng = np.random.default_rng(seed)
     return cube + rng.normal(0.0, sigma, size=cube.shape)

@@ -33,6 +33,7 @@ from .tensor import (
     _all_finite,
     _int_field,
     _near_peak,
+    _noise_level,
     _row_blocks,
     as_cube,
     frob_norm_sq,
@@ -277,9 +278,7 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
     with _one_blas_thread():
         y = as_cube(noisy, "noisy")
         if sigma0 is not None:
-            sigma0 = float(sigma0)
-            if not 0 <= sigma0 < np.inf:
-                raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
+            sigma0 = _noise_level("sigma0", float(sigma0))
         y, sigma0, e = _near_peak(y, "input cube", sigma0)
         if clean is not None:
             if np.shape(clean) != y.shape:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _int_field, _near_peak, as_cube
+from .tensor import _int_field, _near_peak, _noise_level, as_cube
 
 __all__ = [
     "PatchGeometry",
@@ -469,12 +469,6 @@ def match_group(reduced, ref, geom):
     )
 
 
-def _check_sigma(sigma):
-    # written so that NaN, which fails every comparison, fails the check
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-
-
 def _shrink(b, sigma):
     """Weighted singular-value shrinkage, in place, of a stack of group
     matrices given transposed as b, shape (G, p, d), one vectorized patch
@@ -534,8 +528,7 @@ def wnnm_shrink(g, sigma):
     g = np.array(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"expected a 2-d group matrix, got shape {g.shape}")
-    _check_sigma(sigma)
-    g, sigma, e = _near_peak(g, "g", sigma)
+    g, sigma, e = _near_peak(g, "g", _noise_level("sigma", sigma))
     _shrink(g.T[None], sigma)
     if e:
         np.ldexp(g, e, out=g)
@@ -812,7 +805,7 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
     the call outlives it, every buffer is back, and the pool serves the
     next call.
     """
-    _check_sigma(sigma)
+    _noise_level("sigma", sigma)
     reduced = np.ascontiguousarray(as_cube(reduced, "reduced"))
     reduced, sigma, e = _near_peak(reduced, "reduced", sigma)
     m, n, k = reduced.shape

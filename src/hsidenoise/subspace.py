@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _all_finite, _scale_exponent, as_cube, mode3_product
+from .tensor import _near_peak, _noise_level, as_cube, mode3_product
 
 __all__ = [
     "SubspaceModel",
@@ -57,8 +57,8 @@ def _band_gram(cube):
     """(R, tr(R), f): the band Gram R = Z Z^T, Z the (B, M*N) view of the
     cube times 2^-f.  f is 0 unless R or tr(R) is not finite (entries near
     1e152) or a nonzero cube's tr(R) is below _GRAM_FLOOR; then R is formed
-    on the cube scaled by the power of two that puts it on [128, 256),
-    exactly.  Only a non-finite entry raises numpy.linalg.LinAlgError.
+    on the cube scaled near PEAK by tensor._near_peak, exactly, which
+    raises ValueError for a cube with a non-finite entry.
     """
     m, n, b = cube.shape
 
@@ -71,13 +71,22 @@ def _band_gram(cube):
     r, tr = gram(cube)
     if np.isfinite(tr) and np.all(np.isfinite(r)) and (tr >= _GRAM_FLOOR or not np.any(cube)):
         return r, tr, 0
-    top = max(float(cube.max()), -float(cube.min()))
-    if not math.isfinite(top):
+    scaled, _, f = _near_peak(cube, "cube")
+    return (*gram(scaled), f)
+
+
+def _eigenpairs(gram):
+    """(eigenvalues, eigenvectors) of a B x B band Gram matrix, largest
+    first, as views of eigh's result; numpy.linalg.LinAlgError where
+    LAPACK fails."""
+    try:
+        evals, evecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        b = gram.shape[0]
         raise np.linalg.LinAlgError(
-            f"the {b}x{b} band Gram matrix is not finite: the cube has a non-finite entry"
-        )
-    f = _scale_exponent(top)
-    return (*gram(np.ldexp(cube, -f)), f)
+            f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
+        ) from exc
+    return evals[::-1], evecs[:, ::-1]
 
 
 def _gram_basis(gram, k):
@@ -85,14 +94,7 @@ def _gram_basis(gram, k):
     largest eigenvalue first, each column signed by _fix_column_signs.
     The basis does not depend on the matrix's scale, so the Gram of a cube
     that _band_gram scaled serves as the cube's own."""
-    b = gram.shape[0]
-    try:
-        _, evecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition of the {b}x{b} band Gram matrix failed: {exc}"
-        ) from exc
-    return _fix_column_signs(np.ascontiguousarray(evecs[:, ::-1][:, :k]))
+    return _fix_column_signs(np.ascontiguousarray(_eigenpairs(gram)[1][:, :k]))
 
 
 def spectral_decompose(cube, k):
@@ -106,7 +108,7 @@ def spectral_decompose(cube, k):
     The decomposition runs on the B x B band Gram matrix, so the cost
     stays linear in the pixel count.  _band_gram scales a cube whose Gram
     would overflow or underflow by a power of two, so its basis is the
-    in-range cube's.  A non-finite entry raises ValueError.
+    in-range cube's, and raises ValueError for a non-finite entry.
     """
     # one C-ordered copy of another layout serves the Gram and the projection
     cube = np.ascontiguousarray(as_cube(cube))
@@ -114,8 +116,6 @@ def spectral_decompose(cube, k):
     k = int(k)
     if not 1 <= k <= b:
         raise ValueError(f"subspace dimension must be in [1, {b}], got {k}")
-    if not _all_finite(cube):
-        raise ValueError("cube has non-finite entries")
 
     basis = _gram_basis(_band_gram(cube)[0], k)
     reduced = mode3_product(cube, basis.T)
@@ -145,8 +145,8 @@ def estimate_band_noise(cube):
     cube would overflow or underflow (entries near 1e152, or near 1e-156
     in a 32x32x16 cube), R is that of the cube scaled by 2^-f and the
     sigmas are scaled back by 2^f, which is exact, so the result is the
-    in-range cube's scaled alike.  Only a non-finite entry raises
-    numpy.linalg.LinAlgError.  An all-zero cube gives all-zero sigmas.
+    in-range cube's scaled alike.  A non-finite entry raises ValueError,
+    as it does in denoise.  An all-zero cube gives all-zero sigmas.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
@@ -186,27 +186,19 @@ def estimate_subspace_dim(cube, per_band_sigma):
     Ben Arous & Peche 2005).  Returns an int in [1, B].  Degenerate input
     (no positive eigenvalue, as from an all-zero cube) returns 1 with a
     warning.  Where _band_gram scales the cube by 2^-f, the sigmas are
-    scaled with it, so K is the in-range cube's; only a non-finite entry
-    raises numpy.linalg.LinAlgError.
+    scaled with it, so K is the in-range cube's; a non-finite entry
+    raises ValueError.
     """
     cube = as_cube(cube)
     m, n, b = cube.shape
     sig = np.asarray(per_band_sigma, dtype=np.float64)
     if sig.shape != (b,):
         raise ValueError(f"expected {b} band sigmas, got shape {sig.shape}")
-    if not np.all((sig >= 0) & (sig < np.inf)):
-        raise ValueError("band sigmas must be finite and >= 0")
+    _noise_level("band sigmas", sig)
 
     ry, _, f = _band_gram(cube)
     ry /= m * n
-    try:
-        evals, evecs = np.linalg.eigh(ry)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition of the band correlation matrix failed: {exc}"
-        ) from exc
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
+    evals, evecs = _eigenpairs(ry)
 
     if not np.all(np.isfinite(evals)) or evals[0] <= 0:
         warnings.warn("degenerate band correlation; defaulting to K=1")

@@ -79,6 +79,16 @@ def _int_field(name, value):
     return int(value)
 
 
+def _noise_level(name, value):
+    """value, if it is a noise level or an array of them, each finite and
+    >= 0; a ValueError naming the field otherwise.  Written so that NaN,
+    which fails every comparison, fails the check."""
+    v = np.asarray(value)
+    if not np.all((v >= 0) & (v < np.inf)):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def unfold3(cube):
     """Unfold a cube along the band mode into a (B, M*N) matrix.
 

@@ -12,6 +12,7 @@ import pytest
 
 from hsidenoise import cli
 from hsidenoise.cli import _build_config, build_parser, main
+from hsidenoise.experiment import load_input
 from hsidenoise.io import add_gaussian_noise, read_cube, write_cube
 from hsidenoise.pipeline import DenoiseConfig, denoise
 from hsidenoise.spatial import PatchGeometry
@@ -461,6 +462,38 @@ class TestOtherCommands:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
+
+
+class TestWrittenScale:
+    """add-noise and denoise record [0, PEAK] on a cube they write from a
+    normalized input, so load_input reads it back on the clean cube's
+    scale, not mapped by its own data range."""
+
+    @pytest.fixture
+    def round_trip(self, tmp_path):
+        """(clean, noisy): CI's clean 24x24x191 cube and add-noise's copy
+        of it at sigma 30."""
+        clean = write_cube(tmp_path / "clean191", rank_cube(24, 24, 191, 3, seed=0))
+        noisy = tmp_path / "noisy191"
+        assert main(["add-noise", str(clean), str(noisy), "--sigma", "30", "--seed", "0"]) == 0
+        return clean, noisy.with_suffix(".hdr")
+
+    def test_add_noise_loads_as_noise_added_in_memory(self, round_trip):
+        clean, noisy = round_trip
+        np.testing.assert_array_equal(
+            load_input(noisy), add_gaussian_noise(load_input(clean), 30.0, seed=0)
+        )
+
+    def test_estimate_k_reads_the_added_sigma(self, round_trip, capsys):
+        assert main(["estimate-k", str(round_trip[1])]) == 0
+        median = float(capsys.readouterr().out.split("median=")[1].split()[0])
+        assert median == pytest.approx(30.0, rel=0.02)
+
+    def test_denoise_output_loads_as_written(self, scene, tmp_path):
+        _, noisy_path = scene
+        out = tmp_path / "out"
+        assert main(["denoise", str(noisy_path), str(out), "--sigma0", "20"] + FAST) == 0
+        np.testing.assert_array_equal(load_input(out.with_suffix(".hdr")), read_cube(out))
 
 
 class TestNonFiniteInput:

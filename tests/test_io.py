@@ -323,6 +323,15 @@ class TestHelpers:
         assert out.min() == 0.0
         assert out.max() == pytest.approx(255.0)
 
+    def test_rescale_keeps_values_outside_bounds(self):
+        """A float cube's values outside its bounds, as a noisy cube's
+        leave its clean scale, are mapped by the same affine map, not
+        clipped."""
+        cube = np.array([-10.0, 0.0, 5.0, 20.0, 30.0]).reshape(1, 1, 5)
+        np.testing.assert_array_equal(
+            rescale(cube, (0.0, 20.0)), [[[-127.5, 0.0, 63.75, 255.0, 382.5]]]
+        )
+
     def test_rescale_constant_input(self):
         out = rescale(np.full((3, 3, 2), 7.0))
         np.testing.assert_array_equal(out, np.zeros((3, 3, 2)))

@@ -237,7 +237,7 @@ class TestEstimateBandNoise:
     def test_non_finite_entry_raises(self, bad):
         x = add_gaussian_noise(rank_cube(32, 32, 8, 3, seed=0), 10.0, seed=0)
         x[3, 4, 5] = bad
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        with pytest.raises(ValueError, match="cube has non-finite entries"):
             estimate_band_noise(x)
 
     def test_constant_cube_near_zero(self):
@@ -325,6 +325,27 @@ def test_out_of_range_gram_scaled_exactly(e):
         scaled = spectral_decompose(y, 3)
     np.testing.assert_array_equal(scaled.basis, model.basis)
     np.testing.assert_array_equal(scaled.reduced, np.ldexp(model.reduced, e))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda c: spectral_decompose(c, 3), lambda c: estimate_subspace_dim(c, np.full(8, 5.0))],
+    ids=["spectral_decompose", "estimate_subspace_dim"],
+)
+def test_eigh_failure_has_one_message(call, monkeypatch):
+    """A LAPACK failure in the band Gram's eigendecomposition reaches the
+    fit and the K estimate as one LinAlgError, with one message."""
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    cube = add_gaussian_noise(rank_cube(16, 16, 8, 3, seed=0), 5.0, seed=0)
+    with pytest.raises(
+        np.linalg.LinAlgError,
+        match="^eigendecomposition of the 8x8 band Gram matrix failed: Eigenvalues did not converge$",
+    ):
+        call(cube)
 
 
 class TestReestimateNoise:
