@@ -16,6 +16,7 @@ import numpy as np
 
 from .experiment import (
     ExperimentSpec,
+    _written_scale,
     bench_bands,
     load_input,
     run_experiment,
@@ -106,7 +107,7 @@ def _read_config_file(path):
     return vals
 
 
-def _add_config_flags(parser, denoiser=True, run_options=tuple(_RUN_OPTIONS)):
+def _add_config_flags(parser, run_options, denoiser=True):
     """Add --config, the denoiser flags if denoiser, and the named run options.
 
     A subcommand gets only the flags it reads; its --config file may still
@@ -169,9 +170,7 @@ def _cmd_denoise(args):
     # the trace first: a trace path that cannot be written leaves no cube
     if args.trace:
         write_trace_csv(args.trace, trace)
-    # a normalized input's scale, [0, PEAK], is recorded, so load_input
-    # reads the values back as written, not mapped by their own range
-    write_cube(args.output, x, dtype=args.dtype, scale=(0.0, PEAK) if run.normalize else None)
+    write_cube(args.output, x, dtype=args.dtype, scale=_written_scale(run.normalize))
     m, n, b = x.shape
     last = trace[-1]
     print(
@@ -188,8 +187,7 @@ def _cmd_add_noise(args):
     _, run = _build_config(args)
     cube = load_input(args.input, run.normalize, run.keep_bands)
     noisy = add_gaussian_noise(cube, args.sigma, seed=run.seed)
-    # recorded as in denoise, so noisy and clean load on one scale
-    write_cube(args.output, noisy, dtype=args.dtype, scale=(0.0, PEAK) if run.normalize else None)
+    write_cube(args.output, noisy, dtype=args.dtype, scale=_written_scale(run.normalize))
     print(f"wrote {args.output} (sigma={args.sigma:g}, seed={run.seed})")
     return 0
 
@@ -283,7 +281,7 @@ def build_parser():
     p.add_argument("--clean", help="ground-truth cube for metrics")
     p.add_argument("--trace", help="write per-iteration trace CSV here")
     p.add_argument("--dtype", default="f64", choices=list(DTYPES))
-    _add_config_flags(p)
+    _add_config_flags(p, ("sigma0", "normalize", "keep_bands"))
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("add-noise", help="write a noisy copy of a cube")
@@ -291,7 +289,7 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--dtype", default="f64", choices=list(DTYPES))
-    _add_config_flags(p, denoiser=False, run_options=("seed", "normalize", "keep_bands"))
+    _add_config_flags(p, ("seed", "normalize", "keep_bands"), denoiser=False)
     p.set_defaults(func=_cmd_add_noise)
 
     p = sub.add_parser("metrics", help="compare two cubes")
@@ -302,7 +300,7 @@ def build_parser():
 
     p = sub.add_parser("estimate-k", help="estimate noise and subspace dimension")
     p.add_argument("input")
-    _add_config_flags(p, denoiser=False, run_options=("normalize", "keep_bands"))
+    _add_config_flags(p, ("normalize", "keep_bands"), denoiser=False)
     p.set_defaults(func=_cmd_estimate_k)
 
     p = sub.add_parser("run-exp", help="noise sweep with CSV report")
@@ -312,7 +310,7 @@ def build_parser():
     p.add_argument("--label", help="image name in the report (default: input stem)")
     p.add_argument("--jobs", type=int, default=ExperimentSpec.jobs, help=f"parallel worker processes (default {ExperimentSpec.jobs})")
     p.add_argument("--no-save-cubes", action="store_true", help="skip writing denoised cubes")
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed", "normalize", "keep_bands"))
     p.set_defaults(func=_cmd_run_exp)
 
     p = sub.add_parser("bench-bands", help="stage timing vs band count")
@@ -320,7 +318,7 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=50.0)
     p.add_argument("--bands", help="comma list of band counts (default 32,64,128 below B, then B)")
     p.add_argument("--outdir", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed", "normalize", "keep_bands"))
     p.set_defaults(func=_cmd_bench_bands)
 
     return parser

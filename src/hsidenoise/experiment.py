@@ -3,6 +3,7 @@ and the band-count scaling benchmark.
 """
 
 import csv
+import functools
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from .io import (
 )
 from .metrics import _check_window, mssim, quality_report
 from .pipeline import DenoiseConfig, IterationRecord, denoise
-from .tensor import _all_finite, _int_field, _noise_level
+from .tensor import PEAK, _all_finite, _int_field, _noise_level
 
 __all__ = [
     "ExperimentSpec",
@@ -117,6 +118,12 @@ def load_input(path, normalize=True, keep_bands=None):
     return cube
 
 
+def _written_scale(normalize):
+    """The scale recorded on a cube derived from a load_input(normalize)
+    load, so that load_input reads it back as written: [0, PEAK] or None."""
+    return (0.0, PEAK) if normalize else None
+
+
 def _write_rows(path, rows, columns):
     # csv writes floats with str(), an exact round trip, and None as ""
     with open(path, "w", newline="") as fh:
@@ -130,18 +137,18 @@ def write_trace_csv(path, trace):
     _write_rows(path, (asdict(rec) for rec in trace), TRACE_FIELDS)
 
 
-def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):
-    """One (image, sigma) case, its outputs written into the directory
-    outdir (a Path); a failure is captured in the status field, and its
-    traceback in {tag}_error.txt there."""
-    row = {f: "" for f in REPORT_FIELDS}
-    row["image"] = image_name
-    row["sigma"] = repr(float(sigma))
-    tag = f"{image_name}_sigma{sigma:g}"
+def _run_case(spec, clean, index):
+    """Case index of spec's sweep over its loaded input clean, its outputs
+    written into spec.output_dir; a failure is captured in the status
+    field, and its traceback in {tag}_error.txt there."""
+    sigma = spec.sigmas[index]
+    outdir = Path(spec.output_dir)
+    row = {f: "" for f in REPORT_FIELDS} | {"image": spec.image_name, "sigma": repr(float(sigma))}
+    tag = f"{spec.image_name}_sigma{sigma:g}"
     try:
-        noisy = add_gaussian_noise(clean, sigma, seed=case_seed)
+        noisy = add_gaussian_noise(clean, sigma, seed=spec.seed + index)
         t0 = time.perf_counter()
-        x, trace = denoise(noisy, sigma, cfg, clean=clean)
+        x, trace = denoise(noisy, sigma, spec.config, clean=clean)
         elapsed = time.perf_counter() - t0
         rep = quality_report(clean, x)
         row.update(
@@ -154,8 +161,8 @@ def _run_case(clean, sigma, case_seed, cfg, image_name, outdir, save_cubes):
             status="ok",
         )
         write_trace_csv(outdir / f"{tag}_trace.csv", trace)
-        if save_cubes:
-            write_cube(outdir / f"{tag}_denoised.hdr", x)
+        if spec.save_cubes:
+            write_cube(outdir / f"{tag}_denoised.hdr", x, scale=_written_scale(spec.normalize))
     except Exception as exc:  # harness must keep going
         row["status"] = f"error: {type(exc).__name__}: {exc}"
         (outdir / f"{tag}_error.txt").write_text(traceback.format_exc())
@@ -175,15 +182,12 @@ def run_experiment(spec):
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    args = [
-        (clean, sigma, spec.seed + i, spec.config, spec.image_name, outdir, spec.save_cubes)
-        for i, sigma in enumerate(spec.sigmas)
-    ]
-    if spec.jobs > 1 and len(args) > 1:
+    indices = range(len(spec.sigmas))
+    if spec.jobs > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_run_case, *zip(*args)))
+            rows = list(pool.map(functools.partial(_run_case, spec, clean), indices))
     else:
-        rows = [_run_case(*a) for a in args]
+        rows = [_run_case(spec, clean, i) for i in indices]
 
     _write_rows(outdir / "report.csv", rows, REPORT_FIELDS)
     return rows

@@ -314,10 +314,10 @@ def _exact_distances(patches, refs, owner, ys, xs, step):
 
 
 def _match_refs(patches, norms, r, cols, geom, out):
-    """Write into out the search-window offsets a*w + b of the candidates of
-    the references at row r and columns cols of the image whose _patch_view
-    is patches, nearest first, the reference itself first of all; norms are
-    the patches' squared norms.
+    """Write into out the flat corners y*N + x of the candidates of the
+    references at row r and columns cols of the N pixels wide image whose
+    _patch_view is patches, nearest first, the reference itself first of
+    all; norms are the patches' squared norms.
 
     The distance of every in-window candidate is estimated (_estimate) and
     a shortlist drawn from the estimates (_shortlist), both under
@@ -329,11 +329,12 @@ def _match_refs(patches, norms, r, cols, geom, out):
     sizes nearest, ties included.  Only the shortlist gets its exact distance (_exact_distances)
     and a stable sort, in row-major candidate order, so ties keep that
     order.  When a window holds fewer in-image candidates than out is wide,
-    its offsets that leave the image follow them in row-major order.
+    its corners that leave the image follow them in row-major window order.
     """
     h = geom.window // 2
     w = 2 * h + 1
     ps, d = patches.shape[2], patches.shape[2] * patches.shape[3]
+    n = patches.shape[1] + ps - 1
     width = out.shape[1]
     top, bottom = max(r - h, 0), min(r + h + 1, patches.shape[0])
     lo = np.maximum(cols - h, 0)
@@ -360,12 +361,11 @@ def _match_refs(patches, norms, r, cols, geom, out):
     order = np.lexsort((dist, owner))
     ranks = np.arange(width) < sizes[:, None]
     best = order[(np.searchsorted(owner, np.arange(len(cols)))[:, None] + np.arange(width))[ranks]]
-    out[ranks] = (ys[best] - r + h) * w + xs[best] - cols[owner[best]] + h
+    out[ranks] = ys[best] * n + xs[best]
     for j in np.flatnonzero(sizes < width):
-        a, b = np.divmod(np.arange(w * w), w)
-        inside = (top <= r + a - h) & (r + a - h < bottom)
-        inside &= (lo[j] <= cols[j] + b - h) & (cols[j] + b - h < hi[j])
-        out[j, sizes[j] :] = np.flatnonzero(~inside)[: width - sizes[j]]
+        y, x = np.ogrid[r - h : r + h + 1, cols[j] - h : cols[j] + h + 1]
+        outside = (y < top) | (y >= bottom) | (x < lo[j]) | (x >= hi[j])
+        out[j, sizes[j] :] = (y * n + x)[outside][: width - sizes[j]]
 
 
 def _match(reduced, rows, cols, geom):
@@ -381,11 +381,11 @@ def _match(reduced, rows, cols, geom):
     Every term is non-negative, so exact duplicates score exactly 0.
     Candidates tie in row-major order.
     The calling thread matches the references row by row, a run of columns
-    at a time (_match_refs), so that their estimates and patches take at
-    most a quarter of _CHUNK_BYTES however wide the image, and the pieces
-    of candidate patches and of shortlist differences the rest of half of
-    it.  Each run reads the image in place, and the patches' squared norms,
-    formed once here.
+    at a time (_match_refs, which writes their corners in place), so that
+    their estimates and patches take at most a quarter of _CHUNK_BYTES
+    however wide the image, and the pieces of candidate patches and of
+    shortlist differences the rest of half of it.  Each run reads the image
+    in place, and the patches' squared norms, formed once here.
     """
     m, n, k = reduced.shape
     ps, h = geom.patch, geom.window // 2
@@ -396,19 +396,17 @@ def _match(reduced, rows, cols, geom):
     patches = _patch_view(reduced, ps)
     with np.errstate(all="ignore"):
         norms = _patch_norms(reduced, ps)
-    order = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
+    corners = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
     for i, r in enumerate(rows):
         window_rows = min(r + h + 1, patches.shape[0]) - max(r - h, 0)
         step = max(1, _CHUNK_BYTES // 4 // (8 * (d + window_rows * w)))
         for j in range(0, len(cols), step):
-            _match_refs(patches, norms, r, cols[j : j + step], geom, order[i, j : j + step])
-    dr, dc = np.divmod(order, w)
-    corners = (rows[:, None, None] + dr - h) * n + (cols[None, :, None] + dc - h)
+            _match_refs(patches, norms, r, cols[j : j + step], geom, corners[i, j : j + step])
     # in-image candidates per axis: corners max(r - h, 0) to min(r + h, M - ps)
     in_r = np.minimum(rows + h, m - ps) - np.maximum(rows - h, 0) + 1
     in_c = np.minimum(cols + h, n - ps) - np.maximum(cols - h, 0) + 1
     sizes = np.minimum(geom.group, in_r[:, None] * in_c)
-    return corners.reshape(-1, order.shape[2]), sizes.ravel()
+    return corners.reshape(-1, corners.shape[2]), sizes.ravel()
 
 
 def _patch_offsets(ps, n):

@@ -184,6 +184,30 @@ class TestRunExperiment:
         denoised = read_cube(tmp_path / "out" / "scene_sigma10_denoised.hdr")
         assert denoised.shape == (32, 32, 8)
 
+    def test_denoised_cubes_load_as_written(self, cube_path, tmp_path):
+        """A sweep over a normalized load records scale 0 255 on each
+        denoised cube, so load_input reads it back bit for bit; a sweep over
+        stored values records no scale."""
+        for normalize in (True, False):
+            outdir = tmp_path / f"out-{normalize}"
+            spec = ExperimentSpec(
+                input_path=cube_path,
+                sigmas=[10.0, 30.0],
+                output_dir=outdir,
+                config=FAST_CFG,
+                normalize=normalize,
+            )
+            run_experiment(spec)
+            paths = sorted(outdir.glob("*_denoised.hdr"))
+            assert len(paths) == 2
+            for path in paths:
+                scale_lines = [ln for ln in path.read_text().splitlines() if ln.startswith("scale")]
+                if normalize:
+                    assert scale_lines == ["scale = 0 255"]
+                    assert load_input(path).tobytes() == read_cube(path).tobytes()
+                else:
+                    assert scale_lines == []
+
     def test_failures_recorded_not_raised(self, cube_path, tmp_path):
         # patch bigger than the image: every case fails inside denoise,
         # but the sweep still completes and reports
