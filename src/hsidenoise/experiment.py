@@ -56,6 +56,11 @@ def _check_keep_bands(keep_bands):
         raise ValueError(f"keep_bands must list one or more distinct bands, got {list(keep_bands)}")
 
 
+def _sigma_tag(sigma):
+    """The part of a sweep case's file names that names its sigma."""
+    return f"sigma{sigma:g}"
+
+
 @dataclass
 class ExperimentSpec:
     """One noise-sweep experiment over a clean input cube."""
@@ -75,6 +80,11 @@ class ExperimentSpec:
         if not self.sigmas:
             raise ValueError(f"sigmas must list one or more noise levels, got {self.sigmas}")
         _noise_level("sigmas", self.sigmas)
+        tags = [_sigma_tag(sigma) for sigma in self.sigmas]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ValueError(f"sigmas {self.sigmas[tags.index(tag)]} and {self.sigmas[i]} "
+                                 f"would both name their case files {tag}; make them differ in %g")
         if _int_field("jobs", self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         _int_field("seed", self.seed)
@@ -144,7 +154,7 @@ def _run_case(spec, clean, index):
     sigma = spec.sigmas[index]
     outdir = Path(spec.output_dir)
     row = {f: "" for f in REPORT_FIELDS} | {"image": spec.image_name, "sigma": repr(float(sigma))}
-    tag = f"{spec.image_name}_sigma{sigma:g}"
+    tag = f"{spec.image_name}_{_sigma_tag(sigma)}"
     try:
         noisy = add_gaussian_noise(clean, sigma, seed=spec.seed + index)
         t0 = time.perf_counter()

@@ -64,7 +64,6 @@ from .tensor import _int_field, _near_peak, _noise_level, as_cube
 __all__ = [
     "PatchGeometry",
     "PatchGroup",
-    "reference_grid",
     "match_group",
     "match_groups",
     "wnnm_shrink",
@@ -169,16 +168,6 @@ def _grid_axes(m, n, geom):
             f"patch size {geom.patch} exceeds image dims ({m}, {n})"
         )
     return _axis_grid(m, geom.patch), _axis_grid(n, geom.patch)
-
-
-def reference_grid(m, n, geom):
-    """Top-left corners of the reference patches, row-major.
-
-    Corners one patch side apart, with the last row/column clamped to the
-    image edge so every pixel falls inside at least one reference patch.
-    """
-    rows, cols = _grid_axes(m, n, geom)
-    return [(r, c) for r in rows for c in cols]
 
 
 # Margin of the match's shortlist.  A candidate's distance to a reference is
@@ -313,11 +302,12 @@ def _exact_distances(patches, refs, owner, ys, xs, step):
     return dist
 
 
-def _match_refs(patches, norms, r, cols, geom, out):
+def _match_refs(patches, norms, r, cols, top, bottom, lo, hi, sizes, geom, out):
     """Write into out the flat corners y*N + x of the candidates of the
     references at row r and columns cols of the N pixels wide image whose
     _patch_view is patches, nearest first, the reference itself first of
-    all; norms are the patches' squared norms.
+    all; norms are the patches' squared norms.  Reference j's group is its
+    sizes[j] nearest in rows top to bottom - 1, columns lo[j] to hi[j] - 1.
 
     The distance of every in-window candidate is estimated (_estimate) and
     a shortlist drawn from the estimates (_shortlist), both under
@@ -336,11 +326,7 @@ def _match_refs(patches, norms, r, cols, geom, out):
     ps, d = patches.shape[2], patches.shape[2] * patches.shape[3]
     n = patches.shape[1] + ps - 1
     width = out.shape[1]
-    top, bottom = max(r - h, 0), min(r + h + 1, patches.shape[0])
-    lo = np.maximum(cols - h, 0)
-    hi = np.minimum(cols + h + 1, patches.shape[1])
     widths = hi - lo
-    sizes = np.minimum(geom.group, (bottom - top) * widths)
     refs = patches[r, cols].reshape(len(cols), d)
     # the pieces' share of half of _CHUNK_BYTES; the shortlist's bookkeeping,
     # five numbers per candidate, later takes the estimates' place
@@ -397,15 +383,16 @@ def _match(reduced, rows, cols, geom):
     with np.errstate(all="ignore"):
         norms = _patch_norms(reduced, ps)
     corners = np.empty((len(rows), len(cols), min(geom.group, w * w)), dtype=np.int64)
+    # each window's in-image corners: rows top to bottom - 1, columns lo to hi - 1
+    top, bottom = np.maximum(rows - h, 0), np.minimum(rows + h + 1, m - ps + 1)
+    lo, hi = np.maximum(cols - h, 0), np.minimum(cols + h + 1, n - ps + 1)
+    sizes = np.minimum(geom.group, (bottom - top)[:, None] * (hi - lo))
     for i, r in enumerate(rows):
-        window_rows = min(r + h + 1, patches.shape[0]) - max(r - h, 0)
-        step = max(1, _CHUNK_BYTES // 4 // (8 * (d + window_rows * w)))
+        step = max(1, _CHUNK_BYTES // 4 // (8 * (d + (bottom[i] - top[i]) * w)))
         for j in range(0, len(cols), step):
-            _match_refs(patches, norms, r, cols[j : j + step], geom, corners[i, j : j + step])
-    # in-image candidates per axis: corners max(r - h, 0) to min(r + h, M - ps)
-    in_r = np.minimum(rows + h, m - ps) - np.maximum(rows - h, 0) + 1
-    in_c = np.minimum(cols + h, n - ps) - np.maximum(cols - h, 0) + 1
-    sizes = np.minimum(geom.group, in_r[:, None] * in_c)
+            run = slice(j, j + step)
+            _match_refs(patches, norms, r, cols[run], top[i], bottom[i], lo[run], hi[run],
+                        sizes[i, run], geom, corners[i, run])
     return corners.reshape(-1, corners.shape[2]), sizes.ravel()
 
 

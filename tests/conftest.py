@@ -12,6 +12,12 @@ from hsidenoise import pipeline, spatial
 from hsidenoise.subspace import _gram_basis
 
 
+def reference_grid(m, n, geom):
+    """Top-left corners of the reference patches of an m x n image, row-major."""
+    rows, cols = spatial._grid_axes(m, n, geom)
+    return [(r, c) for r in rows for c in cols]
+
+
 @pytest.fixture
 def blas_at_three():
     """Every OpenBLAS found at three threads, a count the library never

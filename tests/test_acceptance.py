@@ -15,6 +15,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import reference_grid
+
 from hsidenoise import pipeline, spatial
 from hsidenoise.experiment import ExperimentSpec, bench_bands, load_input
 from hsidenoise.io import add_gaussian_noise, write_cube
@@ -25,7 +27,6 @@ from hsidenoise.spatial import (
     aggregate,
     denoise_reduced,
     match_group,
-    reference_grid,
     wnnm_shrink,
 )
 from hsidenoise.subspace import estimate_band_noise, estimate_subspace_dim, spectral_decompose

@@ -540,9 +540,9 @@ class TestNonFiniteInput:
 
 class TestRejectedBeforeWriting:
     """Band counts that do not fit the cube, an empty band-count or sigma
-    list, and a cube smaller than SSIM's 11x11 window where quality is
-    reported, exit 1 before any output is written, not after the work is
-    done."""
+    list, sigmas that would name the same case files, and a cube smaller
+    than SSIM's 11x11 window where quality is reported, exit 1 before any
+    output is written, not after the work is done."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -555,9 +555,14 @@ class TestRejectedBeforeWriting:
              "smaller than the 11x11 window"),
             (["bench-bands", "CUBE", "--bands", ",", "--outdir", "OUT"], "band counts"),
             (["run-exp", "CUBE", "--sigmas", ",", "--outdir", "OUT"], "sigmas"),
+            (["run-exp", "CUBE", "--sigmas", "10,10", "--outdir", "OUT"],
+             "sigmas 10.0 and 10.0 "),
+            (["run-exp", "CUBE", "--sigmas", "10,10.0000001", "--outdir", "OUT"],
+             "sigmas 10.0 and 10.0000001 "),
         ],
         ids=["bench-bands-count", "bench-bands-default-grid", "denoise-clean", "run-exp",
-             "bench-bands-no-counts", "run-exp-no-sigmas"],
+             "bench-bands-no-counts", "run-exp-no-sigmas", "run-exp-repeated-sigma",
+             "run-exp-sigmas-printing-alike"],
     )
     def test_exits_1_and_writes_nothing(self, tmp_path, argv, message, capsys):
         inputs = tmp_path / "in"

@@ -242,6 +242,13 @@ class TestRunExperiment:
                 output_dir=tmp_path / "out",
             )
 
+    @pytest.mark.parametrize("sigmas", [[10, 10], [10, 10.0000001]])
+    def test_sigmas_printing_alike_rejected_up_front(self, cube_path, tmp_path, sigmas):
+        # both cases would name their files {image}_sigma10_*, the second
+        # case's overwriting the first's
+        with pytest.raises(ValueError, match=re.escape(f"sigmas {sigmas[0]} and {sigmas[1]} ")):
+            ExperimentSpec(input_path=cube_path, sigmas=sigmas, output_dir=tmp_path / "out")
+
     @pytest.mark.parametrize("jobs", [2.5, 2.0, True, np.float64(2.0)])
     def test_jobs_must_be_an_integer(self, cube_path, tmp_path, jobs):
         # jobs=2.5 once failed with a TypeError from the process pool

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_grid
+
 from hsidenoise import spatial
 from hsidenoise.experiment import REPORT_FIELDS, ExperimentSpec, run_experiment
 from hsidenoise.io import add_gaussian_noise, write_cube
@@ -22,7 +24,6 @@ from hsidenoise.spatial import (
     denoise_reduced,
     match_group,
     match_groups,
-    reference_grid,
     wnnm_shrink,
 )
 
@@ -499,6 +500,24 @@ class TestStageEquivalence:
             members, matrix = match_by_window(reduced, ref, geom)
             np.testing.assert_array_equal(grp.members, members)
             np.testing.assert_array_equal(grp.matrix, matrix)
+
+    @pytest.mark.parametrize("case", sorted(STAGE_CASES))
+    def test_sizes_count_in_image_corners(self, case):
+        """Each group size is min(group, the in-image corners within
+        window // 2 of the reference on both axes), counted one by one."""
+        reduced, geom, _ = STAGE_CASES[case]
+        m, n, _ = reduced.shape
+        h = geom.window // 2
+        _, sizes = match_groups(reduced, geom)
+        want = [
+            min(geom.group, sum(
+                abs(y - r) <= h and abs(x - c) <= h
+                for y in range(m - geom.patch + 1)
+                for x in range(n - geom.patch + 1)
+            ))
+            for r, c in reference_grid(m, n, geom)
+        ]
+        assert sizes.tolist() == want
 
     @pytest.mark.parametrize("case", sorted(STAGE_CASES))
     def test_denoise_matches_loop(self, case):
