@@ -7,7 +7,7 @@ and the singular-value profile is controlled.
 
 import numpy as np
 
-from .tensor import PEAK, _correlate_symmetric, fold3
+from .tensor import PEAK, _correlate_symmetric
 
 __all__ = ["rank_cube"]
 
@@ -36,7 +36,8 @@ def _gaussian_smooth(x, sigma):
 
 
 def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
-    """Random nonneg cube of shape (m, n, bands) with exact spectral rank.
+    """Random nonneg C-ordered cube of shape (m, n, bands) with exact
+    spectral rank.
 
     Spatial maps are Gaussian-smoothed noise fields (orthonormalized), so
     patches repeat across the image the way natural low-rank scenes do.
@@ -53,8 +54,9 @@ def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
         # single component: |smooth field| (x) positive spectrum, scaled
         field = np.abs(_gaussian_smooth(rng.standard_normal((m, n)), smooth)) + 1e-3
         spectrum = rng.uniform(0.3, 1.0, bands)
-        cube = field[:, :, None] * spectrum[None, None, :]
-        return cube * (peak / cube.max())
+        cube = np.multiply(field[:, :, None], spectrum, out=np.empty((m, n, bands)))
+        cube *= peak / cube.max()
+        return cube
 
     maps = rng.standard_normal((m, n, rank))
     # map 0 becomes the flat map below, so only the others are smoothed
@@ -62,6 +64,9 @@ def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
     w = maps.reshape(m * n, rank, order="F")
     w[:, 0] = 1.0
     w, _ = np.linalg.qr(w)
+    # the QR runs on column-major pixels; its rows in row-major pixel order
+    # make the product below the C-ordered cube itself
+    w = w.reshape(n, m, rank).transpose(1, 0, 2).reshape(m * n, rank)
 
     a = rng.standard_normal((bands, rank))
     a[:, 0] = 1.0
@@ -73,7 +78,7 @@ def rank_cube(m, n, bands, rank, seed=0, peak=PEAK, smooth=3.0, strengths=None):
     if strengths.shape != (rank,) or np.any(strengths <= 0):
         raise ValueError(f"need {rank} positive strengths")
 
-    cube = fold3((a * strengths) @ w.T, (m, n))
+    cube = (w @ (a * strengths).T).reshape(m, n, bands)
     # affine rescale to [0, peak]; the shift lies along component 0.  In
     # place, since two cube-sized temporaries took 8.5 ms at 128x128x191
     lo, hi = cube.min(), cube.max()

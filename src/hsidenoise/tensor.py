@@ -107,7 +107,9 @@ def fold3(mat, shape):
     """Inverse of :func:`unfold3`: fold a (B, M*N) matrix into an (M, N, B) cube.
 
     ``shape`` gives the spatial grid (M, N); the band count is taken from the
-    matrix.  fold3(unfold3(x), x.shape[:2]) reproduces x exactly.
+    matrix.  fold3(unfold3(x), x.shape[:2]) reproduces x exactly.  The
+    result is Fortran-ordered: a view of a C-contiguous float64 mat, a copy
+    otherwise.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:

@@ -9,6 +9,7 @@ import pytest
 
 from hsidenoise.experiment import load_input
 from hsidenoise.io import (
+    DTYPES,
     CubeHeader,
     DataError,
     HeaderError,
@@ -24,6 +25,7 @@ from hsidenoise.io import (
     write_cube,
     write_pgm,
 )
+from hsidenoise.tensor import fold3
 
 
 def random_cube(shape, seed=0, lo=0.0, hi=255.0):
@@ -118,6 +120,23 @@ class TestCubeRoundTrip:
             tracemalloc.stop()
         assert peak < 1.5 * cube.nbytes, f"peak {peak / cube.nbytes:.2f} cubes"
         np.testing.assert_array_equal(read_cube(tmp_path / "c"), cube)
+
+    @pytest.mark.parametrize("scale", [None, (-40.0, 300.0)], ids=["stored", "scaled"])
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
+    def test_read_is_c_ordered_fold3_of_the_payload(self, tmp_path, dtype, scale):
+        """The cube read is C-ordered float64 and holds, bit for bit, the
+        F-ordered fold3 of the payload, an integer payload mapped onto
+        its header scale by lo + v / max * (hi - lo)."""
+        cube = random_cube((9, 6, 5), seed=9, lo=-40.0, hi=300.0)
+        hdr = write_cube(tmp_path / "c", cube, dtype=dtype, scale=scale)
+        raw = np.fromfile(hdr.with_suffix(".raw"), dtype=DTYPES[dtype])
+        mat = raw.astype(np.float64).reshape(5, 9 * 6)
+        if scale is not None and DTYPES[dtype].kind == "u":
+            lo, hi = scale
+            mat = lo + mat / np.iinfo(DTYPES[dtype]).max * (hi - lo)
+        got = read_cube(hdr)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, fold3(mat, (9, 6)))
 
     def test_read_accepts_hdr_or_stem(self, tmp_path):
         cube = random_cube((4, 4, 2), seed=2)
@@ -286,6 +305,23 @@ class TestAddGaussianNoise:
         out = add_gaussian_noise(cube, 0.0)
         np.testing.assert_array_equal(out, cube)
         assert out is not cube
+
+    @pytest.mark.parametrize("sigma", [0.0, 12.5])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "band-sliced"])
+    def test_c_ordered_normal_stream(self, layout, sigma):
+        """Whatever the input's layout, the noisy cube is C-ordered float64
+        and equals cube + default_rng(seed).normal(0, sigma, shape) bit for
+        bit."""
+        wide = random_cube((9, 7, 10), seed=13)
+        cube = {
+            "c": wide,
+            "fortran": np.asfortranarray(wide),
+            "band-sliced": wide[:, :, ::2],
+        }[layout]
+        got = add_gaussian_noise(cube, sigma, seed=5)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        want = cube + np.random.default_rng(5).normal(0.0, sigma, cube.shape)
+        np.testing.assert_array_equal(got, want)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):

@@ -269,9 +269,8 @@ class TestDenoise:
     @pytest.mark.parametrize("sigma0", [None, 20.0])
     def test_layouts_give_the_same_estimate(self, sigma0):
         """The loop reads the observation in place, so a Fortran-ordered
-        cube, the layout io.read_cube hands the command line, and a
-        band-sliced view give the C-ordered cube's estimate and trace bit
-        for bit."""
+        cube, as scipy.io.loadmat returns, and a band-sliced view give the
+        C-ordered cube's estimate and trace bit for bit."""
         clean = rank_cube(32, 32, 8, 2, seed=18)
         noisy = add_gaussian_noise(clean, 20.0, seed=18)
         wider = np.concatenate([noisy[:, :, :2], noisy, noisy[:, :, :3]], axis=2)

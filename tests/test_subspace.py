@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hsidenoise.experiment import load_input
 from hsidenoise.subspace import (
     RIDGE_SCALE,
     estimate_band_noise,
@@ -16,7 +17,7 @@ from hsidenoise.subspace import (
 )
 from hsidenoise.synthetic import rank_cube
 from hsidenoise.tensor import frob_norm_sq, mode3_product, unfold3
-from hsidenoise.io import add_gaussian_noise
+from hsidenoise.io import add_gaussian_noise, write_cube
 
 
 def rel_frob(a, b):
@@ -396,6 +397,21 @@ class TestSpectralLayerOnViews:
             finally:
                 tracemalloc.stop()
             assert peak < cube.nbytes, f"{name}: peak {peak / cube.nbytes:.2f} cubes"
+
+    def test_file_input_peak_memory_below_one_cube(self, tmp_path):
+        """A cube loaded from a file is read through the same view, which
+        needs a C-ordered load: the band Gram's reshape of any other
+        layout copies the whole cube."""
+        noisy = add_gaussian_noise(rank_cube(64, 64, 32, 5, seed=12), 10.0, seed=12)
+        cube = load_input(write_cube(tmp_path / "noisy", noisy))
+        estimate_band_noise(cube)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            estimate_band_noise(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube.nbytes, f"peak {peak / cube.nbytes:.2f} cubes"
 
     @pytest.mark.parametrize("layout", ["fortran", "band-sliced"])
     def test_layout_independent(self, layout):

@@ -20,6 +20,11 @@ class TestRankCube:
         cube = rank_cube(32, 32, 16, rank, seed=4)
         assert spectral_tail(cube, rank) < 1e-12
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_c_ordered(self, rank):
+        cube = rank_cube(24, 20, 8, rank, seed=2)
+        assert cube.dtype == np.float64 and cube.flags.c_contiguous
+
     def test_range_spans_zero_to_peak(self):
         cube = rank_cube(24, 24, 8, 3, seed=0)
         assert cube.min() == 0.0
