@@ -12,14 +12,15 @@ every candidate in a reference's search window gets an estimated distance,
 with the candidate patches and from the patches' squared norms, and only the
 candidates within a proven rounding margin of the group's cut get the exact
 distance, summed as the offset-by-offset match summed it, and a stable sort;
-then, per chunk of groups, gathering the groups into one buffer, shrinking
-them there through their Gram matrices with WNNM's weight at the image's
-noise level sigma, and adding them into the bounding box of the chunk's
-patches with one bincount per band.  A row's match holds at most half of
-_CHUNK_BYTES, and so does a chunk's buffer.  Beyond the output, peak memory
-still grows with the image in two places: a chunk whose references straddle
-two grid rows gets a box as wide as the image, and the group corners grow
-with the reference count.
+then, per chunk of groups of one size from one grid row, gathering the
+groups into one buffer, shrinking them there through their Gram matrices
+with WNNM's weight at the image's noise level sigma, and adding them into
+the bounding box of the chunk's patches with one bincount per band.  A row's
+match holds at most half of _CHUNK_BYTES, and so does a chunk's buffer.  A
+chunk's box is at most 2 * (window // 2) + patch rows tall and spans its
+references' columns plus one window, so it follows the chunk, not the
+image's width.  Beyond the output, peak memory grows with the image in one
+place only: the group corners grow with the reference count.
 
 Each entry point (denoise_reduced, match_groups, match_group and
 wnnm_shrink) rejects an image or group with a NaN or infinite entry, and
@@ -82,10 +83,11 @@ _SIGMA_WEIGHT_C = 32.0 * math.sqrt(2.0)
 _WEIGHT_EPS = 1e-16
 
 # float64 bytes of the match working set of a row of references and of the
-# buffer of a chunk of groups, each at most half of it.  The calling thread
-# matches a row a run of references at a time: their estimates and patches,
-# then the candidate patches of their search windows a piece at a time, then
-# the exact distances of their shortlist a piece at a time.  On a default
+# buffer of a chunk of groups of one size from one grid row, each at most
+# half of it.  The calling thread matches a row a run of references at a
+# time: their estimates and patches, then the candidate patches of their
+# search windows a piece at a time, then the exact distances of their
+# shortlist a piece at a time.  On a default
 # denoise of a 96x96x64 scene (2 cores), giving a row's match half of
 # _CHUNK_BYTES, not all of it, kept the peak RSS at 64.5 MB against 66.5 MB
 # at no cost in time; a quarter was no faster.  Up to workers + 1 chunks of
@@ -764,9 +766,10 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
 
     Matches a group for every reference of the grid (or takes groups, a
     match_groups result for an image of the same height and width), then,
-    in chunks of references with equal group size, gathers the groups as
-    one (G, p, d) stack, shrinks it in place as wnnm_shrink does each group
-    at noise level sigma, and scatter-adds it into the overlap average.
+    in chunks of references of one grid row and one group size, gathers
+    each chunk's groups as one (G, p, d) stack, shrinks it in place as
+    wnnm_shrink does each group at noise level sigma, and scatter-adds it
+    into the overlap average.
     When the larger of sigma and reduced's largest magnitude lies far from
     PEAK (outside PEAK * 2^+-16), the stage runs on reduced and sigma
     scaled near PEAK by a power of two (tensor._near_peak) and scales its
@@ -801,12 +804,16 @@ def denoise_reduced(reduced, sigma, geom, groups=None):
         corners, sizes = _check_groups(groups, m, n, geom)
     d = ps * ps * k
     # Groups clipped by the image edge can be smaller than geom.group; each
-    # size is its own batch, so no group is cut or padded.
+    # size is its own batch, so no group is cut or padded.  A chunk holds
+    # references of one grid row, so that its box follows the chunk and not
+    # the image's width; each row's run is cut into near-equal chunks.
     chunks = []
+    ref_row = corners[:, 0] // n
     for p in sorted(set(sizes.tolist())):
         refs = np.flatnonzero(sizes == p)
         step = max(1, _CHUNK_BYTES // 2 // (d * p * 8))
-        chunks += [(p, refs[lo : lo + step]) for lo in range(0, len(refs), step)]
+        for run in np.split(refs, np.flatnonzero(np.diff(ref_row[refs])) + 1):
+            chunks += [(p, c) for c in np.array_split(run, -(-len(run) // step))]
     # after the match, whose peak it would add to
     acc = np.zeros((m, n, k))
     pending = collections.deque()

@@ -1089,6 +1089,55 @@ class TestPoolLifetime:
         assert untimed(parallel) == untimed(serial)
 
 
+CHUNK_PLAN_CASES = {
+    **STAGE_CASES,
+    # 67 references per grid row, cut into runs of 10 and 9 at K = 5
+    "wide": (_scene(33, (24, 400, 5)), PatchGeometry(), 10.0),
+}
+
+
+class TestChunkPlan:
+    """denoise_reduced cuts the references of each grid row and group size
+    into as few chunks of at most step references as it can, of lengths
+    that differ by at most one, whatever the worker count."""
+
+    @pytest.mark.parametrize("case", sorted(CHUNK_PLAN_CASES))
+    def test_chunks_cut_evenly_inside_grid_rows(self, case, monkeypatch):
+        reduced, geom, sigma = CHUNK_PLAN_CASES[case]
+        _, n, k = reduced.shape
+        corners, sizes = match_groups(reduced, geom)
+        size_of = dict(zip(corners[:, 0].tolist(), sizes.tolist()))
+        seen = []
+        shrink_chunk = spatial._shrink_chunk
+
+        def recording_shrink_chunk(image, members, *args):
+            seen.append(members[:, 0].tolist())
+            return shrink_chunk(image, members, *args)
+
+        monkeypatch.setattr(spatial, "_shrink_chunk", recording_shrink_chunk)
+        plans = []
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            seen.clear()
+            denoise_reduced(reduced, sigma, geom)
+            # the workers may start the chunks out of submission order
+            plans.append(sorted(seen))
+        assert all(plan == plans[0] for plan in plans), "the plan depends on the worker count"
+        plan = plans[0]
+        assert sorted(r for chunk in plan for r in chunk) == sorted(size_of)
+        runs = {}
+        for chunk in plan:
+            keys = {(r // n, size_of[r]) for r in chunk}
+            assert len(keys) == 1, f"chunk {chunk} spans rows or group sizes"
+            runs.setdefault(keys.pop(), []).append(len(chunk))
+        d = geom.patch * geom.patch * k
+        for (row, p), lengths in runs.items():
+            step = max(1, spatial._CHUNK_BYTES // 2 // (d * p * 8))
+            assert max(lengths) <= step, (row, p, lengths)
+            assert max(lengths) - min(lengths) <= 1, (row, p, lengths)
+            assert len(lengths) == -(-sum(lengths) // step), (row, p, lengths)
+
+
 class TestChunkMemory:
     """A running chunk of groups holds one buffer, its gathered groups, of
     at most half _CHUNK_BYTES; the calling thread allocates one buffer per
@@ -1128,6 +1177,19 @@ class TestChunkMemory:
         buffers of the calling thread's add.  With a buffer for the queued
         chunk too it peaked at 4.44 MiB."""
         reduced = _scene(31, (96, 96, 25))
+        geom = PatchGeometry()
+        groups = match_groups(reduced, geom)
+        use_workers(monkeypatch, 1)
+        peak = self.traced_peak(reduced, 10.0, geom, groups=groups)
+        assert peak < reduced.nbytes + 1.2 * spatial._CHUNK_BYTES, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("width", [96, 1000])
+    def test_one_stack_at_any_width(self, width, monkeypatch):
+        """A chunk's box spans its own references' columns plus a window,
+        not the image's width: beyond the output, one worker holds
+        1.5-1.7 MiB at width 96 and 1.9 MiB at 1000, where chunks
+        straddling two grid rows took 3.9 MiB at 1000."""
+        reduced = _scene(34, (24, width, 25))
         geom = PatchGeometry()
         groups = match_groups(reduced, geom)
         use_workers(monkeypatch, 1)
