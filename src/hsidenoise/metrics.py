@@ -3,12 +3,13 @@ mean spectral angle in degrees.
 """
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import PEAK, _correlate_symmetric, as_cube
+from .tensor import PEAK, _correlate_symmetric, _near_peak, as_cube
 
 __all__ = ["QualityReport", "psnr", "mpsnr", "ssim", "mssim", "sam", "quality_report"]
 
@@ -20,14 +21,13 @@ SSIM_SIGMA = 1.5
 _SSIM_BLOCK_BYTES = 128 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class QualityReport:
     """Band-averaged metrics for one (reference, test) pair."""
 
     mpsnr: float
     mssim: float
     sam_deg: float
-    per_band_psnr: list = field(default_factory=list)
 
 
 def _check_pair(ref, test, ndim):
@@ -55,7 +55,11 @@ def _check_window(m, n):
 
 
 def psnr(ref, test, peak=PEAK):
-    """Peak signal-to-noise ratio in dB; identical inputs give math.inf."""
+    """Peak signal-to-noise ratio in dB; identical inputs give math.inf.
+
+    Where the mean square overflows or falls below the smallest normal
+    float, it is taken of the difference scaled near PEAK by 2^-e
+    (tensor._near_peak), and 20 e log10(2) dB are taken off."""
     _check_peak(peak)
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
@@ -64,10 +68,15 @@ def psnr(ref, test, peak=PEAK):
     # a C-ordered difference fixes the summation order, so the result does
     # not depend on the memory layouts of ref and test
     diff = np.subtract(ref, test, order="C")
-    mse = float(np.mean(np.square(diff, out=diff)))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean(np.square(diff, out=diff)))
+    e = 0
+    if mse == math.inf or mse < sys.float_info.min:
+        diff, _, e = _near_peak(np.subtract(ref, test, order="C"), "difference")
+        mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(peak * peak / mse) - 20.0 * e * math.log10(2.0)
 
 
 def mpsnr(ref, test, peak=PEAK):
@@ -195,12 +204,4 @@ def sam(ref, test):
 
 def quality_report(ref, test, peak=PEAK):
     """Full report for a (reference, test) cube pair."""
-    _check_peak(peak)
-    ref, test = _check_pair(ref, test, 3)
-    per_band = [psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
-    return QualityReport(
-        mpsnr=float(np.mean(per_band)),
-        mssim=mssim(ref, test, peak),
-        sam_deg=sam(ref, test),
-        per_band_psnr=per_band,
-    )
+    return QualityReport(mpsnr(ref, test, peak), mssim(ref, test, peak), sam(ref, test))

@@ -84,9 +84,10 @@ class DenoiseConfig:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationRecord:
-    """One outer iteration's bookkeeping."""
+    """One outer iteration's bookkeeping, built once: sigma and residual on
+    the input cube's scale, psnr the MPSNR against clean (None without it)."""
 
     iteration: int
     k: int
@@ -174,9 +175,9 @@ def _next_basis(m, basis, y, lam, r0, f):
     return _gram_basis(gram, basis.shape[1]), change_sq
 
 
-def _iterations(y, k0, sigma0, cfg, keep):
-    """Run the outer iterations on the observation y with K = k0 on every
-    one; yield (record, x) after each one.
+def _iterations(y, k0, sigma0, cfg, clean, e):
+    """Run the outer iterations on y, the observation scaled by 2^-e, with
+    K = k0 on every one; returns (x, trace), both on the input's scale.
 
     No full-band iterate is stored.  Iteration i's input is y_i = lam P m
     + (1 - lam) y for the previous basis P and filtered reduced image m,
@@ -192,17 +193,16 @@ def _iterations(y, k0, sigma0, cfg, keep):
     serve every iteration: their members are pixel positions, which do not
     depend on the basis.  y is read in place, whatever its layout.  x is
     written only where it is read: at the last iteration, after the groups
-    and R_0 are dropped, and at each one when keep is set; it is None
-    otherwise.  Each x is a fresh C-ordered array that the generator drops
-    once yielded, so a caller that holds x while the next iteration runs
-    holds one more cube.  The record's sigma and residual are on y's
-    scale, its psnr None.
+    and R_0 are dropped, and at every one when clean is given, for its
+    PSNR.  Each x is a fresh array, dropped before the next spatial stage.
     """
     b = y.shape[2]
     lam = cfg.lam
     change_sq = 0.0
     groups = None
+    trace = []
     for i in range(1, cfg.iters + 1):
+        x = None
         last = i == cfg.iters
 
         t0 = time.perf_counter()
@@ -229,8 +229,7 @@ def _iterations(y, k0, sigma0, cfg, keep):
             groups = r0 = None
         t2 = time.perf_counter()
 
-        x = None
-        if last or keep:
+        if last or clean is not None:
             x = np.empty(y.shape)
             for rows in _row_blocks(y):
                 _lift(m, basis, rows, out=x[rows].reshape(-1, b))
@@ -241,10 +240,13 @@ def _iterations(y, k0, sigma0, cfg, keep):
         del m
         t3 = time.perf_counter()
 
-        record = IterationRecord(iteration=i, k=k0, sigma=sigma_i, residual=residual, psnr=None,
-                                 stage_a_seconds=(t1 - t0) + (t3 - t2), stage_b_seconds=t2 - t1)
-        yield record, x
-        del x
+        if x is not None and e:
+            np.ldexp(x, e, out=x)
+        trace.append(IterationRecord(
+            iteration=i, k=k0, sigma=math.ldexp(sigma_i, e), residual=math.ldexp(residual, e),
+            psnr=None if clean is None else metrics.mpsnr(clean, x),
+            stage_a_seconds=(t1 - t0) + (t3 - t2), stage_b_seconds=t2 - t1))
+    return x, trace
 
 
 def denoise(noisy, sigma0=None, config=None, clean=None):
@@ -296,16 +298,4 @@ def denoise(noisy, sigma0=None, config=None, clean=None):
                 # statistics, not np.median, which imports numpy.ma on first use
                 sigma0 = statistics.median(band_sigma.tolist())
 
-        trace = []
-        for record, x in _iterations(y, min(int(k0), b), sigma0, cfg, clean is not None):
-            if clean is not None:
-                record.psnr = metrics.mpsnr(clean, np.ldexp(x, e) if e else x)
-            record.sigma = math.ldexp(record.sigma, e)
-            record.residual = math.ldexp(record.residual, e)
-            trace.append(record)
-            if record.iteration < cfg.iters:
-                del x  # not held through the next iteration's spatial stage
-
-        if e:
-            np.ldexp(x, e, out=x)
-        return x, trace
+        return _iterations(y, min(int(k0), b), sigma0, cfg, clean, e)

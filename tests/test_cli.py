@@ -10,11 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hsidenoise import cli
+from hsidenoise import cli, experiment
 from hsidenoise.cli import _build_config, build_parser, main
 from hsidenoise.experiment import load_input
 from hsidenoise.io import add_gaussian_noise, read_cube, write_cube
-from hsidenoise.pipeline import DenoiseConfig, denoise
+from hsidenoise.pipeline import DenoiseConfig, NumericalError, denoise
 from hsidenoise.spatial import PatchGeometry
 from hsidenoise.synthetic import rank_cube
 
@@ -443,6 +443,22 @@ class TestOtherCommands:
         assert code == 0
         assert (tmp_path / "exp" / "report.csv").exists()
         assert capsys.readouterr().out.count("sigma=") == 2
+
+    def test_run_exp_prints_failed_case(self, scene, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise NumericalError("non-finite values after spatial filtering at iteration 1")
+
+        monkeypatch.setattr(experiment, "denoise", failing)
+        _, noisy_path = scene
+        code = main(
+            ["run-exp", str(noisy_path), "--sigmas", "10",
+             "--outdir", str(tmp_path / "exp"), "--no-save-cubes",
+             "--no-normalize"] + FAST
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ("sigma=10: error: NumericalError: non-finite values after spatial "
+                "filtering at iteration 1\n") in out
 
     def test_bench_bands(self, scene, tmp_path, capsys):
         _, noisy_path = scene

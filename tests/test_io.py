@@ -181,6 +181,25 @@ class TestCubeRoundTrip:
         with pytest.raises(UnreadableFileError):
             read_cube(tmp_path / "nope.hdr")
 
+    def test_missing_stem(self, tmp_path):
+        # neither nope nor nope.hdr: the stem itself is read as the header
+        with pytest.raises(UnreadableFileError, match="cannot read header"):
+            read_cube(tmp_path / "nope")
+
+    def test_header_without_data_line_reads_stem_raw(self, tmp_path):
+        cube = random_cube((4, 5, 2), seed=10)
+        hdr = write_cube(tmp_path / "c", cube)
+        text = hdr.read_text()
+        assert "data = c.raw\n" in text
+        hdr.write_text(text.replace("data = c.raw\n", ""))
+        np.testing.assert_array_equal(read_cube(hdr), cube)
+
+    def test_missing_payload(self, tmp_path):
+        hdr = write_cube(tmp_path / "c", random_cube((4, 4, 2), seed=11))
+        (tmp_path / "c.raw").unlink()
+        with pytest.raises(UnreadableFileError, match="cannot read payload"):
+            read_cube(hdr)
+
     @pytest.mark.parametrize("reader", [read_cube, read_band_stack])
     def test_readers_do_not_normalize(self, reader):
         # experiment.load_input is the one loader that rescales
@@ -218,6 +237,12 @@ class TestPgm:
         patched = buf.replace(b"P5\n", b"P5\n# injected comment\n", 1)
         (tmp_path / "b.pgm").write_bytes(patched)
         np.testing.assert_array_equal(read_pgm(tmp_path / "b.pgm"), band)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+    def test_write_rejects_non_band(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="2-d band"):
+            write_pgm(tmp_path / "b.pgm", np.zeros(shape))
+        assert not (tmp_path / "b.pgm").exists()
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.pgm").write_bytes(b"P7\n2 2\n255\n....")

@@ -52,6 +52,10 @@ class TestIterateRegularize:
         y = rng.standard_normal((3, 3, 2))
         np.testing.assert_array_equal(iterate_regularize(x, y, 0.0), y)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            iterate_regularize(np.zeros((3, 3, 2)), np.zeros((3, 3, 3)), 0.5)
+
 
 class TestDenoiseConfig:
     def test_defaults(self):
@@ -375,6 +379,22 @@ class TestDenoise:
         assert np.all(np.isfinite(x))
         assert rel_diff(x, want * 1e150) <= 1e-10
         assert trace[0].sigma == pytest.approx(want_trace[0].sigma * 1e150, rel=1e-10)
+
+    @pytest.mark.parametrize("j", [-600, 520])
+    def test_psnr_trace_at_extreme_scales(self, j):
+        """With clean at 2^520 the PSNR's squared differences overflow, at
+        2^-600 they underflow; the trace's PSNRs are still the unscaled
+        run's, less 20 j log10(2) dB, and the estimate is scaled alike."""
+        clean = rank_cube(32, 32, 8, 2, seed=12)
+        noisy = add_gaussian_noise(clean, 20.0, seed=12)
+        cfg = DenoiseConfig(iters=2, geom=SMALL_GEOM)
+        want, want_trace = denoise(noisy, 20.0, cfg, clean=clean)
+        x, trace = denoise(np.ldexp(noisy, j), math.ldexp(20.0, j), cfg,
+                           clean=np.ldexp(clean, j))
+        np.testing.assert_array_equal(x, np.ldexp(want, j))
+        shift = 20.0 * j * math.log10(2.0)
+        assert [r.psnr for r in trace] == pytest.approx(
+            [r.psnr - shift for r in want_trace], abs=1e-9)
 
     @pytest.mark.parametrize("sigma0", [np.nan, np.inf, -1.0])
     def test_non_finite_sigma0_rejected(self, sigma0):

@@ -236,6 +236,11 @@ class TestWnnmShrink:
         with pytest.raises(ValueError, match=f"{name} must be"):
             denoise_reduced(reduced, value, SMALL)
 
+    @pytest.mark.parametrize("shape", [(16,), (4, 4, 6)])
+    def test_group_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-d group matrix"):
+            wnnm_shrink(np.ones(shape), 1.0)
+
     @pytest.mark.parametrize("sigma", [1.0, 20.0])
     def test_threshold_is_wnnm_sigma_rule(self, sigma):
         """The threshold is 32*sqrt(2) * sigma^2 (wnnm_c) on any scale of

@@ -307,6 +307,11 @@ class TestEstimateSubspaceDim:
             with pytest.raises(ValueError, match="band sigmas"):
                 estimate_subspace_dim(cube, sig)
 
+    def test_wrong_band_sigma_count_rejected(self):
+        cube = add_gaussian_noise(rank_cube(16, 16, 6, 2, seed=4), 5.0, seed=4)
+        with pytest.raises(ValueError, match="expected 6 band sigmas"):
+            estimate_subspace_dim(cube, np.full(5, 5.0))
+
 
 @pytest.mark.parametrize("e", [-600, -560, -520, 510, 520])
 def test_out_of_range_gram_scaled_exactly(e):

@@ -58,6 +58,10 @@ class TestFold3:
         with pytest.raises(ValueError):
             fold3(np.zeros((3, 10)), (3, 3))
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="2-d unfolded matrix"):
+            fold3(np.zeros((3, 3, 3)), (3, 1))
+
 
 class TestMode3Product:
     def test_matches_unfolded_matmul(self):
@@ -122,6 +126,10 @@ class TestAsCube:
     def test_error_names_argument(self):
         with pytest.raises(ValueError, match="reduced"):
             as_cube(np.zeros(5), name="reduced")
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ValueError, match="noisy has an empty dimension"):
+            as_cube(np.zeros((4, 0, 3)), name="noisy")
 
 
 class TestPeak:
