@@ -1,15 +1,17 @@
 """Quality metrics: per-band PSNR and SSIM with their band means, and the
-mean spectral angle in degrees.
+mean spectral angle in degrees.  Each checks its pair by one rule,
+_check_pair, and scales what it does not change under near PEAK by
+tensor._near_peak, so none over- or underflows at any scale and a NaN or
+infinite entry raises that function's "has non-finite entries" ValueError.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import PEAK, _correlate_symmetric, _near_peak, as_cube
+from .tensor import PEAK, _correlate_symmetric, _near_peak
 
 __all__ = ["QualityReport", "psnr", "mpsnr", "ssim", "mssim", "sam", "quality_report"]
 
@@ -30,20 +32,22 @@ class QualityReport:
     sam_deg: float
 
 
-def _check_pair(ref, test, ndim):
-    ref = np.asarray(ref, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if ref.ndim != ndim or test.ndim != ndim:
-        raise ValueError(f"expected {ndim}-d arrays, got {ref.ndim}-d and {test.ndim}-d")
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    return ref, test
-
-
-def _check_peak(peak):
+def _check_pair(ref, test, ndim=None, peak=PEAK):
+    """ref and test as float64 arrays of one shape with no empty dimension,
+    each ndim-d when ndim is given, and a finite peak > 0; a ValueError
+    otherwise."""
     # written so that NaN, which fails every comparison, fails the check
     if not 0 < peak < math.inf:
         raise ValueError(f"peak must be finite and > 0, got {peak}")
+    ref = np.asarray(ref, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    if ndim is not None and (ref.ndim != ndim or test.ndim != ndim):
+        raise ValueError(f"expected {ndim}-d arrays, got {ref.ndim}-d and {test.ndim}-d")
+    if ref.shape != test.shape:
+        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    if ref.size == 0:
+        raise ValueError(f"ref and test have an empty dimension: {ref.shape}")
+    return ref, test
 
 
 def _check_window(m, n):
@@ -57,34 +61,24 @@ def _check_window(m, n):
 def psnr(ref, test, peak=PEAK):
     """Peak signal-to-noise ratio in dB; identical inputs give math.inf.
 
-    Where the mean square overflows or falls below the smallest normal
-    float, it is taken of the difference scaled near PEAK by 2^-e
-    (tensor._near_peak), and 20 e log10(2) dB are taken off."""
-    _check_peak(peak)
-    ref = np.asarray(ref, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    The mean square is taken of the difference scaled near PEAK by 2^-e
+    (tensor._near_peak), so its squares neither over- nor underflow, and
+    20 e log10(2) dB are taken off; peak enters as 20 log10(peak), so no
+    peak^2 is formed."""
+    ref, test = _check_pair(ref, test, peak=peak)
     # a C-ordered difference fixes the summation order, so the result does
     # not depend on the memory layouts of ref and test
-    diff = np.subtract(ref, test, order="C")
-    with np.errstate(over="ignore"):
-        mse = float(np.mean(np.square(diff, out=diff)))
-    e = 0
-    if mse == math.inf or mse < sys.float_info.min:
-        diff, _, e = _near_peak(np.subtract(ref, test, order="C"), "difference")
-        mse = float(np.mean(np.square(diff, out=diff)))
+    diff, _, e = _near_peak(np.subtract(ref, test, order="C"), "ref - test")
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse) - 20.0 * e * math.log10(2.0)
+    return 20.0 * (math.log10(peak) - e * math.log10(2.0)) - 10.0 * math.log10(mse)
 
 
 def mpsnr(ref, test, peak=PEAK):
     """Mean over bands of the per-band PSNR."""
-    _check_peak(peak)
-    ref, test = _check_pair(ref, test, 3)
-    vals = [psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]
-    return float(np.mean(vals))
+    ref, test = _check_pair(ref, test, 3, peak)
+    return float(np.mean([psnr(ref[:, :, b], test[:, :, b], peak) for b in range(ref.shape[2])]))
 
 
 def _gaussian_kernel():
@@ -100,21 +94,24 @@ def _band_ssims(ref, test, peak):
     The five windowed means (of ref, test, ref*test, ref*ref, test*test) are
     filtered together, and only where the window fits, which is all the map
     average reads.  The arithmetic after them runs in place, in the order of
-    the textbook formula.
+    the textbook formula.  c1 and c2 scale with peak^2, so SSIM does not
+    change when ref, test and peak are scaled alike: the three are scaled
+    near PEAK by one power of two, picked from the largest of them.
     """
     bands, m, n = ref.shape
     _check_window(m, n)
     half = SSIM_WINDOW // 2
     kernel = _gaussian_kernel()
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
 
     maps = np.empty((5, bands, m, n))
     maps[0] = ref
     maps[1] = test
-    np.multiply(ref, test, out=maps[2])
-    np.multiply(ref, ref, out=maps[3])
-    np.multiply(test, test, out=maps[4])
+    maps[:2], peak, _ = _near_peak(maps[:2], "ref or test", peak)
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    np.multiply(maps[0], maps[1], out=maps[2])
+    np.multiply(maps[0], maps[0], out=maps[3])
+    np.multiply(maps[1], maps[1], out=maps[4])
     maps = _correlate_symmetric(_correlate_symmetric(maps, kernel, 2), kernel, 3)
     mu1, mu2, s12, s11, s22 = maps
 
@@ -145,17 +142,18 @@ def ssim(ref, test, peak=PEAK):
     """Structural similarity of two bands.
 
     Gaussian-windowed means/variances (11x11 window, sigma 1.5), map
-    averaged over the interior where the window fits entirely.
+    averaged over the interior where the window fits entirely.  ref, test
+    and peak are scaled near PEAK by one power of two first, which changes
+    no SSIM.
     """
-    _check_peak(peak)
-    ref, test = _check_pair(ref, test, 2)
+    ref, test = _check_pair(ref, test, 2, peak)
     return _band_ssims(ref[None], test[None], peak)[0]
 
 
 def mssim(ref, test, peak=PEAK):
-    """Mean over bands of the per-band SSIM."""
-    _check_peak(peak)
-    ref, test = _check_pair(ref, test, 3)
+    """Mean over bands of the per-band SSIM; each block of bands is scaled
+    as ssim scales its band."""
+    ref, test = _check_pair(ref, test, 3, peak)
     m, n, bands = ref.shape
     step = max(1, _SSIM_BLOCK_BYTES // (m * n * ref.itemsize))
     vals = []
@@ -169,15 +167,15 @@ def mssim(ref, test, peak=PEAK):
 def sam(ref, test):
     """Mean spectral angle in degrees between per-pixel spectra.
 
-    Pixels where either spectrum has zero norm are skipped (a warning
-    reports the count); a reference or test with no usable pixel raises.
     The angle comes from the squared cosine, so positive per-pixel
-    rescaling of either argument cannot change it.
+    rescaling of either argument cannot change it, and each cube is scaled
+    near PEAK by its own power of two (tensor._near_peak) before its
+    products are formed.  Pixels where either spectrum has zero norm are
+    skipped (a warning reports the count); a reference or test with no
+    usable pixel, or with a NaN or infinite entry, raises.
     """
-    ref = as_cube(ref, "ref")
-    test = as_cube(test, "test")
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    ref, test = _check_pair(ref, test, 3)
+    ref, test = _near_peak(ref, "ref")[0], _near_peak(test, "test")[0]
 
     # summed band by band, so the order of the sums, and with it the
     # result, does not depend on the memory layouts of ref and test

@@ -373,6 +373,16 @@ class TestOtherCommands:
         assert "peak must be finite and > 0" in captured.err
         assert "mpsnr=" not in captured.out
 
+    @pytest.mark.parametrize("scale, peak", [(0, "1e200"), (0, "1e-300"), (500, "255")])
+    def test_metrics_at_extreme_scales(self, scene, tmp_path, capsys, scale, peak):
+        """A peak whose square over- or underflows, and f64 cubes scaled by
+        2^500, whose products overflow, still give finite metrics."""
+        paths = [str(write_cube(tmp_path / f"scaled{i}", np.ldexp(read_cube(p), scale)))
+                 for i, p in enumerate(scene)]
+        assert main(["metrics", *paths, "--peak", peak]) == 0
+        out = capsys.readouterr().out
+        assert "mpsnr=" in out and "nan" not in out
+
     def test_estimate_k(self, scene, capsys):
         _, noisy_path = scene
         assert main(["estimate-k", str(noisy_path), "--no-normalize"]) == 0

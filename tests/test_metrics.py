@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hsidenoise.metrics import mpsnr, mssim, psnr, quality_report, sam, ssim
+from hsidenoise.tensor import PEAK
 
 
 class TestPsnr:
@@ -178,17 +179,72 @@ class TestMismatchedPairs:
         with pytest.raises(ValueError, match=r"^shape mismatch: \(16, 16, 3\) vs \(16, 16, 2\)$"):
             metric(cube, cube[:, :, :2])
 
-    @pytest.mark.parametrize(
-        "metric, message",
-        [
-            (quality_report, r"^expected 3-d arrays, got 3-d and 2-d$"),
-            (sam, r"^test must be 3-d \(rows, cols, bands\), got shape \(16, 16\)$"),
-        ],
-    )
-    def test_dimensions_differ(self, metric, message):
+    @pytest.mark.parametrize("metric", [quality_report, sam])
+    def test_dimensions_differ(self, metric):
         cube = np.ones((16, 16, 3))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=r"^expected 3-d arrays, got 3-d and 2-d$"):
             metric(cube, cube[:, :, 0])
+
+    @pytest.mark.parametrize("metric", [psnr, mpsnr, mssim, quality_report])
+    def test_empty_pair_rejected(self, metric):
+        """A mean over no pixels or no bands would read nan."""
+        empty = np.zeros((16, 16, 0))
+        with pytest.raises(ValueError, match=r"empty dimension: \(16, 16, 0\)$"):
+            metric(empty, empty)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("metric", [psnr, mpsnr, ssim, mssim, sam, quality_report])
+    def test_rejected(self, metric):
+        """A NaN or infinite entry in either argument raises the package's
+        one non-finite error, rather than read nan or be skipped."""
+        rng = np.random.default_rng(9)
+        shape = (16, 16) if metric in (psnr, ssim) else (16, 16, 2)
+        for value in (math.nan, math.inf, -math.inf):
+            for which in (0, 1):
+                pair = [rng.uniform(0.0, 255.0, shape) for _ in range(2)]
+                pair[which][3, 4] = value
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    metric(*pair)
+
+
+def _scaled_pair_source(j):
+    rng = np.random.default_rng(j % 7)
+    a = rng.uniform(0.0, 255.0, (16, 16, 3))
+    return a, a + rng.standard_normal(a.shape) * 10.0
+
+
+@pytest.mark.parametrize("j", [-600, -540, 500, 520])
+class TestExtremeScales:
+    """Squares and products of cubes scaled by 2^j, and of a peak scaled
+    alike, over- or underflow; each metric scales what it does not change
+    under near PEAK first, so it reads its in-range value, with no
+    RuntimeWarning (which pyproject.toml's filterwarnings makes an error)."""
+
+    def test_sam_is_scale_free(self, j):
+        a, b = _scaled_pair_source(j)
+        for k in (j, -j):
+            assert sam(np.ldexp(a, j), np.ldexp(b, k)) == sam(a, b)
+
+    def test_peak_scaled_alike(self, j):
+        a, b = _scaled_pair_source(j)
+        sa, sb, peak = np.ldexp(a, j), np.ldexp(b, j), math.ldexp(PEAK, j)
+        assert mssim(sa, sb, peak) == pytest.approx(mssim(a, b), abs=1e-12)
+        assert ssim(sa[:, :, 1], sb[:, :, 1], peak) == pytest.approx(
+            ssim(a[:, :, 1], b[:, :, 1]), abs=1e-12)
+        assert mpsnr(sa, sb, peak) == pytest.approx(mpsnr(a, b), abs=1e-9)
+        assert psnr(sa, sb, peak) == pytest.approx(psnr(a, b), abs=1e-9)
+
+    def test_peak_fixed(self, j):
+        """At the default peak, SSIM's constants are those of a peak scaled
+        the other way; on cubes far below it they dominate, so SSIM reads 1.
+        A peak scaled by 2^j moves PSNR by 20 j log10(2) dB."""
+        a, b = _scaled_pair_source(j)
+        got = mssim(np.ldexp(a, j), np.ldexp(b, j))
+        want = mssim(a, b, peak=math.ldexp(PEAK, -j)) if j > 0 else 1.0
+        assert math.isfinite(got) and got == pytest.approx(want, abs=1e-12)
+        assert psnr(a, b, peak=math.ldexp(PEAK, j)) == pytest.approx(
+            psnr(a, b) + 20.0 * j * math.log10(2.0), abs=1e-9)
 
 
 class TestPeak:
