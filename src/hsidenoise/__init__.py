@@ -2,8 +2,8 @@
 and non-local low-rank patch filtering.
 
 The names below are the public surface; the building blocks (patch
-matching, shrinkage, unfoldings, the subspace fit) stay importable from
-their submodules.
+matching, shrinkage, the band-mode product, the subspace fit) stay
+importable from their submodules.
 """
 
 from .experiment import ExperimentSpec, bench_bands, load_input, run_experiment

@@ -61,7 +61,7 @@ def _sigma_tag(sigma):
     return f"sigma{sigma:g}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One noise-sweep experiment over a clean input cube."""
 

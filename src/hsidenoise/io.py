@@ -2,9 +2,10 @@
 
 The native format is a plain-text header (key = value lines) next to a raw
 band-sequential payload: the payload holds the bands one after another,
-each scanned column-major, matching unfold3's row layout byte for byte.
-read_cube returns a C-ordered cube, the layout the band-mode passes read
-through an (M*N, B) view without copying.  Per-band grayscale PGM stacks
+each scanned column-major, i.e. the C-ordered (bands, cols, rows) array
+cube.transpose(2, 1, 0).  This module alone knows that order.  read_cube
+returns a C-ordered cube, the layout the band-mode passes read through an
+(M*N, B) view without copying.  Per-band grayscale PGM stacks
 are supported for datasets distributed as one image per band.  The
 readers return the stored values; the one place that maps a loaded cube
 onto [0, PEAK] is experiment.load_input.
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import PEAK, _noise_level, as_cube, unfold3
+from .tensor import PEAK, _noise_level, as_cube
 
 __all__ = [
     "CubeHeader",
@@ -245,15 +246,17 @@ def write_cube(path, cube, dtype="f64", scale=None):
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"scale bounds must be finite and satisfy lo < hi, got {scale}")
     header = CubeHeader(m, n, b, dtype, scale=scale, data=raw_path.name)
-    mat = unfold3(cube)
+    # the payload as _read_cube reshapes it, (bands, cols, rows): one
+    # C-ordered copy of the transpose, the only copy for f64, as astype
+    # keeps it and tofile writes its buffer
+    payload = np.array(cube.transpose(2, 1, 0), order="C")
     np_dtype = DTYPES[dtype]
     if np_dtype.kind == "u":
         info = np.iinfo(np_dtype)
         if scale is not None:
-            mat = (mat - lo) / (hi - lo) * info.max
-        mat = np.clip(np.rint(mat), info.min, info.max)
-    # unfold3's copy is the only one for f64: astype keeps it, tofile writes its buffer
-    mat.astype(np_dtype, copy=False).tofile(raw_path)
+            payload = (payload - lo) / (hi - lo) * info.max
+        payload = np.clip(np.rint(payload), info.min, info.max)
+    payload.astype(np_dtype, copy=False).tofile(raw_path)
     hdr_path.write_text(header.dump())
     return hdr_path
 

@@ -64,15 +64,26 @@ def psnr(ref, test, peak=PEAK):
     The mean square is taken of the difference scaled near PEAK by 2^-e
     (tensor._near_peak), so its squares neither over- nor underflow, and
     20 e log10(2) dB are taken off; peak enters as 20 log10(peak), so no
-    peak^2 is formed."""
+    peak^2 is formed.  A pair whose difference overflows float64 is
+    halved first, and 20 log10(2) dB more are taken off."""
     ref, test = _check_pair(ref, test, peak=peak)
     # a C-ordered difference fixes the summation order, so the result does
     # not depend on the memory layouts of ref and test
-    diff, _, e = _near_peak(np.subtract(ref, test, order="C"), "ref - test")
+    try:
+        with np.errstate(over="raise"):
+            diff = np.subtract(ref, test, order="C")
+        halved = 0
+    except FloatingPointError:
+        # finite entries whose difference overflows: the pair is halved
+        # first, exactly but for subnormal entries, which add nothing to
+        # the mean square next to the ones near the float64 limit
+        diff = np.subtract(np.ldexp(ref, -1), np.ldexp(test, -1), order="C")
+        halved = 1
+    diff, _, e = _near_peak(diff, "ref - test")
     mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
-    return 20.0 * (math.log10(peak) - e * math.log10(2.0)) - 10.0 * math.log10(mse)
+    return 20.0 * (math.log10(peak) - (e + halved) * math.log10(2.0)) - 10.0 * math.log10(mse)
 
 
 def mpsnr(ref, test, peak=PEAK):
@@ -86,6 +97,11 @@ def _gaussian_kernel():
     x = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     return k / k.sum()
+
+
+def _limit_ratio(num, den):
+    """num / den, with each 0 / 0 read as 1."""
+    return np.divide(num, den, out=np.ones_like(num), where=(num != 0) | (den != 0))
 
 
 def _band_ssims(ref, test, peak):
@@ -115,22 +131,33 @@ def _band_ssims(ref, test, peak):
     maps = _correlate_symmetric(_correlate_symmetric(maps, kernel, 2), kernel, 3)
     mu1, mu2, s12, s11, s22 = maps
 
-    num = mu1 * mu2
-    s12 -= num
+    l_num = mu1 * mu2
+    s12 -= l_num
     s11 -= np.multiply(mu1, mu1, out=mu1)
     s22 -= np.multiply(mu2, mu2, out=mu2)
-    # num = (2 mu1mu2 + c1)(2 s12 + c2), den = (mu1^2 + mu2^2 + c1)(s11 + s22 + c2)
-    num *= 2.0
-    num += c1
-    s12 *= 2.0
-    s12 += c2
-    num *= s12
-    den = mu1
-    den += mu2
-    den += c1
-    s11 += s22
-    s11 += c2
-    den *= s11
+    # luminance (2 mu1mu2 + c1) / (mu1^2 + mu2^2 + c1) times
+    # contrast-structure (2 s12 + c2) / (s11 + s22 + c2): the four factors
+    # are formed in place and their products in the buffers mu2 and s22 free
+    l_num *= 2.0
+    l_num += c1
+    cs_num = s12
+    cs_num *= 2.0
+    cs_num += c2
+    l_den = mu1
+    l_den += mu2
+    l_den += c1
+    cs_den = s11
+    cs_den += s22
+    cs_den += c2
+    num = np.multiply(l_num, cs_num, out=mu2)
+    den = np.multiply(l_den, cs_den, out=s22)
+    if not den.all():
+        # where c1 and c2 underflow to 0, a window with no variance or a
+        # zero mean makes a denominator 0: the map reads its limit as
+        # c1, c2 -> 0+, in which each 0/0 factor is 1
+        zero = den == 0
+        num[zero] = _limit_ratio(l_num[zero], l_den[zero]) * _limit_ratio(cs_num[zero], cs_den[zero])
+        den[zero] = 1.0
     # each band's map keeps the row stride of a full map, so its mean sums in
     # the same order as the mean of a full map's interior
     smap = np.empty((bands, m - 2 * half, n))[:, :, : n - 2 * half]
@@ -144,7 +171,9 @@ def ssim(ref, test, peak=PEAK):
     Gaussian-windowed means/variances (11x11 window, sigma 1.5), map
     averaged over the interior where the window fits entirely.  ref, test
     and peak are scaled near PEAK by one power of two first, which changes
-    no SSIM.
+    no SSIM.  Where the constants c1 and c2 underflow to 0, a window whose
+    denominator is 0 reads the limit as they go to 0: each 0/0 factor of
+    luminance times contrast-structure is 1.
     """
     ref, test = _check_pair(ref, test, 2, peak)
     return _band_ssims(ref[None], test[None], peak)[0]

@@ -53,7 +53,7 @@ class NumericalError(RuntimeError):
     """Non-finite values appeared mid-pipeline."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiseConfig:
     """All tunables of the denoising loop.
 

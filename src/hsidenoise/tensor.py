@@ -1,19 +1,18 @@
 """Mode-3 tensor algebra for hyperspectral cubes.
 
 A cube is a plain ndarray of shape (M, N, B): M rows, N columns, B bands.
-All routines promote to float64.  Computation on the band mode works on
-the (M*N, B) view ``cube.reshape(M*N, B)`` or its transpose, whose pixel
+All routines promote to float64.  The band-mode unfolding is the
+(M*N, B) view ``cube.reshape(M*N, B)`` or its transpose, whose pixel
 order is row-major; band-mode matrix products do not depend on that order,
-and their results keep it, so they stay C-ordered cubes.  The
-column-major unfolding of :func:`unfold3` is the pixel order of the cube
-file payload.
+and their results keep it, so they stay C-ordered cubes.  The module
+holds the helpers more than one module shares.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["PEAK", "unfold3", "fold3", "mode3_product", "frob_norm_sq", "as_cube"]
+__all__ = ["PEAK", "mode3_product", "frob_norm_sq", "as_cube"]
 
 # the intensity scale: inputs are normalized onto [0, PEAK], sigma is in its units
 PEAK = 255.0
@@ -87,38 +86,6 @@ def _noise_level(name, value):
     if not np.all((v >= 0) & (v < np.inf)):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
-
-
-def unfold3(cube):
-    """Unfold a cube along the band mode into a (B, M*N) matrix.
-
-    Row b holds band b scanned column-major over the spatial grid, i.e.
-    entry (b, q) is cube[q % M, q // M, b].  This is the payload order of
-    the cube file format; the result is a copy.
-    """
-    cube = as_cube(cube)
-    m, n, b = cube.shape
-    # the (B, N, M) transpose walks rows fastest, matching the column-major
-    # scan, so one C-ordered copy of it is the unfolding
-    return np.array(cube.transpose(2, 1, 0), order="C").reshape(b, m * n)
-
-
-def fold3(mat, shape):
-    """Inverse of :func:`unfold3`: fold a (B, M*N) matrix into an (M, N, B) cube.
-
-    ``shape`` gives the spatial grid (M, N); the band count is taken from the
-    matrix.  fold3(unfold3(x), x.shape[:2]) reproduces x exactly.  The
-    result is Fortran-ordered: a view of a C-contiguous float64 mat, a copy
-    otherwise.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d unfolded matrix, got shape {mat.shape}")
-    m, n = int(shape[0]), int(shape[1])
-    b, q = mat.shape
-    if q != m * n:
-        raise ValueError(f"matrix has {q} columns, cannot fold to {m}x{n} spatial grid")
-    return mat.T.reshape(m, n, b, order="F")
 
 
 def mode3_product(cube, p):

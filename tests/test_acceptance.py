@@ -31,7 +31,7 @@ from hsidenoise.spatial import (
 )
 from hsidenoise.subspace import estimate_band_noise, estimate_subspace_dim, spectral_decompose
 from hsidenoise.synthetic import rank_cube
-from hsidenoise.tensor import frob_norm_sq, unfold3
+from hsidenoise.tensor import frob_norm_sq
 
 
 def test_wdc_reference_quality():
@@ -114,7 +114,7 @@ def test_subspace_fit_is_optimal():
         model = spectral_decompose(cube, 2)
         closed = 0.5 * frob_norm_sq(cube - model.reconstruct())
 
-        z = unfold3(cube)
+        z = cube.reshape(-1, cube.shape[2]).T
         s = np.linalg.svd(z, compute_uv=False)
         eckart_young = 0.5 * np.sum(s[2:] ** 2)
         assert abs(closed - eckart_young) / eckart_young <= 1e-8

@@ -383,6 +383,18 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "mpsnr=" in out and "nan" not in out
 
+    def test_metrics_constant_patch_at_vanishing_peak(self, tmp_path, capsys):
+        """At --peak 1e-300 SSIM's constants underflow to 0; the windows in
+        an 11x11 patch both cubes hold constant read 1, not nan."""
+        clean = rank_cube(32, 32, 4, 2, seed=1)
+        noisy = add_gaussian_noise(clean, 20.0, seed=1)
+        clean[:11, :11] = noisy[:11, :11] = 3.0
+        paths = [str(write_cube(tmp_path / name, cube))
+                 for name, cube in (("clean", clean), ("noisy", noisy))]
+        assert main(["metrics", *paths, "--peak", "1e-300"]) == 0
+        out = capsys.readouterr().out
+        assert "mssim=" in out and "nan" not in out
+
     def test_estimate_k(self, scene, capsys):
         _, noisy_path = scene
         assert main(["estimate-k", str(noisy_path), "--no-normalize"]) == 0

@@ -333,6 +333,16 @@ class TestRunExperiment:
         )
         assert [r["mpsnr"] for r in serial] == [r["mpsnr"] for r in parallel]
 
+    def test_frozen_spec_runs_on_two_workers(self, cube_path, tmp_path):
+        # sigmas set after construction skipped the check that keeps two
+        # cases from writing the same files
+        spec = ExperimentSpec(input_path=cube_path, sigmas=[10.0, 20.0],
+                              output_dir=tmp_path / "out", config=FAST_CFG,
+                              normalize=False, save_cubes=False, jobs=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sigmas = [10.0, 10.000001]
+        assert [r["status"] for r in run_experiment(spec)] == ["ok", "ok"]
+
     def test_parallel_report_and_cubes_equal_serial(self, cube_path, tmp_path, monkeypatch):
         """Forked workers each match and shrink on their own thread pool;
         chunks small enough for several match row blocks and shrink jobs."""

@@ -25,7 +25,6 @@ from hsidenoise.io import (
     write_cube,
     write_pgm,
 )
-from hsidenoise.tensor import fold3
 
 
 def random_cube(shape, seed=0, lo=0.0, hi=255.0):
@@ -123,10 +122,10 @@ class TestCubeRoundTrip:
 
     @pytest.mark.parametrize("scale", [None, (-40.0, 300.0)], ids=["stored", "scaled"])
     @pytest.mark.parametrize("dtype", sorted(DTYPES))
-    def test_read_is_c_ordered_fold3_of_the_payload(self, tmp_path, dtype, scale):
+    def test_read_is_c_ordered_transpose_of_the_payload(self, tmp_path, dtype, scale):
         """The cube read is C-ordered float64 and holds, bit for bit, the
-        F-ordered fold3 of the payload, an integer payload mapped onto
-        its header scale by lo + v / max * (hi - lo)."""
+        payload as a (bands, cols, rows) array transposed, an integer
+        payload mapped onto its header scale by lo + v / max * (hi - lo)."""
         cube = random_cube((9, 6, 5), seed=9, lo=-40.0, hi=300.0)
         hdr = write_cube(tmp_path / "c", cube, dtype=dtype, scale=scale)
         raw = np.fromfile(hdr.with_suffix(".raw"), dtype=DTYPES[dtype])
@@ -136,7 +135,16 @@ class TestCubeRoundTrip:
             mat = lo + mat / np.iinfo(DTYPES[dtype]).max * (hi - lo)
         got = read_cube(hdr)
         assert got.dtype == np.float64 and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, fold3(mat, (9, 6)))
+        np.testing.assert_array_equal(got, mat.reshape(5, 6, 9).transpose(2, 1, 0))
+
+    def test_payload_scans_each_band_column_major(self, tmp_path):
+        """x(r, c, b) = r + 2c + 4b on a 2x2x2 grid is each entry's
+        column-major spatial index plus a band offset, so its payload is
+        the values 0 to 7 in order."""
+        r, c, b = np.indices((2, 2, 2))
+        cube = (r + 2 * c + 4 * b).astype(np.float64)
+        hdr = write_cube(tmp_path / "c", cube)
+        assert hdr.with_suffix(".raw").read_bytes() == np.arange(8.0).astype("<f8").tobytes()
 
     def test_read_accepts_hdr_or_stem(self, tmp_path):
         cube = random_cube((4, 4, 2), seed=2)

@@ -40,6 +40,18 @@ class TestPsnr:
         assert psnr(np.ldexp(a, j), np.ldexp(b, j)) == pytest.approx(want, abs=1e-9)
         assert psnr(np.ldexp(a, j), np.ldexp(a, j)) == math.inf
 
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_difference_beyond_float64_range(self, seed):
+        """Finite entries whose difference overflows float64 are halved
+        first: the PSNR is the halved pair's at half the peak, with no
+        RuntimeWarning (an error under pyproject.toml's filterwarnings)."""
+        if seed is None:
+            a = np.full((16, 16), 1e308)
+        else:
+            a = np.random.default_rng(seed).uniform(0.5, 1.0, (16, 16)) * 1.7e308
+        b = -a[::-1]
+        assert psnr(a, b) == pytest.approx(psnr(a * 0.5, b * 0.5, peak=127.5), abs=1e-9)
+
 
 class TestMpsnr:
     def test_mean_over_bands(self):
@@ -92,6 +104,21 @@ class TestSsim:
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("value", [3.0, 200.0])
+    def test_constant_band_at_vanishing_peak(self, value):
+        """At peak 1e-300, c1 and c2 underflow to 0, so a window with no
+        variance is 0/0; it reads the limit as c1, c2 -> 0+, which is 1."""
+        band = np.full((16, 16), value)
+        assert ssim(band, band, peak=1e-300) == 1.0
+
+    def test_zero_and_constant_regions_at_vanishing_peak(self):
+        # windows in the zero half have 0/0 luminance and contrast, those
+        # in the constant half 0/0 contrast, those across both neither
+        band = np.zeros((24, 40))
+        band[:, 20:] = 3.0
+        assert ssim(band, band, peak=1e-300) == 1.0
+        assert mssim(band[:, :, None], band[:, :, None], peak=1e-300) == 1.0
 
     def test_mssim_averages_bands(self):
         rng = np.random.default_rng(3)

@@ -113,6 +113,16 @@ class TestDenoiseConfig:
         cfg = DenoiseConfig(k0=value, iters=value)
         assert (cfg.k0, cfg.iters) == (3, 3)
 
+    @pytest.mark.parametrize("name, value", [("iters", 0), ("lam", 5.0)])
+    def test_frozen(self, name, value):
+        # a field set after construction skipped the checks: iters = 0 then
+        # failed inside denoise, lam = 5.0 ran; replace checks the new config
+        cfg = DenoiseConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(cfg, **{name: value})
+
 
 def warm_traced_peak(noisy, clean=None):
     """The traced peak, in bytes, of a default denoise(noisy, 30.0), after

@@ -16,7 +16,7 @@ from hsidenoise.subspace import (
     spectral_decompose,
 )
 from hsidenoise.synthetic import rank_cube
-from hsidenoise.tensor import frob_norm_sq, mode3_product, unfold3
+from hsidenoise.tensor import frob_norm_sq, mode3_product
 from hsidenoise.io import add_gaussian_noise, write_cube
 
 
@@ -33,7 +33,7 @@ def band_noise_by_loop(cube):
     through the coefficients, ||beta||^2 less its sampling part v times
     the sum of 1/sv^2 over the solve's singular values, is taken off.
     """
-    z = unfold3(cube)
+    z = cube.reshape(-1, cube.shape[2]).T
     b, mn = z.shape
     ridge = math.sqrt(RIDGE_SCALE * np.trace(z @ z.T) / b) * np.eye(b - 1)
     sigmas = np.empty(b)
@@ -91,7 +91,7 @@ class TestSpectralDecompose:
         cube = rng.standard_normal((5, 5, 4))
         model = spectral_decompose(cube, 2)
         resid = frob_norm_sq(cube - model.reconstruct())
-        s = np.linalg.svd(unfold3(cube), compute_uv=False)
+        s = np.linalg.svd(cube.reshape(-1, cube.shape[2]).T, compute_uv=False)
         assert resid == pytest.approx(np.sum(s[2:] ** 2), rel=1e-10)
 
     def test_gram_and_svd_paths_agree(self):
@@ -102,7 +102,7 @@ class TestSpectralDecompose:
         for cube, k in ((wide, 3), (rng.standard_normal((3, 3, 16)), 4)):
             model = spectral_decompose(cube, k)
             a = model.basis
-            z = unfold3(cube)
+            z = cube.reshape(-1, cube.shape[2]).T
             u_full, _, _ = np.linalg.svd(z, full_matrices=False)
             proj_ref = u_full[:, :k] @ u_full[:, :k].T
             assert np.abs(a @ a.T - proj_ref).max() < 1e-8
@@ -151,7 +151,8 @@ class TestSpectralDecompose:
     )
     def test_underflowing_gram_still_fits(self, cube):
         # every entry of this cube's unscaled band Gram underflows to zero
-        assert not (unfold3(cube) @ unfold3(cube).T).any()
+        z = cube.reshape(-1, cube.shape[2]).T
+        assert not (z @ z.T).any()
         model = spectral_decompose(cube, 2)
         assert np.abs(model.basis.T @ model.basis - np.eye(2)).max() < 1e-12
         assert np.isfinite(model.reduced).all()

@@ -1,66 +1,14 @@
-"""Cube/matrix layout conventions and small tensor helpers."""
+"""The band-mode product and the small tensor helpers modules share."""
 
 import dataclasses
 import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hsidenoise import experiment, io, metrics, synthetic, tensor
 from hsidenoise.pipeline import DenoiseConfig
-from hsidenoise.tensor import PEAK, as_cube, fold3, frob_norm_sq, mode3_product, unfold3
-
-
-def enumerated_cube():
-    # x(r, c, b) = r + 2c + 4b on a 2x2x2 grid: every entry is its own
-    # column-major spatial index plus a band offset, so the unfolded
-    # matrix can be written down by hand.
-    cube = np.empty((2, 2, 2))
-    for r in range(2):
-        for c in range(2):
-            for b in range(2):
-                cube[r, c, b] = r + 2 * c + 4 * b
-    return cube
-
-
-class TestUnfold3:
-    def test_hand_enumerated_layout(self):
-        """Row b of the unfolding scans the spatial grid column-major."""
-        z = unfold3(enumerated_cube())
-        expected = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
-        np.testing.assert_array_equal(z, expected)
-
-    def test_shape(self):
-        z = unfold3(np.zeros((5, 7, 3)))
-        assert z.shape == (3, 35)
-
-    def test_rejects_non_cube(self):
-        with pytest.raises(ValueError):
-            unfold3(np.zeros((4, 4)))
-
-
-class TestFold3:
-    @settings(max_examples=50, deadline=None)
-    @given(m=st.integers(1, 9), n=st.integers(1, 9), b=st.integers(1, 6),
-           seed=st.integers(0, 2**32 - 1))
-    def test_roundtrip_exact(self, m, n, b, seed):
-        cube = np.random.default_rng(seed).standard_normal((m, n, b))
-        mat = unfold3(cube)
-        assert mat.shape == (b, m * n)
-        np.testing.assert_array_equal(fold3(mat, (m, n)), cube)
-
-    def test_inverse_of_hand_layout(self):
-        mat = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
-        np.testing.assert_array_equal(fold3(mat, (2, 2)), enumerated_cube())
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            fold3(np.zeros((3, 10)), (3, 3))
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError, match="2-d unfolded matrix"):
-            fold3(np.zeros((3, 3, 3)), (3, 1))
+from hsidenoise.tensor import PEAK, as_cube, frob_norm_sq, mode3_product
 
 
 class TestMode3Product:
@@ -71,7 +19,7 @@ class TestMode3Product:
         out = mode3_product(cube, p)
         assert out.shape == (4, 6, 3)
         np.testing.assert_allclose(
-            unfold3(out), p @ unfold3(cube), rtol=0, atol=1e-13
+            out.reshape(-1, 3), cube.reshape(-1, 5) @ p.T, rtol=0, atol=1e-13
         )
 
     def test_identity_matrix(self):
